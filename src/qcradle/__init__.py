@@ -31,7 +31,6 @@ from .dynamics import (
     end_amplitude,
     evolution_grid,
     evolve,
-    kick_transfer_probe,
     peak_transfer,
     revival_fidelity,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "peak_transfer",
     "revival_fidelity",
     "edge_exposure",
-    "kick_transfer_probe",
     "tune_single",
     "tune_double",
     "flatness_probe",

@@ -114,8 +114,6 @@ def parse_config(path: str, overrides=()) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError:
-        raise
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     cfg = {s: dict(parser.items(s)) for s in parser.sections()}
@@ -455,10 +453,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config, args.override)
         paths = _COMMANDS[args.command](cfg, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TooLargeError as exc:

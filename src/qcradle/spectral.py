@@ -75,11 +75,9 @@ def diagonalize(spec: ChainSpec) -> Spectrum:
     w, v = eigh_tridiagonal(spec.eps, -spec.tau)
     g = np.ascontiguousarray(v.T)
     # sign convention: first non-negligible component positive
-    thresh = 1e-8 * np.max(np.abs(g), axis=1)
-    for n in range(spec.M):
-        nz = np.nonzero(np.abs(g[n]) > thresh[n])[0]
-        if g[n, nz[0]] < 0:
-            g[n] = -g[n]
+    mag = np.abs(g)
+    first = np.argmax(mag > 1e-8 * np.max(mag, axis=1, keepdims=True), axis=1)
+    g[g[np.arange(spec.M), first] < 0] *= -1.0
     return Spectrum(omega=w, g=g, spec=spec)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from qcradle import (
     revival_fidelity,
     uniform_chain,
 )
+from qcradle.dynamics import _end_abs_scan, _end_weights
 from util import dense_propagate, random_chain
 
 
@@ -188,6 +191,32 @@ class TestPeakTransfer:
             peak_transfer(sp, window=(-1.0, 3.0))
         with pytest.raises(ValueError):
             peak_transfer(sp, window=(0.0, 3.0), coarse_steps=5)
+
+
+class TestEndAbsScan:
+    # n = 11 is not a multiple of its block size 4; n = 49 is a perfect square
+    @pytest.mark.parametrize("M", [1, 2, 100])
+    @pytest.mark.parametrize("n, t0", [(1, 2.0), (10, 0.0), (11, 0.0), (49, 0.0), (50, 3.7)])
+    def test_matches_dense_scan(self, M, n, t0):
+        sp = diagonalize(random_chain(np.random.default_rng(M), M=M))
+        w = _end_weights(sp)
+        dt = 0.3
+        t = t0 + dt * np.arange(n)
+        dense = np.abs(np.exp(-1j * np.outer(t, sp.omega)) @ w)
+        vals = _end_abs_scan(sp.omega, w, t0, dt, n)
+        assert vals.shape == (n,)
+        assert np.max(np.abs(vals - dense)) < 1e-12
+
+    def test_peak_transfer_memory_is_bounded(self):
+        # a full n x M scan at M = 2000 (n = 60001) would need 1.9 GB
+        sp = _spectrum(2000)
+        tracemalloc.start()
+        try:
+            peak_transfer(sp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestRevivalFidelity:

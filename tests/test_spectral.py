@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from qcradle import (
     ChainSpec,
@@ -12,6 +13,7 @@ from qcradle import (
     kick_state,
     linearity_deviation,
     mirror_parity,
+    mirror_symmetric,
     mode_overlaps,
     pseudo_wavevectors,
     pst_chain,
@@ -79,6 +81,34 @@ class TestDiagonalize:
         for row in a.g:
             nz = row[np.abs(row) > 1e-8 * np.max(np.abs(row))]
             assert nz[0] > 0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # a vanishing bond splits the chain: modes of the right block are
+            # exactly zero on the leading sites
+            ChainSpec(M=7, tau=[1.0, 0.7, 1e-300, 1.3, 0.9, 1.1], eps=[0.1, -0.2, 0.3, 2.0, 2.5, 1.5, 2.2]),
+            ChainSpec(M=6, tau=[1.0, 1.0, 1e-300, 1.0, 1.0], eps=[0.0, 0.0, 0.0, 3.0, 3.0, 3.0]),
+            uniform_chain(9, 1.0),
+            pst_chain(8, 1.0),
+        ],
+    )
+    def test_sign_convention_skips_zero_components(self, spec):
+        sp = diagonalize(spec)
+        # per-row reference for the convention, on the raw LAPACK vectors
+        _, v = eigh_tridiagonal(spec.eps, -spec.tau)
+        ref = np.ascontiguousarray(v.T)
+        for row in ref:
+            if row[np.abs(row) > 1e-8 * np.max(np.abs(row))][0] < 0:
+                row *= -1.0
+        assert np.array_equal(sp.g, ref)
+        for row in sp.g:
+            assert row[np.abs(row) > 1e-8 * np.max(np.abs(row))][0] > 0
+        # parity labels are sign-independent: they still alternate exactly
+        # on the mirror-symmetric chains
+        assert mirror_parity(sp).alternating() == mirror_symmetric(spec)
+        if spec.tau.min() < 1e-100:
+            assert np.any(sp.g[:, 0] == 0.0)
 
 
 class TestMirrorParity:
