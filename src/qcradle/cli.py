@@ -309,13 +309,8 @@ def cmd_evolve(cfg: dict, outdir: str | None) -> list[str]:
     caps = _caps()
 
     spectrum = diagonalize(spec)
-    if steps * spec.M > caps["grid_cells"]:
-        raise TooLargeError(
-            f"grid of {steps} x {spec.M} = {steps * spec.M} cells exceeds cap "
-            f"{caps['grid_cells']} (set {ENV_CAP} to raise it)"
-        )
     try:
-        grid = evolution_grid(spectrum, state, t_max, steps, allow_large=True)
+        grid = evolution_grid(spectrum, state, t_max, steps, max_cells=caps["grid_cells"])
     except ValueError as exc:
         raise ConfigError(f"[evolve] invalid parameters: {exc}") from exc
 
@@ -457,7 +452,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TooLargeError as exc:
-        print(f"compute cap: {exc}", file=sys.stderr)
+        print(f"compute cap: {exc} (set {ENV_CAP} to raise it)", file=sys.stderr)
         return EXIT_CAP
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

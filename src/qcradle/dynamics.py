@@ -78,7 +78,7 @@ def evolution_grid(
     state0: WaveState,
     t_max: float,
     steps: int,
-    allow_large: bool = False,
+    max_cells: int = GRID_CELL_CAP,
 ) -> EvolutionGrid:
     """Probabilities on ``steps`` uniform samples of [0, t_max], endpoints included."""
     if state0.M != spectrum.M:
@@ -88,11 +88,8 @@ def evolution_grid(
     if steps < 2:
         raise ValueError("steps must be >= 2")
     cells = steps * spectrum.M
-    if cells > GRID_CELL_CAP and not allow_large:
-        raise TooLargeError(
-            f"grid of {steps} x {spectrum.M} = {cells} cells exceeds cap "
-            f"{GRID_CELL_CAP}; pass allow_large=True to override"
-        )
+    if cells > max_cells:
+        raise TooLargeError(f"grid of {steps} x {spectrum.M} = {cells} cells exceeds cap {max_cells}")
     times = np.linspace(0.0, t_max, steps)
     c = spectrum.g @ state0.z
     amps = (np.exp(-1j * np.outer(times, spectrum.omega)) * c) @ spectrum.g

@@ -232,16 +232,20 @@ def build_hamiltonian(p: HubbardParams, basis: FockBasis) -> sp.csr_matrix:
     return H
 
 
-def exact_evolve(H, state: np.ndarray, t: float, max_dim: int = EVOLVE_DIM_CAP) -> np.ndarray:
-    """e^{-i H t} state via full Hermitian eigendecomposition."""
+def _dense_eigh(H, max_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the (sparse or dense) Hermitian H."""
     dim = H.shape[0]
     if dim > max_dim:
         raise TooLargeError(f"dimension {dim} exceeds dense-evolution cap {max_dim}")
+    return np.linalg.eigh(H.toarray() if sp.issparse(H) else np.asarray(H))
+
+
+def exact_evolve(H, state: np.ndarray, t: float, max_dim: int = EVOLVE_DIM_CAP) -> np.ndarray:
+    """e^{-i H t} state via full Hermitian eigendecomposition."""
     state = np.asarray(state, dtype=complex)
-    if state.shape != (dim,):
+    if state.shape != (H.shape[0],):
         raise ValueError("state length must match the matrix dimension")
-    dense = H.toarray() if sp.issparse(H) else np.asarray(H)
-    lam, V = np.linalg.eigh(dense)
+    lam, V = _dense_eigh(H, max_dim)
     return V @ (np.exp(-1j * lam * t) * (V.conj().T @ state))
 
 
@@ -291,10 +295,7 @@ def compare_effective(
 
     M = p.M
     basis = enumerate_basis(M, M - 1, 1, nmax)
-    H = build_hamiltonian(p, basis)
-    if basis.dim > max_dim:
-        raise TooLargeError(f"dimension {basis.dim} exceeds dense-evolution cap {max_dim}")
-    lam, V = np.linalg.eigh(H.toarray())
+    lam, V = _dense_eigh(build_hamiltonian(p, basis), max_dim)
 
     kick = (tuple([0] + [1] * (M - 1)), tuple([1] + [0] * (M - 1)))
     psi0 = np.zeros(basis.dim)

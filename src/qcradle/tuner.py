@@ -4,14 +4,20 @@ Boundary-coupling optimization for end-to-end transfer.
 Weakening the outermost bonds of a uniform chain narrows the weight of the
 kick state onto the quasi-linear center of the dispersion, which raises the
 peak end-site amplitude well above the uniform-chain value.  This module
-maximizes that peak over the edge scale factor x (single-bond variant) or
-over (x, y) with the second bond pair in play, using a coarse grid followed
-by derivative-free golden-section refinement.  Everything is deterministic:
-fixed grids, fixed sweep order, ties resolved to the lowest x then lowest y.
+maximizes that peak over the edge scale factors: x alone (one bond pair) or
+(x, y) with the second bond pair in play.  Both run through one kernel: a
+coarse grid over every factor, then coordinate descent with one
+golden-section line search per factor, a move accepted only when it strictly
+improves the peak.  Sweeps repeat until no factor moves by the parameter
+tolerance (at most 20); with a single factor the descent is one line search.
+Everything is deterministic: fixed grids, fixed sweep order, ties resolved to
+the lowest x then lowest y.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +49,7 @@ class TuneResult:
 
 
 def _objective(M: int, tau: float, params: tuple[float, ...]) -> TransferReport:
-    x = params[0]
-    y = params[1] if len(params) > 1 else None
-    return peak_transfer(diagonalize(edge_modified_chain(M, tau, x, y)))
+    return peak_transfer(diagonalize(edge_modified_chain(M, tau, *params)))
 
 
 def _axis_grid(points: int) -> np.ndarray:
@@ -57,47 +61,56 @@ def _axis_grid(points: int) -> np.ndarray:
     return np.linspace(GRID_LO, 1.0, points)
 
 
+def _tune(M: int, tau: float, pairs: int, grid: int) -> TuneResult:
+    """Coarse grid over ``pairs`` edge factors, then coordinate descent."""
+    xs = _axis_grid(grid).tolist()
+    trace: list[tuple[tuple[float, ...], float]] = []
+
+    def amplitude(params: tuple[float, ...]) -> float:
+        amp = _objective(M, tau, params).peak_amplitude
+        trace.append((params, amp))
+        return amp
+
+    best, best_amp = xs[:1] * pairs, -1.0
+    for params in itertools.product(xs, repeat=pairs):
+        amp = amplitude(params)
+        if amp > best_amp:
+            best, best_amp = list(params), amp
+
+    if len(xs) >= 2:
+        h = xs[1] - xs[0]
+        for _ in range(20 if pairs > 1 else 1):
+            moved = 0.0
+            for axis in range(pairs):
+
+                def line(v: float, axis=axis) -> float:
+                    return amplitude(tuple(best[:axis] + [v] + best[axis + 1 :]))
+
+                a = max(X_FLOOR, best[axis] - h)
+                b = min(1.0, best[axis] + h)
+                v_ref, amp_ref, _ = golden_max(line, a, b, PARAM_TOL)
+                if amp_ref > best_amp:
+                    moved = max(moved, abs(v_ref - best[axis]))
+                    best[axis], best_amp = float(v_ref), float(amp_ref)
+            if moved < PARAM_TOL:
+                break
+
+    return TuneResult(
+        best_params=best,
+        best_amplitude=best_amp,
+        best_time=_objective(M, tau, tuple(best)).peak_time,
+        evaluations=len(trace),
+        trace=trace,
+    )
+
+
 def tune_single(M: int, tau: float, x_grid: int = 50) -> TuneResult:
     """Maximize peak transfer over the edge factor x in (0, 1].
 
     Coarse grid of ``x_grid`` points, then golden-section refinement around
     the best sample to parameter tolerance 1e-4.
     """
-    if M < 3:
-        raise ValueError("tune_single needs M >= 3")
-    xs = _axis_grid(x_grid)
-    trace: list[tuple[tuple[float, ...], float]] = []
-
-    best_i, best_amp, best_time = 0, -1.0, 0.0
-    for i, x in enumerate(xs):
-        rep = _objective(M, tau, (x,))
-        trace.append(((float(x),), rep.peak_amplitude))
-        if rep.peak_amplitude > best_amp:
-            best_i, best_amp, best_time = i, rep.peak_amplitude, rep.peak_time
-    best_x = float(xs[best_i])
-
-    if len(xs) >= 2:
-        h = float(xs[1] - xs[0])
-        a = max(X_FLOOR, best_x - h)
-        b = min(1.0, best_x + h)
-
-        def f(x: float) -> float:
-            rep = _objective(M, tau, (x,))
-            trace.append(((float(x),), rep.peak_amplitude))
-            return rep.peak_amplitude
-
-        x_ref, amp_ref, _ = golden_max(f, a, b, PARAM_TOL)
-        if amp_ref > best_amp:
-            best_x, best_amp = float(x_ref), float(amp_ref)
-            best_time = _objective(M, tau, (best_x,)).peak_time
-
-    return TuneResult(
-        best_params=(best_x,),
-        best_amplitude=best_amp,
-        best_time=best_time,
-        evaluations=len(trace),
-        trace=tuple(trace),
-    )
+    return _tune(M, tau, 1, x_grid)
 
 
 def tune_double(M: int, tau: float, grid: int = 50) -> TuneResult:
@@ -107,54 +120,7 @@ def tune_double(M: int, tau: float, grid: int = 50) -> TuneResult:
     with golden-section line searches (tolerance 1e-4 per coordinate); a
     line-search move is accepted only when it strictly improves the peak.
     """
-    if M < 5:
-        raise ValueError("tune_double needs M >= 5")
-    xs = _axis_grid(grid)
-    trace: list[tuple[tuple[float, ...], float]] = []
-
-    best = (float(xs[0]), float(xs[0]))
-    best_amp, best_time = -1.0, 0.0
-    for x in xs:
-        for y in xs:
-            rep = _objective(M, tau, (float(x), float(y)))
-            trace.append(((float(x), float(y)), rep.peak_amplitude))
-            if rep.peak_amplitude > best_amp:
-                best = (float(x), float(y))
-                best_amp, best_time = rep.peak_amplitude, rep.peak_time
-
-    if len(xs) >= 2:
-        h = float(xs[1] - xs[0])
-        params = list(best)
-        for _ in range(20):
-            moved = 0.0
-            for axis in (0, 1):
-                a = max(X_FLOOR, params[axis] - h)
-                b = min(1.0, params[axis] + h)
-
-                def f(v: float, axis=axis) -> float:
-                    trial = list(params)
-                    trial[axis] = v
-                    rep = _objective(M, tau, tuple(trial))
-                    trace.append((tuple(trial), rep.peak_amplitude))
-                    return rep.peak_amplitude
-
-                v_ref, amp_ref, _ = golden_max(f, a, b, PARAM_TOL)
-                if amp_ref > best_amp:
-                    moved = max(moved, abs(v_ref - params[axis]))
-                    params[axis] = float(v_ref)
-                    best_amp = float(amp_ref)
-            if moved < PARAM_TOL:
-                break
-        best = (params[0], params[1])
-        best_time = _objective(M, tau, best).peak_time
-
-    return TuneResult(
-        best_params=best,
-        best_amplitude=best_amp,
-        best_time=best_time,
-        evaluations=len(trace),
-        trace=tuple(trace),
-    )
+    return _tune(M, tau, 2, grid)
 
 
 def flatness_probe(M: int, tau: float, params, radius: float) -> float:
@@ -168,22 +134,8 @@ def flatness_probe(M: int, tau: float, params, radius: float) -> float:
         raise ValueError("params must hold one (x) or two (x, y) factors")
     if not all(0.0 < p <= 1.0 for p in params):
         raise ValueError("params must lie inside (0, 1]")
-    if radius < 0.0:
-        raise ValueError("radius must be >= 0")
+    if not 0.0 <= radius < math.inf:
+        raise ValueError("radius must be finite and >= 0")
 
-    axes = []
-    for p in params:
-        pts = np.clip(np.linspace(p - radius, p + radius, 5), X_FLOOR, 1.0)
-        if not np.any((pts > 0.0) & (pts <= 1.0)):
-            raise ValueError("neighborhood lies entirely outside (0, 1]")
-        axes.append(pts)
-
-    worst = np.inf
-    if len(axes) == 1:
-        for x in axes[0]:
-            worst = min(worst, _objective(M, tau, (float(x),)).peak_amplitude)
-    else:
-        for x in axes[0]:
-            for y in axes[1]:
-                worst = min(worst, _objective(M, tau, (float(x), float(y))).peak_amplitude)
-    return float(worst)
+    axes = [np.clip(np.linspace(p - radius, p + radius, 5), X_FLOOR, 1.0).tolist() for p in params]
+    return float(min(_objective(M, tau, q).peak_amplitude for q in itertools.product(*axes)))

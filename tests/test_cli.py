@@ -134,10 +134,11 @@ class TestEvolveCommand:
         matrix = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert matrix.shape == (40, 11)
 
-    def test_grid_cap_exit_code(self, tmp_path, monkeypatch):
+    def test_grid_cap_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QCRADLE_COMPUTE_CAP", "0.001")
         cfg = write(tmp_path / "run.ini", EVOLVE)
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CAP
+        assert "QCRADLE_COMPUTE_CAP" in capsys.readouterr().err
 
 
 class TestTuneCommand:

@@ -98,7 +98,7 @@ class TestEvolutionGrid:
         sp = _spectrum(100)
         with pytest.raises(TooLargeError):
             evolution_grid(sp, kick_state(100, 1), 10.0, 2000)
-        grid = evolution_grid(sp, kick_state(100, 1), 10.0, 2000, allow_large=True)
+        grid = evolution_grid(sp, kick_state(100, 1), 10.0, 2000, max_cells=200_000)
         assert grid.prob.shape == (2000, 100)
 
     def test_uniform_bounce_pattern_attenuates(self):

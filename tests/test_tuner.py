@@ -75,9 +75,29 @@ class TestTuneDouble:
             tune_double(4, 1.0)
 
 
+class TestSearchPath:
+    # evaluation counts and optima of the grid-and-descent search, pinned so
+    # that a change in grid order, bracket or sweep rule shows up here
+    @pytest.mark.parametrize(
+        "tune, M, grid, evaluations, params, amplitude",
+        [
+            (tune_single, 20, 13, 33, (0.6491582178827348,), 0.9736328329108737),
+            (tune_double, 12, 4, 555, (0.6237424507287344, 0.8650637326232039), 0.9981231910040878),
+            (tune_double, 20, 13, 529, (0.5503298124984526, 0.8178035554698463), 0.9960619087348049),
+        ],
+        ids=["single-M20", "double-M12", "double-M20"],
+    )
+    def test_pinned(self, tune, M, grid, evaluations, params, amplitude):
+        result = tune(M, 1.0, grid)
+        assert result.evaluations == evaluations
+        assert result.best_params == pytest.approx(params, abs=1e-12)
+        assert result.best_amplitude == pytest.approx(amplitude, abs=1e-12)
+
+
 class TestFlatnessProbe:
-    def test_zero_radius_equals_best(self):
-        result = tune_single(12, 1.0, x_grid=12)
+    @pytest.mark.parametrize("tune, grid", [(tune_single, 12), (tune_double, 4)], ids=["x", "xy"])
+    def test_zero_radius_equals_best(self, tune, grid):
+        result = tune(12, 1.0, grid)
         probe = flatness_probe(12, 1.0, result.best_params, 0.0)
         assert probe == pytest.approx(result.best_amplitude, abs=1e-12)
 
@@ -92,5 +112,6 @@ class TestFlatnessProbe:
             flatness_probe(10, 1.0, (0.5, 0.5, 0.5), 0.01)
         with pytest.raises(ValueError):
             flatness_probe(10, 1.0, (1.5,), 0.01)
-        with pytest.raises(ValueError):
-            flatness_probe(10, 1.0, (0.5,), -0.1)
+        for radius in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="radius"):
+                flatness_probe(10, 1.0, (0.5,), radius)
