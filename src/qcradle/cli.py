@@ -11,15 +11,18 @@ oracle     exact Bose-Hubbard vs effective-chain check    -> oracle.csv
 Each subcommand takes ``--config <path>`` and ``--out <dir>``; repeated
 ``--override section.key=value`` flags patch the config after parsing.  The
 config is a flat sectioned key-value file ([chain], [state], [evolve],
-[tune], [hubbard], [output]); validation rejects unknown keys and reports
-the offending key by name.  Every CSV starts with a single '#' metadata line
-recording the tool version, a hash of the resolved config, and the defaults
-in effect, so output files are self-describing and byte-identical across
-reruns.  Exit codes: 0 success, 2 config validation, 3 compute cap, 4 I/O.
+[tune], [hubbard], [output]).  Each section's keys are declared once, in an
+ordered schema; [chain] and [state] pick theirs by ``kind`` from
+``_CHAIN_KINDS``/``_STATE_KINDS``, which also hold each kind's builder.
+Missing and unknown keys are reported by name, in declaration order.
+Every CSV starts with a single '#' metadata line recording the tool
+version, a hash of the resolved config, and the defaults in effect, so
+output files are self-describing and byte-identical across reruns.  Exit
+codes: 0 success, 2 config validation, 3 compute cap, 4 I/O.
 
 The QCRADLE_COMPUTE_CAP environment variable scales every size cap (grid
 cells, basis states, dense-evolution dimension, oracle lattice length) by a
-positive factor.
+finite positive factor; ``main`` reads it once per run.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import math
 import os
 import sys
 import tempfile
@@ -75,19 +79,60 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending key."""
 
 
-# required/optional keys per chain kind
-_CHAIN_KEYS = {
-    "uniform": ({"m", "tau"}, set()),
-    "pst": ({"m", "tau"}, set()),
-    "edge": ({"m", "tau", "x"}, set()),
-    "two-bond": ({"m", "tau", "x", "y"}, set()),
-    "gaussian-trap": ({"m", "tau", "center", "width"}, {"sign"}),
-    "custom": ({"m", "tau"}, {"eps"}),
+# A schema is an ordered {key: (parse, default)}; _REQUIRED marks a key that
+# has no default.  Keys are checked and reported in this order.
+_REQUIRED = object()
+
+
+def _floats(raw: str) -> list[float]:
+    return [float(v) for v in raw.replace(",", " ").split()]
+
+
+_FLOAT = (float, _REQUIRED)  # a required float key
+_KIND = {"kind": (str, _REQUIRED)}
+_CHAIN = {**_KIND, "m": (int, _REQUIRED), "tau": _FLOAT}
+
+# kind -> (schema, builder of the parsed keys); the builders look the
+# constructors up by name at call time, so wrapping them from outside works
+_CHAIN_KINDS = {
+    "uniform": (_CHAIN, lambda m, tau: uniform_chain(m, tau)),
+    "pst": (_CHAIN, lambda m, tau: pst_chain(m, tau)),
+    "edge": ({**_CHAIN, "x": _FLOAT}, lambda m, tau, x: edge_modified_chain(m, tau, x)),
+    "two-bond": (
+        {**_CHAIN, "x": _FLOAT, "y": _FLOAT},
+        lambda m, tau, x, y: edge_modified_chain(m, tau, x, y),
+    ),
+    "gaussian-trap": (
+        {**_CHAIN, "center": _FLOAT, "width": _FLOAT, "sign": (int, DEFAULT_TRAP_SIGN)},
+        lambda m, tau, center, width, sign: gaussian_trap_chain(m, tau, center, width, sign),
+    ),
+    "custom": (
+        {**_CHAIN, "tau": (_floats, _REQUIRED), "eps": (_floats, None)},
+        lambda m, tau, eps: ChainSpec(
+            M=m, tau=np.asarray(tau), eps=np.asarray([0.0] * m if eps is None else eps)
+        ),
+    ),
 }
-_STATE_KEYS = {
-    "kick": ({"site"}, set()),
-    "gaussian": ({"center", "width"}, set()),
+_STATE_KINDS = {
+    "kick": ({**_KIND, "site": (int, _REQUIRED)}, lambda M, site: kick_state(M, site)),
+    "gaussian": (
+        {**_KIND, "center": _FLOAT, "width": _FLOAT},
+        lambda M, center, width: gaussian_wavepacket(M, center, width),
+    ),
 }
+_EVOLVE = {"t_max": _FLOAT, "steps": (int, _REQUIRED)}
+_TUNE = {"mode": (str, _REQUIRED), "points": (int, 50)}
+_HUBBARD = {
+    "m": (int, _REQUIRED),
+    "t": _FLOAT,
+    "u": _FLOAT,
+    "u0": (float, None),
+    "u1": (float, None),
+    "nmax": (int, 2),
+    "t_max": _FLOAT,
+    "steps": (int, _REQUIRED),
+}
+_OUTPUT = {"dir": (str, "."), "precision": (int, 17)}
 
 
 def _caps() -> dict:
@@ -98,8 +143,8 @@ def _caps() -> dict:
             factor = float(raw)
         except ValueError as exc:
             raise ConfigError(f"{ENV_CAP} must be a number, got {raw!r}") from exc
-        if not factor > 0.0:
-            raise ConfigError(f"{ENV_CAP} must be > 0")
+        if not 0.0 < factor < math.inf:
+            raise ConfigError(f"{ENV_CAP} must be finite and > 0")
     return {
         "grid_cells": int(GRID_CELL_CAP * factor),
         "basis_states": int(BASIS_STATE_CAP * factor),
@@ -126,114 +171,67 @@ def parse_config(path: str, overrides=()) -> dict:
     return cfg
 
 
-def _require_sections(cfg: dict, required: set[str], allowed: set[str]) -> None:
+def _require_sections(cfg: dict, required: tuple, optional: tuple) -> None:
     for s in required:
         if s not in cfg:
             raise ConfigError(f"missing required section [{s}]")
     for s in cfg:
-        if s not in allowed:
+        if s not in required + optional:
             raise ConfigError(f"unexpected section [{s}]")
 
 
-def _check_keys(section: str, block: dict, required: set[str], optional: set[str]) -> None:
-    for k in required:
-        if k not in block:
-            raise ConfigError(f"[{section}] is missing required key '{k}'")
-    for k in block:
-        if k not in required and k not in optional:
-            raise ConfigError(f"[{section}] has unexpected key '{k}'")
+def _read(cfg: dict, section: str, schema: dict) -> dict:
+    """The keys of ``[section]`` parsed by ``schema``, defaults filled in."""
+    block = cfg.get(section, {})
+    for key, (_, default) in schema.items():
+        if default is _REQUIRED and key not in block:
+            raise ConfigError(f"[{section}] is missing required key '{key}'")
+    for key in block:
+        if key not in schema:
+            raise ConfigError(f"[{section}] has unexpected key '{key}'")
+    values = {}
+    for key, (parse, default) in schema.items():
+        raw = block.get(key)
+        try:
+            values[key] = default if raw is None else parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] key '{key}': cannot parse {raw!r}") from exc
+    return values
 
 
-def _get(block: dict, section: str, key: str, kind, default=None):
-    if key not in block:
-        if default is not None:
-            return default
-        raise ConfigError(f"[{section}] is missing required key '{key}'")
-    raw = block[key]
+def _build(cfg: dict, section: str, kinds: dict, *args):
+    """Kind, parsed keys and built object of a ``[section]`` picked by its kind."""
+    kind = cfg.get(section, {}).get("kind")
+    if kind is not None and kind not in kinds:
+        raise ConfigError(f"[{section}] key 'kind': unknown kind {kind!r}")
+    # a missing kind is reported by reading the bare kind schema
+    schema, builder = kinds.get(kind, (_KIND, None))
+    values = _read(cfg, section, schema)
+    del values["kind"]
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw
-        if kind is list:
-            return [float(v) for v in raw.replace(",", " ").split()]
+        return kind, values, builder(*args, **values)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] key '{key}': cannot parse {raw!r}") from exc
-    raise AssertionError(kind)
+        raise ConfigError(f"[{section}] invalid parameters: {exc}") from exc
 
 
 def build_chain(cfg: dict) -> tuple[ChainSpec, dict]:
     """ChainSpec from the [chain] block, plus metadata about choices made."""
-    block = cfg.get("chain")
-    if block is None:
-        raise ConfigError("missing required section [chain]")
-    kind = _get(block, "chain", "kind", str)
-    if kind not in _CHAIN_KEYS:
-        raise ConfigError(f"[chain] key 'kind': unknown kind {kind!r}")
-    required, optional = _CHAIN_KEYS[kind]
-    _check_keys("chain", block, required | {"kind"}, optional)
-    M = _get(block, "chain", "m", int)
+    kind, values, spec = _build(cfg, "chain", _CHAIN_KINDS)
     meta: dict = {"chain": kind}
-    try:
-        if kind == "uniform":
-            spec = uniform_chain(M, _get(block, "chain", "tau", float))
-        elif kind == "pst":
-            spec = pst_chain(M, _get(block, "chain", "tau", float))
-        elif kind == "edge":
-            spec = edge_modified_chain(M, _get(block, "chain", "tau", float), _get(block, "chain", "x", float))
-        elif kind == "two-bond":
-            spec = edge_modified_chain(
-                M,
-                _get(block, "chain", "tau", float),
-                _get(block, "chain", "x", float),
-                _get(block, "chain", "y", float),
-            )
-        elif kind == "gaussian-trap":
-            sign = _get(block, "chain", "sign", int, default=DEFAULT_TRAP_SIGN)
-            spec = gaussian_trap_chain(
-                M,
-                _get(block, "chain", "tau", float),
-                _get(block, "chain", "center", float),
-                _get(block, "chain", "width", float),
-                sign,
-            )
-            meta["trap_sign"] = sign
-        else:  # custom
-            tau = _get(block, "chain", "tau", list)
-            eps = _get(block, "chain", "eps", list, default=[0.0] * M)
-            spec = ChainSpec(M=M, tau=np.asarray(tau), eps=np.asarray(eps))
-    except ValueError as exc:
-        raise ConfigError(f"[chain] invalid parameters: {exc}") from exc
+    if "sign" in values:
+        meta["trap_sign"] = values["sign"]
     return spec, meta
 
 
 def build_state(cfg: dict, M: int) -> WaveState:
-    block = cfg["state"]
-    kind = _get(block, "state", "kind", str)
-    if kind not in _STATE_KEYS:
-        raise ConfigError(f"[state] key 'kind': unknown kind {kind!r}")
-    required, optional = _STATE_KEYS[kind]
-    _check_keys("state", block, required | {"kind"}, optional)
-    try:
-        if kind == "kick":
-            return kick_state(M, _get(block, "state", "site", int))
-        return gaussian_wavepacket(
-            M, _get(block, "state", "center", float), _get(block, "state", "width", float)
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[state] invalid parameters: {exc}") from exc
+    return _build(cfg, "state", _STATE_KINDS, M)[2]
 
 
 def _output_opts(cfg: dict, outdir: str | None) -> tuple[str, int]:
-    block = cfg.get("output", {})
-    _check_keys("output", block, set(), {"dir", "precision"})
-    prec = _get(block, "output", "precision", int, default=17)
-    if not 1 <= prec <= 17:
+    opts = _read(cfg, "output", _OUTPUT)
+    if not 1 <= opts["precision"] <= 17:
         raise ConfigError("[output] key 'precision': must lie in 1..17")
-    directory = outdir if outdir is not None else block.get("dir", ".")
-    return directory, prec
+    return outdir if outdir is not None else opts["dir"], opts["precision"]
 
 
 def _config_hash(cfg: dict) -> str:
@@ -280,8 +278,8 @@ def _meta(command: str, cfg: dict, caps: dict, extra: dict) -> str:
     return "# " + " ".join(f"{k}={v}" for k, v in fields.items())
 
 
-def cmd_spectrum(cfg: dict, outdir: str | None) -> list[str]:
-    _require_sections(cfg, {"chain"}, {"chain", "state", "output"})
+def cmd_spectrum(cfg: dict, outdir: str | None, caps: dict) -> list[str]:
+    _require_sections(cfg, ("chain",), ("state", "output"))
     spec, meta_extra = build_chain(cfg)
     directory, prec = _output_opts(cfg, outdir)
     spectrum = diagonalize(spec)
@@ -292,25 +290,21 @@ def cmd_spectrum(cfg: dict, outdir: str | None) -> list[str]:
         header.append("overlap")
         columns.append(mode_overlaps(spectrum, state))
     meta_extra["precision"] = prec
-    meta = _meta("spectrum", cfg, _caps(), meta_extra)
+    meta = _meta("spectrum", cfg, caps, meta_extra)
     rows = zip(*columns)
     return [_write_csv(directory, "spectrum.csv", meta, header, rows, prec)]
 
 
-def cmd_evolve(cfg: dict, outdir: str | None) -> list[str]:
-    _require_sections(cfg, {"chain", "state", "evolve"}, {"chain", "state", "evolve", "output"})
+def cmd_evolve(cfg: dict, outdir: str | None, caps: dict) -> list[str]:
+    _require_sections(cfg, ("chain", "state", "evolve"), ("output",))
     spec, meta_extra = build_chain(cfg)
     state = build_state(cfg, spec.M)
-    block = cfg["evolve"]
-    _check_keys("evolve", block, {"t_max", "steps"}, set())
-    t_max = _get(block, "evolve", "t_max", float)
-    steps = _get(block, "evolve", "steps", int)
+    opts = _read(cfg, "evolve", _EVOLVE)
     directory, prec = _output_opts(cfg, outdir)
-    caps = _caps()
 
     spectrum = diagonalize(spec)
     try:
-        grid = evolution_grid(spectrum, state, t_max, steps, max_cells=caps["grid_cells"])
+        grid = evolution_grid(spectrum, state, opts["t_max"], opts["steps"], max_cells=caps["grid_cells"])
     except ValueError as exc:
         raise ConfigError(f"[evolve] invalid parameters: {exc}") from exc
 
@@ -326,20 +320,16 @@ def cmd_evolve(cfg: dict, outdir: str | None) -> list[str]:
     return paths
 
 
-def cmd_tune(cfg: dict, outdir: str | None) -> list[str]:
-    _require_sections(cfg, {"chain", "tune"}, {"chain", "tune", "output"})
-    block = cfg["tune"]
-    _check_keys("tune", block, {"mode"}, {"points"})
-    mode = _get(block, "tune", "mode", str)
+def cmd_tune(cfg: dict, outdir: str | None, caps: dict) -> list[str]:
+    _require_sections(cfg, ("chain", "tune"), ("output",))
+    opts = _read(cfg, "tune", _TUNE)
+    mode, points = opts["mode"], opts["points"]
     if mode not in ("single", "double"):
         raise ConfigError(f"[tune] key 'mode': must be 'single' or 'double', got {mode!r}")
-    points = _get(block, "tune", "points", int, default=50)
-    chain_block = cfg["chain"]
-    if chain_block.get("kind") != "uniform":
+    if cfg["chain"].get("kind") != "uniform":
         raise ConfigError("[chain] key 'kind': tune requires the uniform bulk chain")
-    _check_keys("chain", chain_block, {"kind", "m", "tau"}, set())
-    M = _get(chain_block, "chain", "m", int)
-    tau = _get(chain_block, "chain", "tau", float)
+    chain = _read(cfg, "chain", _CHAIN_KINDS["uniform"][0])
+    M, tau = chain["m"], chain["tau"]
     directory, prec = _output_opts(cfg, outdir)
 
     try:
@@ -357,7 +347,7 @@ def cmd_tune(cfg: dict, outdir: str | None) -> list[str]:
         "param_tol": "0.0001",
         "precision": prec,
     }
-    meta = _meta("tune", cfg, _caps(), extra)
+    meta = _meta("tune", cfg, caps, extra)
     trace_rows = (params + (amp,) for params, amp in result.trace)
     paths = [_write_csv(directory, "tune.csv", meta, param_names + ["amplitude"], trace_rows, prec)]
     best_row = [result.best_params + (result.best_amplitude, result.best_time, result.evaluations)]
@@ -374,34 +364,27 @@ def cmd_tune(cfg: dict, outdir: str | None) -> list[str]:
     return paths
 
 
-def cmd_oracle(cfg: dict, outdir: str | None) -> list[str]:
-    _require_sections(cfg, {"hubbard"}, {"hubbard", "output"})
-    block = cfg["hubbard"]
-    _check_keys("hubbard", block, {"m", "t", "u", "t_max", "steps"}, {"u0", "u1", "nmax"})
-    caps = _caps()
-    M = _get(block, "hubbard", "m", int)
+def cmd_oracle(cfg: dict, outdir: str | None, caps: dict) -> list[str]:
+    _require_sections(cfg, ("hubbard",), ("output",))
+    h = _read(cfg, "hubbard", _HUBBARD)
+    M, t, U, t_max, steps = h["m"], h["t"], h["u"], h["t_max"], h["steps"]
     if M > caps["oracle_m"]:
         raise ConfigError(
             f"[hubbard] key 'm': M={M} exceeds the oracle cap {caps['oracle_m']} "
             f"(set {ENV_CAP} to raise it)"
         )
-    t = _get(block, "hubbard", "t", float)
-    U = _get(block, "hubbard", "u", float)
-    U0 = _get(block, "hubbard", "u0", float, default=U)
-    U1 = _get(block, "hubbard", "u1", float, default=U)
-    nmax = _get(block, "hubbard", "nmax", int, default=2)
-    t_max = _get(block, "hubbard", "t_max", float)
-    steps = _get(block, "hubbard", "steps", int)
-    if steps < 2 or not t_max > 0.0:
-        raise ConfigError("[hubbard] keys 't_max'/'steps': need t_max > 0 and steps >= 2")
+    if steps < 2 or not 0.0 < t_max < math.inf:
+        raise ConfigError("[hubbard] keys 't_max'/'steps': need finite t_max > 0 and steps >= 2")
     directory, prec = _output_opts(cfg, outdir)
 
+    U0 = U if h["u0"] is None else h["u0"]
+    U1 = U if h["u1"] is None else h["u1"]
     try:
         params = HubbardParams(M=M, t0=np.full(M - 1, t), t1=np.full(M - 1, t), U=U, U0=U0, U1=U1)
         report = compare_effective(
             params,
             np.linspace(0.0, t_max, steps),
-            nmax=nmax,
+            nmax=h["nmax"],
             max_dim=caps["evolve_dim"],
         )
     except ValueError as exc:
@@ -410,7 +393,7 @@ def cmd_oracle(cfg: dict, outdir: str | None) -> list[str]:
     extra = {
         "tau_convention": report.convention,
         "basis_dim": report.basis_dim,
-        "nmax": nmax,
+        "nmax": h["nmax"],
         "precision": prec,
     }
     meta = _meta("oracle", cfg, caps, extra)
@@ -447,7 +430,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config, args.override)
-        paths = _COMMANDS[args.command](cfg, args.out)
+        paths = _COMMANDS[args.command](cfg, args.out, _caps())
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

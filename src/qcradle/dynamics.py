@@ -83,8 +83,8 @@ def evolution_grid(
     """Probabilities on ``steps`` uniform samples of [0, t_max], endpoints included."""
     if state0.M != spectrum.M:
         raise ValueError(f"state has {state0.M} sites, spectrum has {spectrum.M}")
-    if not t_max > 0.0:
-        raise ValueError("t_max must be > 0")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError("t_max must be finite and > 0")
     if steps < 2:
         raise ValueError("steps must be >= 2")
     cells = steps * spectrum.M

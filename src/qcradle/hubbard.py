@@ -290,11 +290,12 @@ def compare_effective(
     if p.M < 2:
         raise ValueError("the cradle configuration needs M >= 2")
     times = np.asarray(t_grid, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-d sequence")
+    if times.ndim != 1 or times.size == 0 or not np.isfinite(times).all():
+        raise ValueError("t_grid must be a nonempty 1-d sequence of finite times")
 
     M = p.M
-    basis = enumerate_basis(M, M - 1, 1, nmax)
+    # a basis the dense path would refuse is not worth enumerating
+    basis = enumerate_basis(M, M - 1, 1, nmax, max_states=max_dim)
     lam, V = _dense_eigh(build_hamiltonian(p, basis), max_dim)
 
     kick = (tuple([0] + [1] * (M - 1)), tuple([1] + [0] * (M - 1)))

@@ -1,8 +1,22 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from qcradle import diagonalize, uniform_chain
+import qcradle
+from qcradle import (
+    ChainSpec,
+    diagonalize,
+    edge_modified_chain,
+    gaussian_trap_chain,
+    kick_state,
+    mode_overlaps,
+    pst_chain,
+    uniform_chain,
+)
 from qcradle.cli import EXIT_CAP, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 
@@ -115,6 +129,69 @@ class TestSpectrumCommand:
         assert (out1 / "spectrum.csv").read_bytes() == (out2 / "spectrum.csv").read_bytes()
 
 
+# [chain] body of every chain kind, and the chain the library builds from it
+CHAIN_KINDS = [
+    pytest.param("kind = uniform\nm = 9\ntau = 0.7\n", uniform_chain(9, 0.7), id="uniform"),
+    pytest.param("kind = pst\nm = 9\ntau = 0.7\n", pst_chain(9, 0.7), id="pst"),
+    pytest.param(
+        "kind = edge\nm = 9\ntau = 0.7\nx = 0.6\n", edge_modified_chain(9, 0.7, 0.6), id="edge"
+    ),
+    pytest.param(
+        "kind = two-bond\nm = 9\ntau = 0.7\nx = 0.6\ny = 0.85\n",
+        edge_modified_chain(9, 0.7, 0.6, 0.85),
+        id="two-bond",
+    ),
+    pytest.param(
+        "kind = gaussian-trap\nm = 9\ntau = 0.7\ncenter = 4\nwidth = 3\n",
+        gaussian_trap_chain(9, 0.7, 4.0, 3.0),
+        id="gaussian-trap",
+    ),
+    pytest.param(
+        "kind = custom\nm = 4\ntau = 1.0, 0.5 0.8\neps = 0.1 -0.2 0 0.3\n",
+        ChainSpec(M=4, tau=np.array([1.0, 0.5, 0.8]), eps=np.array([0.1, -0.2, 0.0, 0.3])),
+        id="custom",
+    ),
+    pytest.param(
+        "kind = custom\nm = 4\ntau = 1.0 0.5 0.8\n",
+        ChainSpec(M=4, tau=np.array([1.0, 0.5, 0.8]), eps=np.zeros(4)),
+        id="custom-no-eps",
+    ),
+]
+
+
+@pytest.mark.parametrize("body, spec", CHAIN_KINDS)
+def test_every_chain_kind_matches_the_library(tmp_path, body, spec):
+    cfg = write(tmp_path / "run.ini", f"[chain]\n{body}\n[state]\nkind = kick\nsite = 1\n")
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    _, header, rows = read_rows(tmp_path / "spectrum.csv")
+    assert header == ["n", "omega", "overlap"]
+    got = np.array(rows, dtype=float)
+    ref = diagonalize(spec)
+    assert np.array_equal(got[:, 1], ref.omega)
+    assert np.array_equal(got[:, 2], mode_overlaps(ref, kick_state(spec.M, 1)))
+
+
+def test_error_names_do_not_depend_on_hash_seed(tmp_path):
+    # missing keys and sections are reported in declaration order
+    two_bond = write(tmp_path / "two_bond.ini", "[chain]\nkind = two-bond\nm = 10\n")
+    no_state = write(tmp_path / "no_state.ini", UNIFORM3)
+    script = (
+        "import sys; from qcradle.cli import main; "
+        "main(['spectrum', '--config', sys.argv[1]]); main(['evolve', '--config', sys.argv[2]])"
+    )
+    src = str(Path(qcradle.__file__).resolve().parent.parent)
+    for seed in ("0", "1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", script, two_bond, no_state],
+            env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
+        )
+        assert run.stderr.splitlines() == [
+            "config error: [chain] is missing required key 'tau'",
+            "config error: missing required section [state]",
+        ], seed
+
+
 class TestEvolveCommand:
     def test_grid_files(self, tmp_path):
         cfg = write(tmp_path / "run.ini", EVOLVE)
@@ -139,6 +216,17 @@ class TestEvolveCommand:
         cfg = write(tmp_path / "run.ini", EVOLVE)
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CAP
         assert "QCRADLE_COMPUTE_CAP" in capsys.readouterr().err
+
+    def test_infinite_cap_factor_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QCRADLE_COMPUTE_CAP", "inf")
+        cfg = write(tmp_path / "run.ini", EVOLVE)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "QCRADLE_COMPUTE_CAP" in capsys.readouterr().err
+
+    def test_infinite_t_max_writes_nothing(self, tmp_path):
+        cfg = write(tmp_path / "run.ini", EVOLVE.replace("t_max = 3.2", "t_max = inf"))
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert not [f for f in os.listdir(tmp_path) if f.endswith(".csv")]
 
 
 class TestTuneCommand:
@@ -181,6 +269,11 @@ class TestOracleCommand:
     def test_lattice_cap(self, tmp_path):
         cfg = write(tmp_path / "run.ini", ORACLE_M2.replace("m = 2", "m = 6"))
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_infinite_t_max_writes_nothing(self, tmp_path):
+        cfg = write(tmp_path / "run.ini", ORACLE_M2.replace("t_max = 10", "t_max = inf"))
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert not (tmp_path / "oracle.csv").exists()
 
 
 class TestValidation:

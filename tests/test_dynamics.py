@@ -94,6 +94,11 @@ class TestEvolutionGrid:
         grid = evolution_grid(sp, kick_state(31, 1), np.pi, 64)
         assert np.max(np.abs(grid.prob[-1] - grid.prob[0])) < 1e-8
 
+    @pytest.mark.parametrize("t_max", [0.0, np.inf, np.nan])
+    def test_t_max_must_be_finite_and_positive(self, t_max):
+        with pytest.raises(ValueError, match="t_max must be finite and > 0"):
+            evolution_grid(_spectrum(6), kick_state(6, 1), t_max, 10)
+
     def test_cell_cap(self):
         sp = _spectrum(100)
         with pytest.raises(TooLargeError):

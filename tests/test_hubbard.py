@@ -235,6 +235,20 @@ class TestCompareEffective:
         d3 = compare_effective(_uniform_params(4, 1.0, 50.0), grid, nmax=3).deviation.max()
         assert abs(d3 - d2) < d2
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_times(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            compare_effective(_uniform_params(3, 1.0, 50.0), [0.0, 1.0, bad])
+
+    def test_refuses_before_building_h(self, monkeypatch):
+        # M=8 has basis dim 8128, above the dense cap: no H may be assembled
+        def boom(*args):
+            raise AssertionError("build_hamiltonian called")
+
+        monkeypatch.setattr("qcradle.hubbard.build_hamiltonian", boom)
+        with pytest.raises(TooLargeError, match="basis would hold 8128 states, cap is 2048"):
+            compare_effective(_uniform_params(8, 1.0, 50.0), [0.0, 1.0])
+
     def test_requires_species_independence(self):
         p = HubbardParams(M=3, t0=[1.0, 1.0], t1=[1.0, 0.9], U=50.0, U0=50.0, U1=50.0)
         with pytest.raises(ValueError):
