@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from qcradle import (
     ChainSpec,
     diagonalize,
     edge_exposure,
+    edge_modified_chain,
     end_amplitude,
     evolution_grid,
     evolve,
@@ -20,12 +22,17 @@ from qcradle import (
     revival_fidelity,
     uniform_chain,
 )
-from qcradle.dynamics import _end_abs_scan, _end_weights
+from qcradle.dynamics import _end_abs, _end_abs_scan, _end_weights, default_window
 from util import dense_propagate, random_chain
 
 
 def _spectrum(M=10, tau=1.0):
     return diagonalize(uniform_chain(M, tau))
+
+
+@pytest.fixture(scope="module")
+def spectrum2000():
+    return _spectrum(2000)
 
 
 class TestEvolve:
@@ -196,6 +203,43 @@ class TestPeakTransfer:
             peak_transfer(sp, window=(-1.0, 3.0))
         with pytest.raises(ValueError):
             peak_transfer(sp, window=(0.0, 3.0), coarse_steps=5)
+        # a non-finite end is refused whether or not coarse_steps is given
+        for window in [(0.0, np.inf), (0.0, np.nan), (np.nan, 3.0)]:
+            for steps in (None, 20):
+                with pytest.raises(ValueError, match="window"):
+                    peak_transfer(sp, window=window, coarse_steps=steps)
+        for steps in (12.5, 20.0):
+            with pytest.raises(ValueError, match="integer"):
+                peak_transfer(sp, window=(0.0, 3.0), coarse_steps=steps)
+        assert peak_transfer(sp, window=(0.0, 3.0), coarse_steps=np.int64(20)).samples > 20
+
+    # pinned bits: a faster scan or refine must not flip the coarse argmax
+    # or move any refine probe by one ulp
+    @pytest.mark.parametrize(
+        "spec, time_hex, amp_hex, samples",
+        [
+            (uniform_chain(101, 1.0), "0x1.a619ec95cb85dp+5", "0x1.11a004662a7dcp-1", 3060),
+            (pst_chain(50, 1.0), "0x1.921fb68fd6a85p+0", "0x1.ffffffffffadfp-1", 1524),
+            (edge_modified_chain(100, 1.0, 0.5, 0.8), "0x1.b52da4c252a3cp+5", "0x1.e1c1938b6197dp-1", 3030),
+        ],
+        ids=["uniform101", "pst50", "two-bond100"],
+    )
+    def test_pinned_bits(self, spec, time_hex, amp_hex, samples):
+        rep = peak_transfer(diagonalize(spec))
+        assert rep.peak_time.hex() == time_hex
+        assert rep.peak_amplitude.hex() == amp_hex
+        assert rep.samples == samples
+
+
+class TestEndAbs:
+    def test_bitwise_equal_to_direct_mode_sum(self):
+        # the refine kernel takes hoisted arrays but must keep the products and
+        # the summation order of the direct sum, so tune traces stay bit-equal
+        sp = diagonalize(edge_modified_chain(100, 1.0, 0.5, 0.8))
+        omega, w = sp.omega, _end_weights(sp)
+        phase, cw = -1j * omega, w.astype(complex)
+        for t in np.random.default_rng(7).uniform(0.0, 150.0, 1000):
+            assert _end_abs(phase, cw, t) == abs(np.sum(w * np.exp(-1j * omega * t)))
 
 
 class TestEndAbsScan:
@@ -212,16 +256,35 @@ class TestEndAbsScan:
         assert vals.shape == (n,)
         assert np.max(np.abs(vals - dense)) < 1e-12
 
-    def test_peak_transfer_memory_is_bounded(self):
-        # a full n x M scan at M = 2000 (n = 60001) would need 1.9 GB
-        sp = _spectrum(2000)
+    def test_realistic_grid_matches_direct_sum(self, spectrum2000):
+        # default grid of a uniform M = 2000 chain: n = 60001, block size 245;
+        # the running-product phases drift most at the end of each block
+        sp = spectrum2000
+        w0, w1 = default_window(sp)
+        n = 60001
+        dt = (w1 - w0) / (n - 1)
+        B = math.isqrt(n - 1) + 1
+        assert B == 245
+        w = _end_weights(sp)
+        vals = _end_abs_scan(sp.omega, w, w0, dt, n)
+        assert vals.shape == (n,)
+        edges = np.arange(B, n, B)
+        rng = np.random.default_rng(2000)
+        idx = np.unique(np.concatenate([[0, n - 1], edges, edges - 1, rng.integers(0, n, 200)]))
+        direct = np.abs(np.exp(-1j * np.outer(w0 + idx * dt, sp.omega)) @ w)
+        assert np.max(np.abs(vals[idx] - direct)) < 1e-12
+
+    def test_peak_transfer_memory_is_bounded(self, spectrum2000):
+        # a full n x M scan at M = 2000 (n = 60001) would need 1.9 GB; the
+        # two running-product phase blocks peak near 16 MB
+        sp = spectrum2000
         tracemalloc.start()
         try:
             peak_transfer(sp)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 32 * 2**20
 
 
 class TestRevivalFidelity:
