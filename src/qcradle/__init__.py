@@ -38,7 +38,6 @@ from .errors import (
     DegenerateSpectrumError,
     DegenerateStateError,
     MirrorSymmetryError,
-    NoRootError,
     NotFreeFermionError,
     TooLargeError,
 )
@@ -110,6 +109,5 @@ __all__ = [
     "DegenerateSpectrumError",
     "MirrorSymmetryError",
     "NotFreeFermionError",
-    "NoRootError",
     "TooLargeError",
 ]

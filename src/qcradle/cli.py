@@ -64,7 +64,7 @@ from .hubbard import (
     compare_effective,
 )
 from .spectral import diagonalize, mode_overlaps
-from .tuner import tune_double, tune_single
+from .tuner import PARAM_TOL, tune_double, tune_single
 
 ORACLE_M_CAP = 5
 ENV_CAP = "QCRADLE_COMPUTE_CAP"
@@ -344,7 +344,7 @@ def cmd_tune(cfg: dict, outdir: str | None, caps: dict) -> list[str]:
         "window_factor": PEAK_WINDOW_FACTOR,
         "coarse_step": PEAK_COARSE_STEP,
         "time_tol": PEAK_TIME_TOL,
-        "param_tol": "0.0001",
+        "param_tol": PARAM_TOL,
         "precision": prec,
     }
     meta = _meta("tune", cfg, caps, extra)

@@ -44,6 +44,10 @@ PEAK_WINDOW_FACTOR = 1.5
 PEAK_COARSE_STEP = 0.05
 PEAK_TIME_TOL = 1e-6
 
+# Guardrail on the coarse peak scan, about 24 B per sample (~240 MB): the
+# default window takes 30*M + 1 samples, so only a caller's window reaches it.
+PEAK_SAMPLE_CAP = 10_000_000
+
 
 @dataclass(frozen=True)
 class EvolutionGrid:
@@ -141,20 +145,18 @@ def _end_abs(phase: np.ndarray, cw: np.ndarray, t: float) -> float:
 
 
 def end_amplitude(spectrum: Spectrum, t: float) -> complex:
-    """End-site amplitude A_M(t) for a kick at site 1, via mirror parity.
+    """End-site amplitude A_M(t) for a kick at site 1.
 
-    Uses only the first eigenvector components and the per-mode parity signs
-    s_n:  A_M(t) = sum_n s_n g_{n1}^2 e^{-i omega_n t}.  Valid only for
-    mirror-symmetric chains, where eigenvectors have definite parity.
+    The mode sum A_M(t) = sum_n g_{n1} g_{nM} e^{-i omega_n t} with the same
+    end weights as the peak search, so |A_M| at a reported peak time equals
+    the reported peak amplitude exactly.  Defined only for mirror-symmetric
+    chains with simple spectrum, the cradle geometry.
     """
-    parity = mirror_parity(spectrum)
-    if not parity.all_defined():
+    if not mirror_parity(spectrum).all_defined():
         raise MirrorSymmetryError(
             "end_amplitude requires a mirror-symmetric chain with simple spectrum"
         )
-    s = np.array(parity.parity, dtype=float)
-    g1 = spectrum.g[:, 0]
-    return complex(np.sum(s * g1**2 * np.exp(-1j * spectrum.omega * t)))
+    return complex(np.sum(_end_weights(spectrum) * np.exp(-1j * spectrum.omega * t)))
 
 
 def default_window(spectrum: Spectrum) -> tuple[float, float]:
@@ -172,7 +174,8 @@ def peak_transfer(
     Coarse uniform scan followed by golden-section refinement of the best
     sample to time tolerance 1e-6.  Deterministic: ties on the coarse grid
     resolve to the earliest time.  ``window`` needs 0 <= start < end < inf
-    and ``coarse_steps`` an integer >= 10; otherwise ValueError.
+    and ``coarse_steps`` an integer >= 10; otherwise ValueError.  A scan of
+    more than PEAK_SAMPLE_CAP samples raises TooLargeError.
     """
     if window is None:
         window = default_window(spectrum)
@@ -184,6 +187,8 @@ def peak_transfer(
         coarse_steps = max(10, int(np.ceil((w1 - w0) * tau_max / PEAK_COARSE_STEP)) + 1)
     if not isinstance(coarse_steps, numbers.Integral) or coarse_steps < 10:
         raise ValueError("coarse_steps must be an integer >= 10")
+    if coarse_steps > PEAK_SAMPLE_CAP:
+        raise TooLargeError(f"peak scan of {coarse_steps} samples exceeds cap {PEAK_SAMPLE_CAP}")
 
     dt = (w1 - w0) / (coarse_steps - 1)
     omega, w = spectrum.omega, _end_weights(spectrum)

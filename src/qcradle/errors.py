@@ -24,13 +24,5 @@ class NotFreeFermionError(ValueError):
         self.bond = bond
 
 
-class NoRootError(RuntimeError):
-    """Bracketed root finding failed to converge; ``index`` is the mode number."""
-
-    def __init__(self, index: int, message: str):
-        super().__init__(message)
-        self.index = index
-
-
 class TooLargeError(RuntimeError):
     """A requested computation exceeds a configured size cap."""

@@ -21,11 +21,18 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .chains import ChainSpec, WaveState, _readonly
-from .errors import DegenerateSpectrumError, NoRootError
+from .errors import DegenerateSpectrumError
 
 # Eigenvalues closer than this fraction of the spectral width are treated as
 # degenerate when assigning parity labels.
 DEGENERACY_REL_TOL = 1e-12
+
+# Largest mirror mismatch max_j |g_{n,M+1-j} -/+ g_{nj}| that still labels a
+# mode symmetric (+1) or antisymmetric (-1).
+PARITY_TOL = 1e-8
+
+# A pseudo-wavevector is accepted once its quantization residual is this small.
+ROOT_RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,10 +88,10 @@ def diagonalize(spec: ChainSpec) -> Spectrum:
     return Spectrum(omega=w, g=g, spec=spec)
 
 
-def mirror_parity(spectrum: Spectrum, tol: float = 1e-8) -> ParitySignature:
+def mirror_parity(spectrum: Spectrum) -> ParitySignature:
     """Classify each eigenvector as mirror symmetric (+1) or antisymmetric (-1).
 
-    A mode gets None when neither sign matches within ``tol`` or when its
+    A mode gets None when neither sign matches within PARITY_TOL or when its
     eigenvalue sits in a near-degenerate cluster (parity is basis-dependent
     there).  For a mirror-symmetric chain with simple spectrum the labels
     alternate between consecutive modes.
@@ -108,16 +115,16 @@ def mirror_parity(spectrum: Spectrum, tol: float = 1e-8) -> ParitySignature:
     for n in range(spectrum.M):
         if degenerate[n]:
             parity.append(None)
-        elif d_plus[n] <= tol and d_plus[n] <= d_minus[n]:
+        elif d_plus[n] <= PARITY_TOL and d_plus[n] <= d_minus[n]:
             parity.append(1)
-        elif d_minus[n] <= tol:
+        elif d_minus[n] <= PARITY_TOL:
             parity.append(-1)
         else:
             parity.append(None)
     return ParitySignature(parity=tuple(parity), max_deviation=max_deviation)
 
 
-def _boundary_shift(k: float, x: float) -> float:
+def _boundary_shift(k: np.ndarray, x: float) -> np.ndarray:
     """Quantization shift of an edge-weakened chain, in (0, pi).
 
     Derived by matching a sin(kj + delta) interior ansatz to the weakened
@@ -130,48 +137,42 @@ def _boundary_shift(k: float, x: float) -> float:
     return 0.5 * np.pi - np.arctan(np.cos(k) / (np.sin(k) * c))
 
 
-def pseudo_wavevectors(M: int, x: float, root_tol: float = 1e-12) -> np.ndarray:
+def pseudo_wavevectors(M: int, x: float) -> np.ndarray:
     """Solve the boundary-modified quantization condition of the edge chain.
 
     Returns the M strictly increasing pseudo-wavevectors k_n in (0, pi);
     -2 tau cos(k_n) reproduces the eigenvalues of edge_modified_chain(M, tau, x).
     At x = 1 the shift vanishes and k_n = pi n / (M + 1) exactly.
+
+    One bisection runs over all M brackets at once.  A mode stops when its
+    residual is within ROOT_RESIDUAL_TOL, when its bracket is narrower than
+    1e-16 max(1, hi), or after 200 halvings, and returns the midpoint of its
+    bracket.  It cannot fail for x in (0, 1], because every starting bracket
+    holds exactly one sign change of a rising residual (comment below).
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     if not 0.0 < x <= 1.0:
         raise ValueError("x must lie in (0, 1]")
-    if not root_tol > 0.0:
-        raise ValueError("root_tol must be > 0")
 
-    ks = np.empty(M)
-    lo0, hi0 = 1e-12, np.pi - 1e-12
-    for n in range(1, M + 1):
-        def residual(k: float) -> float:
-            # strictly increasing in k: d/dk >= M - 1
-            return (M - 1) * k + 2.0 * _boundary_shift(k, x) - np.pi * n
-
-        lo, hi = lo0, hi0
-        flo, fhi = residual(lo), residual(hi)
-        if not (flo < 0.0 < fhi):
-            raise NoRootError(n, f"no bracket for pseudo-wavevector n={n} at x={x}")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fmid = residual(mid)
-            if abs(fmid) <= root_tol:
-                lo = hi = mid
-                break
-            if fmid < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-16 * max(1.0, hi):
-                break
-        k = 0.5 * (lo + hi)
-        if abs(residual(k)) > max(root_tol, 4.0 * (M + 1) * np.finfo(float).eps):
-            raise NoRootError(n, f"bisection stalled for n={n} at x={x}")
-        ks[n - 1] = k
-    return ks
+    # The residual (M-1) k + 2 psi(k) - pi n rises with k, and psi in (0, pi)
+    # makes it tend to -pi n < 0 at k = 0+ and to (M + 1 - n) pi > 0 at
+    # k = pi-, so [0+, pi-] brackets exactly one root for every n in 1..M.
+    target = np.pi * np.arange(1, M + 1)
+    lo = np.full(M, 1e-12)
+    hi = np.full(M, np.pi - 1e-12)
+    active = np.ones(M, dtype=bool)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f = (M - 1) * mid + 2.0 * _boundary_shift(mid, x) - target
+        hit = active & (np.abs(f) <= ROOT_RESIDUAL_TOL)
+        below = f < 0.0
+        lo = np.where(hit | active & below, mid, lo)
+        hi = np.where(hit | active & ~below, mid, hi)
+        active &= ~hit & (hi - lo > 1e-16 * np.maximum(1.0, hi))
+        if not active.any():
+            break
+    return 0.5 * (lo + hi)
 
 
 def linearity_deviation(spectrum: Spectrum, index_range: tuple[int, int]) -> float:

@@ -22,7 +22,7 @@ from qcradle import (
     revival_fidelity,
     uniform_chain,
 )
-from qcradle.dynamics import _end_abs, _end_abs_scan, _end_weights, default_window
+from qcradle.dynamics import PEAK_SAMPLE_CAP, _end_abs, _end_abs_scan, _end_weights, default_window
 from util import dense_propagate, random_chain
 
 
@@ -164,6 +164,22 @@ class TestEndAmplitude:
         assert amp < 1.0
         assert abs(amp - rep.peak_amplitude) < 1e-12
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            uniform_chain(50, 1.0),
+            pst_chain(21, 1.0),
+            edge_modified_chain(100, 1.0, 0.5, 0.8),
+            uniform_chain(101, 1.0),
+        ],
+        ids=["uniform50", "pst21", "two-bond100", "uniform101"],
+    )
+    def test_equals_peak_amplitude_exactly(self, spec):
+        # end_amplitude and the peak search share one weight definition
+        sp = diagonalize(spec)
+        rep = peak_transfer(sp)
+        assert abs(end_amplitude(sp, rep.peak_time)) == rep.peak_amplitude
+
     def test_rejects_asymmetric_chain(self):
         spec = ChainSpec(M=4, tau=[1.0, 2.0, 1.5], eps=np.zeros(4))
         with pytest.raises(MirrorSymmetryError):
@@ -212,6 +228,16 @@ class TestPeakTransfer:
             with pytest.raises(ValueError, match="integer"):
                 peak_transfer(sp, window=(0.0, 3.0), coarse_steps=steps)
         assert peak_transfer(sp, window=(0.0, 3.0), coarse_steps=np.int64(20)).samples > 20
+
+    def test_sample_cap(self):
+        sp = _spectrum(10)
+        with pytest.raises(TooLargeError, match="cap"):
+            peak_transfer(sp, window=(0.0, 3.0), coarse_steps=PEAK_SAMPLE_CAP + 1)
+        # a long caller window is refused before anything is allocated
+        with pytest.raises(TooLargeError):
+            peak_transfer(sp, window=(0.0, 5e7))
+        # the default window stays far below the cap
+        assert peak_transfer(sp).samples < PEAK_SAMPLE_CAP
 
     # pinned bits: a faster scan or refine must not flip the coarse argmax
     # or move any refine probe by one ulp

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -118,7 +120,7 @@ class TestMirrorParity:
 
     def test_asymmetric_chain_undefined(self):
         spec = ChainSpec(M=3, tau=[1.0, 2.0], eps=np.zeros(3))
-        sig = mirror_parity(diagonalize(spec), tol=1e-8)
+        sig = mirror_parity(diagonalize(spec))
         assert all(p is None for p in sig.parity)
 
     def test_pst5_alternating_sequence(self):
@@ -138,7 +140,7 @@ class TestMirrorParity:
             width = sp.omega[-1] - sp.omega[0]
             if spec.M > 1 and np.min(np.diff(sp.omega)) < 1e-6 * width:
                 continue
-            sig = mirror_parity(sp, tol=1e-8)
+            sig = mirror_parity(sp)
             assert sig.all_defined() and sig.alternating()
             checked += 1
         assert checked >= 25
@@ -178,6 +180,30 @@ class TestPseudoWavevectors:
         central = d[44:55]
         assert np.max(central) / np.min(central) < 1.10
         assert np.max(central) / np.min(central) < np.max(d) / np.min(d)
+
+    @pytest.mark.parametrize("x", [0.001, 0.005, 0.012])
+    @pytest.mark.parametrize("M", [4, 5, 100, 101])
+    def test_strongly_weakened_edges(self, M, x):
+        # the regime x < 0.015, where no bracket can reach |residual| <= 1e-12
+        k = pseudo_wavevectors(M, x)
+        assert np.all(np.diff(k) > 0)
+        omega = diagonalize(edge_modified_chain(M, 1.0, x)).omega
+        assert np.max(np.abs(-2.0 * np.cos(k) - omega)) <= 1e-12
+
+    # pinned bits: the roots must not move when the bisection is restructured
+    @pytest.mark.parametrize(
+        "M, x, digest",
+        [
+            (1, 1.0, "c3f113d6cbe802411220c98356d28b3c4ce2b9b769df839bd479276aff85c18e"),
+            (4, 0.5, "ec8dfd6c8491b7d282b316194e9308eb7be430958bc2c32485a6aaab8a60401a"),
+            (37, 1.0, "a9a14aea1694d59cbad21a7b9f7bffef4101cae41a7409859592e528a550102e"),
+            (100, 0.48, "f9d1ed5e1daa4f03119c5d155ab9f011c4b7c428e7903687e73748a37ad64661"),
+            (101, 0.02, "28a21ee7b546ff6426520fa6098f5960c6f4dce77bd88b533e135c0636804fe1"),
+            (200, 0.35, "28b2f4f375fafa6d3d72b18dfbb865433710d295407f732a5ac2269e94213841"),
+        ],
+    )
+    def test_pinned_bits(self, M, x, digest):
+        assert hashlib.sha256(pseudo_wavevectors(M, x).tobytes()).hexdigest() == digest
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
