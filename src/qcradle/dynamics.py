@@ -94,8 +94,8 @@ def evolution_grid(
         raise ValueError(f"state has {state0.M} sites, spectrum has {spectrum.M}")
     if not 0.0 < t_max < math.inf:
         raise ValueError("t_max must be finite and > 0")
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
+    if not isinstance(steps, numbers.Integral) or steps < 2:
+        raise ValueError("steps must be an integer >= 2")
     cells = steps * spectrum.M
     if cells > max_cells:
         raise TooLargeError(f"grid of {steps} x {spectrum.M} = {cells} cells exceeds cap {max_cells}")

@@ -21,11 +21,16 @@ validates that reduction against exact diagonalization of the full model on
 small lattices, and settles empirically the factor-two ambiguity between the
 tau above and the tau_j = t_j^2/U convention: it evolves both and records
 which one tracks the exact site probabilities.
+
+The exact basis stores each species' occupation rows apart: state
+i = i0 c1 + i1 pairs row i0 of species 0 with row i1 of the c1 species-1 rows.
+The species never hop into each other, so H = T0 (x) 1 + 1 (x) T1 + D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,12 +65,14 @@ class HubbardParams:
         t1 = np.atleast_1d(np.asarray(self.t1, dtype=float))
         if t0.shape != (self.M - 1,) or t1.shape != (self.M - 1,):
             raise ValueError(f"hopping lists must have length M-1 = {self.M - 1}")
-        for name, u in (("U", self.U), ("U0", self.U0), ("U1", self.U1)):
-            if not u > 0.0:
-                raise ValueError(f"{name} must be > 0")
         xi = np.zeros(self.M) if self.xi is None else np.asarray(self.xi, dtype=float)
         if xi.shape != (self.M,):
             raise ValueError(f"xi must have length M = {self.M}")
+        for name, value in (("t0", t0), ("t1", t1), ("U", self.U), ("U0", self.U0), ("U1", self.U1), ("xi", xi)):
+            if not np.isfinite(np.asarray(value, dtype=float)).all():
+                raise ValueError(f"{name} must be finite")
+            if name[0] == "U" and not value > 0.0:
+                raise ValueError(f"{name} must be > 0")
         object.__setattr__(self, "t0", _readonly(t0))
         object.__setattr__(self, "t1", _readonly(t1))
         object.__setattr__(self, "xi", _readonly(xi))
@@ -124,44 +131,53 @@ def reduce_to_chain(e: EffectiveParams, eps, tol: float) -> ChainSpec:
     return ChainSpec(M=M, tau=e.tau.copy(), eps=eps)
 
 
-def _compositions(M: int, N: int, nmax: int):
-    """Occupation tuples of N bosons on M sites, each site <= nmax, in
-    ascending lexicographic order."""
-    if M == 1:
-        if 0 <= N <= nmax:
-            yield (N,)
-        return
-    for first in range(0, min(N, nmax) + 1):
-        for rest in _compositions(M - 1, N - first, nmax):
-            yield (first,) + rest
+def _count_rows(M: int, N: int, nmax: int) -> int:
+    """Ways to put N bosons on M >= 1 sites, at most nmax per site, by
+    inclusion-exclusion over the k sites forced above nmax."""
+    ks = range(min(M, N // (nmax + 1)) + 1)
+    return sum((-1) ** k * comb(M, k) * comb(N - k * (nmax + 1) + M - 1, M - 1) for k in ks)
 
 
-def _count_compositions(M: int, N: int, nmax: int) -> int:
-    counts = np.zeros(N + 1, dtype=np.int64)
-    counts[0] = 1
-    for _ in range(M):
-        new = np.zeros(N + 1, dtype=np.int64)
-        for total in range(N + 1):
-            lo = max(0, total - nmax)
-            new[total] = counts[lo : total + 1].sum()
-        counts = new
-    return int(counts[N])
+def _occupation_rows(M: int, N: int, nmax: int) -> np.ndarray:
+    """Read-only (count, M) array of the occupation rows of N bosons on M
+    sites, each site <= nmax, in ascending lexicographic order.  The dtype is
+    the smallest unsigned one that holds nmax: cast to int64 before arithmetic
+    (NumPy 2 turns uint8 + 1.0 into float16)."""
+    # tails[n]: rows of the last m sites with n atoms, for n the first M - m sites can top up to N
+    tails = {0: np.empty((1, 0), dtype=np.min_scalar_type(nmax))}
+    for m in range(1, M + 1):
+        tails = {
+            n: np.vstack([np.insert(tails[n - f], 0, f, axis=1) for f in range(nmax + 1) if n - f in tails])
+            for n in range(max(0, N - (M - m) * nmax), min(N, m * nmax) + 1)
+        }
+    return _readonly(tails[N])
 
 
 @dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Deterministic occupation-number basis at fixed atom counts (N0, N1)."""
+    """Deterministic occupation-number basis at fixed atom counts (N0, N1).
+
+    ``occ = (occ0, occ1)`` holds each species' occupation rows, read-only
+    (c_alpha, M) arrays in ascending lexicographic order.  State i = i0 c1 + i1
+    pairs row i0 of species 0 with row i1 of species 1."""
 
     M: int
     N0: int
     N1: int
     nmax: int
-    states: tuple
-    index: dict = field(repr=False)
+    occ: tuple = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.occ[0]) * len(self.occ[1])
+
+    def index(self, n0, n1) -> int:
+        """Position of the state (n0, n1); ValueError if it is not in the basis."""
+        if np.shape(n0) == np.shape(n1) == (self.M,):
+            i0, i1 = (np.flatnonzero(np.all(rows == n, axis=1)) for rows, n in zip(self.occ, (n0, n1)))
+            if i0.size and i1.size:
+                return int(i0[0]) * len(self.occ[1]) + int(i1[0])
+        raise ValueError(f"({n0}, {n1}) is not a state of this basis")
 
 
 def enumerate_basis(M: int, N0: int, N1: int, nmax: int, max_states: int = BASIS_STATE_CAP) -> FockBasis:
@@ -177,59 +193,50 @@ def enumerate_basis(M: int, N0: int, N1: int, nmax: int, max_states: int = BASIS
         raise ValueError("atom counts must be >= 0")
     if nmax < 1 or N0 > M * nmax or N1 > M * nmax:
         raise ValueError("nmax too small to host the atoms")
-    c0 = _count_compositions(M, N0, nmax)
-    c1 = _count_compositions(M, N1, nmax)
-    total = c0 * c1
+    total = _count_rows(M, N0, nmax) * _count_rows(M, N1, nmax)
     if total > max_states:
         raise TooLargeError(f"basis would hold {total} states, cap is {max_states}")
-    s0 = list(_compositions(M, N0, nmax))
-    s1 = list(_compositions(M, N1, nmax))
-    states = tuple((a, b) for a in s0 for b in s1)
-    index = {s: i for i, s in enumerate(states)}
-    return FockBasis(M=M, N0=N0, N1=N1, nmax=nmax, states=states, index=index)
+    occ = (_occupation_rows(M, N0, nmax), _occupation_rows(M, N1, nmax))
+    return FockBasis(M=M, N0=N0, N1=N1, nmax=nmax, occ=occ)
+
+
+def _hopping_block(t: np.ndarray, occ: np.ndarray, nmax: int) -> sp.csr_matrix:
+    """One species' hopping matrix on its own (int64) occupation rows.  A hop
+    src -> dst adds one fixed vector to every row that allows it, which keeps
+    lexicographic order: the k-th row that can send the atom lands on the k-th
+    row that can receive it, so no row is looked up."""
+    rows, cols, vals = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
+    for j in np.flatnonzero(t):
+        for src, dst in ((j + 1, j), (j, j + 1)):
+            sent = np.flatnonzero((occ[:, src] > 0) & (occ[:, dst] < nmax))
+            rows.append(np.flatnonzero((occ[:, dst] > 0) & (occ[:, src] < nmax)))
+            cols.append(sent)
+            vals.append(-t[j] * np.sqrt(occ[sent, dst] + 1.0) * np.sqrt(occ[sent, src]))
+    data = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return sp.coo_matrix(data, shape=(len(occ), len(occ))).tocsr()
 
 
 def build_hamiltonian(p: HubbardParams, basis: FockBasis) -> sp.csr_matrix:
-    """Sparse matrix of the two-species model in the given basis.
-
-    Hopping matrix elements carry the boson factors sqrt(n+1) sqrt(n); hops
-    that would exceed the occupancy cap nmax are excluded, so the caller must
-    pick nmax large enough for the accuracy needed (nmax = 2 suffices for the
-    second-order physics; see the convergence test).
-    """
+    """Sparse H = T0 (x) 1 + 1 (x) T1 + D of the two-species model in the given
+    basis: T_alpha is species alpha's hopping on its own rows, D the on-site
+    terms, summed site by site.  Hopping carries the boson factors
+    sqrt(n+1) sqrt(n); hops that would exceed the occupancy cap nmax are
+    excluded, so the caller must pick nmax large enough for the accuracy
+    needed (nmax = 2 suffices for the second-order physics; see the
+    convergence test)."""
     if p.M != basis.M:
         raise ValueError(f"params have M={p.M}, basis has M={basis.M}")
-    M = p.M
-    hops = (p.t0, p.t1)
-    rows, cols, vals = [], [], []
-    diag = np.empty(basis.dim)
-    for i, (n0, n1) in enumerate(basis.states):
-        d = 0.0
-        for j in range(M):
-            d += p.U0 * n0[j] * (n0[j] - 1) + p.U1 * n1[j] * (n1[j] - 1)
-            d += p.xi[j] * (n0[j] + n1[j])
-            d += p.U * (n0[j] - 0.5) * (n1[j] - 0.5)
-        diag[i] = d
-        for alpha, vec in enumerate((n0, n1)):
-            t = hops[alpha]
-            other = n1 if alpha == 0 else n0
-            for j in range(M - 1):
-                if t[j] == 0.0:
-                    continue
-                for src, dst in ((j + 1, j), (j, j + 1)):
-                    if vec[src] > 0 and vec[dst] < basis.nmax:
-                        amp = -t[j] * np.sqrt(vec[dst] + 1.0) * np.sqrt(vec[src])
-                        moved = list(vec)
-                        moved[src] -= 1
-                        moved[dst] += 1
-                        key = (tuple(moved), other) if alpha == 0 else (other, tuple(moved))
-                        rows.append(basis.index[key])
-                        cols.append(i)
-                        vals.append(amp)
-    H = sp.coo_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
-    H = H.tocsr()
-    H += sp.diags(diag).tocsr()
-    return H
+    occ0, occ1 = (rows.astype(np.int64) for rows in basis.occ)
+    c0, c1 = len(occ0), len(occ1)
+    diag = np.zeros(c0 * c1)
+    for j in range(p.M):
+        n0, n1 = np.repeat(occ0[:, j], c1), np.tile(occ1[:, j], c0)
+        diag += p.U0 * n0 * (n0 - 1) + p.U1 * n1 * (n1 - 1)
+        diag += p.xi[j] * (n0 + n1)
+        diag += p.U * (n0 - 0.5) * (n1 - 0.5)
+    hop0 = sp.kron(_hopping_block(p.t0, occ0, basis.nmax), sp.identity(c1), format="csr")
+    hop1 = sp.kron(sp.identity(c0), _hopping_block(p.t1, occ1, basis.nmax), format="csr")
+    return hop0 + hop1 + sp.diags(diag, format="csr")
 
 
 def _dense_eigh(H, max_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -298,16 +305,9 @@ def compare_effective(
     basis = enumerate_basis(M, M - 1, 1, nmax, max_states=max_dim)
     lam, V = _dense_eigh(build_hamiltonian(p, basis), max_dim)
 
-    kick = (tuple([0] + [1] * (M - 1)), tuple([1] + [0] * (M - 1)))
-    psi0 = np.zeros(basis.dim)
-    psi0[basis.index[kick]] = 1.0
-    coef = V.T @ psi0
-
-    # singly-occupied states, keyed by the site holding the species-1 atom
-    single_idx = np.empty(M, dtype=int)
-    for i, (n0, n1) in enumerate(basis.states):
-        if all(a + b == 1 for a, b in zip(n0, n1)):
-            single_idx[n1.index(1)] = i
+    # singly-occupied states by the site of the species-1 atom (site 1: the kick)
+    single_idx = np.array([basis.index(1 - e, e) for e in np.eye(M, dtype=int)])
+    coef = V[single_idx[0]]
 
     tau_full = effective_params(p).tau
     frozen = float(np.max(np.abs(tau_full))) == 0.0
@@ -326,10 +326,7 @@ def compare_effective(
         pnorm = float(praw.sum())
         leakage[k] = 1.0 - pnorm
         for name in TAU_CONVENTIONS:
-            if frozen:
-                peff = p0
-            else:
-                peff = evolve(chains[name], z0, t).probabilities()
+            peff = p0 if frozen else evolve(chains[name], z0, t).probabilities()
             deviations[name][k] = float(np.max(np.abs(praw / pnorm - peff)))
 
     worst = {name: float(np.max(dev)) for name, dev in deviations.items()}

@@ -146,9 +146,10 @@ def pseudo_wavevectors(M: int, x: float) -> np.ndarray:
 
     One bisection runs over all M brackets at once.  A mode stops when its
     residual is within ROOT_RESIDUAL_TOL, when its bracket is narrower than
-    1e-16 max(1, hi), or after 200 halvings, and returns the midpoint of its
-    bracket.  It cannot fail for x in (0, 1], because every starting bracket
-    holds exactly one sign change of a rising residual (comment below).
+    1e-16 max(1, hi), when halving no longer moves its midpoint, or after 200
+    halvings, and returns the midpoint of its bracket.  It cannot fail for
+    x in (0, 1], because every starting bracket holds exactly one sign change
+    of a rising residual (comment below).
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -164,6 +165,7 @@ def pseudo_wavevectors(M: int, x: float) -> np.ndarray:
     active = np.ones(M, dtype=bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        active &= (mid != lo) & (mid != hi)
         f = (M - 1) * mid + 2.0 * _boundary_shift(mid, x) - target
         hit = active & (np.abs(f) <= ROOT_RESIDUAL_TOL)
         below = f < 0.0

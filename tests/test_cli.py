@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -274,6 +275,19 @@ class TestOracleCommand:
         cfg = write(tmp_path / "run.ini", ORACLE_M2.replace("t_max = 10", "t_max = inf"))
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert not (tmp_path / "oracle.csv").exists()
+
+    def test_infinite_interaction_writes_nothing(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.ini", ORACLE_M2)
+        argv = ["oracle", "--config", cfg, "--out", str(tmp_path), "--override", "hubbard.u=inf"]
+        assert main(argv) == EXIT_CONFIG
+        assert "U must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "oracle.csv").exists()
+
+    def test_demo_config_bytes_pinned(self, tmp_path):
+        cfg = str(Path(__file__).resolve().parent.parent / "demos" / "configs" / "oracle_m4.ini")
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        digest = hashlib.sha256((tmp_path / "oracle.csv").read_bytes()).hexdigest()
+        assert digest == "9e9e15277a1c0ae0b5fedaab7e1d46d275034ae8dc164d0ee457de4b50757597"
 
 
 class TestValidation:

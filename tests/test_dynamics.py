@@ -106,6 +106,13 @@ class TestEvolutionGrid:
         with pytest.raises(ValueError, match="t_max must be finite and > 0"):
             evolution_grid(_spectrum(6), kick_state(6, 1), t_max, 10)
 
+    @pytest.mark.parametrize("steps", [1, 2.5, np.float64(3.0), "3"], ids=["one", "float", "float64", "str"])
+    def test_steps_must_be_an_integer_at_least_two(self, steps):
+        with pytest.raises(ValueError, match=r"steps must be an integer >= 2"):
+            evolution_grid(_spectrum(6), kick_state(6, 1), 1.0, steps)
+        grid = evolution_grid(_spectrum(6), kick_state(6, 1), 1.0, np.int64(3))
+        assert grid.prob.shape == (3, 6)
+
     def test_cell_cap(self):
         sp = _spectrum(100)
         with pytest.raises(TooLargeError):

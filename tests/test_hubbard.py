@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from qcradle import (
     reduce_to_chain,
 )
 from qcradle.chains import ChainSpec
+from util import hubbard_reference
 
 
 def _uniform_params(M, t, U, U0=None, U1=None):
@@ -26,6 +30,18 @@ def _uniform_params(M, t, U, U0=None, U1=None):
         U0=U if U0 is None else U0,
         U1=U if U1 is None else U1,
     )
+
+
+# (M, N0, N1, nmax) cases checked against the state-by-state reference
+REFERENCE_CASES = [(2, 1, 1, 2), (3, 2, 1, 2), (4, 3, 1, 4), (5, 2, 2, 3), (4, 4, 3, 2), (3, 0, 0, 2), (1, 1, 0, 2)]
+
+
+def _seeded_params(M, seed):
+    # t0 != t1, U0 != U1 != U and xi != 0, so every term has its own value
+    rng = np.random.default_rng(seed)
+    U, U0, U1 = (float(u) for u in rng.uniform(5.0, 50.0, 3))
+    t0, t1 = rng.uniform(0.2, 1.5, (2, M - 1))
+    return HubbardParams(M=M, t0=t0, t1=t1, U=U, U0=U0, U1=U1, xi=rng.uniform(-1.0, 1.0, M))
 
 
 class TestEffectiveParams:
@@ -81,6 +97,14 @@ class TestEffectiveParams:
         with pytest.raises(ValueError):
             _uniform_params(3, 1.0, 10.0, U0=-1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("name", ["t0", "t1", "U", "U0", "U1", "xi"])
+    def test_rejects_non_finite_couplings(self, name, bad):
+        kwargs = dict(M=3, t0=[1.0, 1.0], t1=[1.0, 1.0], U=10.0, U0=10.0, U1=10.0, xi=[0.0, 0.1, 0.0])
+        kwargs[name] = bad if name.startswith("U") else [1.0, bad, 1.0][: len(kwargs[name])]
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            HubbardParams(**kwargs)
+
 
 class TestReduceToChain:
     def test_species_independent_succeeds(self):
@@ -112,22 +136,57 @@ class TestFockBasis:
 
     def test_deterministic_lexicographic_order(self):
         basis = enumerate_basis(3, 2, 1, 2)
-        flat = [a + b for a, b in basis.states]
+        occ0, occ1 = basis.occ
+        c1 = len(occ1)
+        flat = [tuple(occ0[i // c1]) + tuple(occ1[i % c1]) for i in range(basis.dim)]
         assert flat == sorted(flat)
-        assert len(set(basis.states)) == basis.dim
-        for i, s in enumerate(basis.states):
-            assert basis.index[s] == i
+        assert len(set(flat)) == basis.dim
+        for i in range(basis.dim):
+            assert basis.index(occ0[i // c1], occ1[i % c1]) == i
+
+    def test_index_rejects_foreign_rows(self):
+        basis = enumerate_basis(3, 2, 1, 2)
+        for n0, n1 in (([2, 0, 1], [1, 0, 0]), ([1, 1], [1, 0, 0]), ([0], [1, 0, 0]), ([1, 1, 0], [1, 0])):
+            with pytest.raises(ValueError, match="not a state of this basis"):
+                basis.index(n0, n1)
 
     def test_conserves_atom_numbers(self):
         basis = enumerate_basis(4, 3, 1, 2)
-        for n0, n1 in basis.states:
-            assert sum(n0) == 3 and sum(n1) == 1
-            assert max(n0) <= 2 and max(n1) <= 2
+        occ0, occ1 = basis.occ
+        assert np.all(occ0.sum(axis=1) == 3) and np.all(occ1.sum(axis=1) == 1)
+        assert occ0.max() <= 2 and occ1.max() <= 2
+        assert not occ0.flags.writeable and not occ1.flags.writeable
+
+    def test_rows_and_counts_match_brute_force(self):
+        for M in range(1, 6):
+            for nmax in (1, 2, 3):
+                vectors = list(itertools.product(range(nmax + 1), repeat=M))
+                for N in range(M * nmax + 1):
+                    rows = [list(v) for v in vectors if sum(v) == N]
+                    assert enumerate_basis(M, N, 0, nmax, max_states=len(rows)).occ[0].tolist() == rows
+                    with pytest.raises(TooLargeError):
+                        enumerate_basis(M, N, 0, nmax, max_states=len(rows) - 1)
+
+    @pytest.mark.parametrize("M,N0,N1,nmax", REFERENCE_CASES)
+    def test_order_matches_reference(self, M, N0, N1, nmax):
+        states, _ = hubbard_reference(_seeded_params(M, 0), N0, N1, nmax)
+        basis = enumerate_basis(M, N0, N1, nmax)
+        occ0, occ1 = basis.occ
+        c0, c1 = len(occ0), len(occ1)
+        pairs = np.stack([np.repeat(occ0, c1, axis=0), np.tile(occ1, (c0, 1))], axis=1)
+        assert pairs.tolist() == [[list(a), list(b)] for a, b in states]
 
     def test_size_cap(self):
         with pytest.raises(TooLargeError):
             enumerate_basis(12, 12, 0, 12)
-        enumerate_basis(12, 12, 0, 12, max_states=2_000_000)
+        tracemalloc.start()
+        try:
+            basis = enumerate_basis(12, 12, 0, 12, max_states=2_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.dim == 1_352_078
+        assert peak < 128e6
 
 
 class TestBuildHamiltonian:
@@ -169,10 +228,16 @@ class TestBuildHamiltonian:
         base = build_hamiltonian(
             HubbardParams(M=2, t0=[t], t1=[t], U=U, U0=U, U1=U), basis
         ).toarray()
-        shifts = np.array(
-            [sum(x * (a + b) for x, a, b in zip([0.3, -0.2], n0, n1)) for n0, n1 in basis.states]
-        )
+        occ0, occ1 = (rows.astype(int) for rows in basis.occ)
+        atoms = np.repeat(occ0, len(occ1), axis=0) + np.tile(occ1, (len(occ0), 1))
+        shifts = atoms @ [0.3, -0.2]
         assert np.allclose(H - base, np.diag(shifts), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("M,N0,N1,nmax", REFERENCE_CASES)
+    def test_bitwise_equal_to_reference(self, M, N0, N1, nmax):
+        p = _seeded_params(M, 1000 * M + 100 * N0 + 10 * N1 + nmax)
+        _, ref = hubbard_reference(p, N0, N1, nmax)
+        assert build_hamiltonian(p, enumerate_basis(M, N0, N1, nmax)).toarray().tobytes() == ref.tobytes()
 
 
 class TestExactEvolve:

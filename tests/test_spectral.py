@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import qcradle.spectral
 from qcradle import (
     ChainSpec,
     DegenerateSpectrumError,
@@ -204,6 +205,20 @@ class TestPseudoWavevectors:
     )
     def test_pinned_bits(self, M, x, digest):
         assert hashlib.sha256(pseudo_wavevectors(M, x).tobytes()).hexdigest() == digest
+
+    def test_stops_at_the_fixed_point(self, monkeypatch):
+        # at x = 0.005 the brackets stop halving long before the 200 cap
+        calls = []
+        shift = qcradle.spectral._boundary_shift
+
+        def counted(k, x):
+            calls.append(x)
+            return shift(k, x)
+
+        monkeypatch.setattr(qcradle.spectral, "_boundary_shift", counted)
+        k = pseudo_wavevectors(100, 0.005)
+        assert len(calls) <= 64
+        assert np.all(np.diff(k) > 0)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from qcradle import ChainSpec
+from qcradle import ChainSpec, HubbardParams
 
 
 def dense_eig(spec: ChainSpec):
@@ -39,3 +41,33 @@ def residual_norm(spec: ChainSpec, omega: np.ndarray, g: np.ndarray) -> float:
     H = spec.hamiltonian()
     R = g @ H.T - omega[:, None] * g
     return float(np.max(np.abs(R))) if R.size else 0.0
+
+
+def hubbard_reference(p: HubbardParams, N0: int, N1: int, nmax: int):
+    """Independent two-species oracle: the basis as (n0, n1) tuple pairs,
+    filtered from every occupation vector by atom count, and the dense H
+    assembled state by state with the same floating-point operations as the
+    library."""
+    vectors = list(itertools.product(range(nmax + 1), repeat=p.M))
+    states = [(a, b) for a in vectors if sum(a) == N0 for b in vectors if sum(b) == N1]
+    index = {s: i for i, s in enumerate(states)}
+    H = np.zeros((len(states), len(states)))
+    for i, (n0, n1) in enumerate(states):
+        d = 0.0
+        for j in range(p.M):
+            d += p.U0 * n0[j] * (n0[j] - 1) + p.U1 * n1[j] * (n1[j] - 1)
+            d += p.xi[j] * (n0[j] + n1[j])
+            d += p.U * (n0[j] - 0.5) * (n1[j] - 0.5)
+        H[i, i] = d
+        for alpha, (vec, t) in enumerate(((n0, p.t0), (n1, p.t1))):
+            for j in range(p.M - 1):
+                if t[j] == 0.0:
+                    continue
+                for src, dst in ((j + 1, j), (j, j + 1)):
+                    if vec[src] > 0 and vec[dst] < nmax:
+                        moved = list(vec)
+                        moved[src] -= 1
+                        moved[dst] += 1
+                        key = (tuple(moved), n1) if alpha == 0 else (n0, tuple(moved))
+                        H[index[key], i] = -t[j] * np.sqrt(vec[dst] + 1.0) * np.sqrt(vec[src])
+    return states, H
