@@ -25,6 +25,14 @@ which one tracks the exact site probabilities.
 The exact basis stores each species' occupation rows apart: state
 i = i0 c1 + i1 pairs row i0 of species 0 with row i1 of the c1 species-1 rows.
 The species never hop into each other, so H = T0 (x) 1 + 1 (x) T1 + D.
+
+``compare_effective`` diagonalizes H one site-reflection sector at a time.
+Reversing the sites permutes the basis (state i -> R(i)); when the hoppings
+and the offsets xi are palindromic, H commutes with R and splits into an even
+block, spanned by (e_i + e_R(i))/sqrt(2) and the fixed points e_i, and an odd
+block, spanned by (e_i - e_R(i))/sqrt(2).  Each block holds about half the
+states, so the dense eigensolve takes about a quarter of the flops.  Otherwise the
+one sector is the whole space.
 """
 
 from __future__ import annotations
@@ -239,6 +247,39 @@ def build_hamiltonian(p: HubbardParams, basis: FockBasis) -> sp.csr_matrix:
     return hop0 + hop1 + sp.diags(diag, format="csr")
 
 
+def _reflection(basis: FockBasis) -> np.ndarray:
+    """Site-reflection permutation R of the basis: state R[i] is state i with
+    its sites reversed.  lexsort reads its last key first, so sorting one
+    species' sorted rows by their reversed columns puts at position k the row
+    that equals row k reversed.  Packing a row into one base-(nmax+1) integer
+    instead would overflow int64 once (nmax+1)^M > 2^63."""
+    r0, r1 = (np.lexsort(rows.T) for rows in basis.occ)
+    return (r0[:, None] * len(r1) + r1).ravel()
+
+
+def _sectors(R: np.ndarray) -> list[sp.csr_matrix]:
+    """Sparse isometries onto the even and odd sectors of the involution R:
+    each pair i < R(i) spans (e_i +- e_R(i))/sqrt(2), each fixed point e_i the
+    even sector only.  The identity R leaves one sector, the whole space."""
+    i = np.arange(R.size)
+    h = np.sqrt(0.5)
+    sectors = []
+    for sign, reps in ((1.0, np.flatnonzero(i <= R)), (-1.0, np.flatnonzero(i < R))):
+        pair = R[reps] != reps
+        cols = np.arange(reps.size)
+        vals = np.concatenate([np.where(pair, h, 1.0), np.full(np.count_nonzero(pair), sign * h)])
+        coords = (np.concatenate([reps, R[reps[pair]]]), np.concatenate([cols, cols[pair]]))
+        sectors.append(sp.csr_matrix((vals, coords), shape=(R.size, reps.size)))
+    return [S for S in sectors if S.shape[1]]
+
+
+def _sector_modes(H, S, rows, max_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the block S^T H S and the given rows of its eigenvectors
+    mapped back to the full basis, (S V)[rows]; the dense V dies on return."""
+    lam, V = _dense_eigh(S.T @ H @ S, max_dim)
+    return lam, S[rows] @ V
+
+
 def _dense_eigh(H, max_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of the (sparse or dense) Hermitian H."""
     dim = H.shape[0]
@@ -262,7 +303,8 @@ class OracleReport:
 
     ``deviations`` holds the per-time max site-probability mismatch for both
     tau conventions; ``convention`` names the one that tracks the exact
-    dynamics (smaller worst-case mismatch).
+    dynamics (smaller worst-case mismatch).  ``sector_dims`` lists the sizes
+    of the dense blocks that were diagonalized; they sum to ``basis_dim``.
     """
 
     times: np.ndarray
@@ -270,6 +312,7 @@ class OracleReport:
     deviations: dict
     convention: str
     basis_dim: int
+    sector_dims: tuple[int, ...]
 
     @property
     def deviation(self) -> np.ndarray:
@@ -291,6 +334,12 @@ def compare_effective(
     and ``deviations`` compares the renormalized site probabilities of the
     species-1 atom with the single-excitation chain evolution under each tau
     convention.
+
+    H is diagonalized one site-reflection sector at a time: two blocks of
+    about half the basis when t0 and xi are palindromic, else one block, the
+    whole basis.  Each sector keeps only the M singly-occupied rows of its
+    eigenvectors.  ``max_dim`` caps the full basis dimension, checked before
+    H is built.
     """
     if not p.species_independent():
         raise ValueError("compare_effective requires species-independent parameters")
@@ -303,11 +352,16 @@ def compare_effective(
     M = p.M
     # a basis the dense path would refuse is not worth enumerating
     basis = enumerate_basis(M, M - 1, 1, nmax, max_states=max_dim)
-    lam, V = _dense_eigh(build_hamiltonian(p, basis), max_dim)
-
+    H = build_hamiltonian(p, basis)
     # singly-occupied states by the site of the species-1 atom (site 1: the kick)
     single_idx = np.array([basis.index(1 - e, e) for e in np.eye(M, dtype=int)])
-    coef = V[single_idx[0]]
+    # H commutes with the site reflection when the chain reads the same
+    # backwards (t1 == t0 is checked above).  Decided from the parameters, not
+    # from R H R == H: for a non-integer U the reflected diagonal is summed in
+    # another site order and can differ by one ulp.
+    mirror = np.array_equal(p.t0, p.t0[::-1]) and np.array_equal(p.xi, p.xi[::-1])
+    sectors = _sectors(_reflection(basis) if mirror else np.arange(basis.dim))
+    modes = [_sector_modes(H, S, single_idx, max_dim) for S in sectors]
 
     tau_full = effective_params(p).tau
     frozen = float(np.max(np.abs(tau_full))) == 0.0
@@ -321,8 +375,9 @@ def compare_effective(
     leakage = np.empty(times.size)
     deviations = {name: np.empty(times.size) for name in TAU_CONVENTIONS}
     for k, t in enumerate(times):
-        psit = V @ (np.exp(-1j * lam * t) * coef)
-        praw = np.abs(psit[single_idx]) ** 2
+        # psi(t) on the singles; the kicked state e_{single_idx[0]} has sector components rows[0]
+        psit = sum(rows @ (np.exp(-1j * lam * t) * rows[0]) for lam, rows in modes)
+        praw = np.abs(psit) ** 2
         pnorm = float(praw.sum())
         leakage[k] = 1.0 - pnorm
         for name in TAU_CONVENTIONS:
@@ -337,4 +392,5 @@ def compare_effective(
         deviations={k: _readonly(v) for k, v in deviations.items()},
         convention=convention,
         basis_dim=basis.dim,
+        sector_dims=tuple(S.shape[1] for S in sectors),
     )

@@ -287,7 +287,7 @@ class TestOracleCommand:
         cfg = str(Path(__file__).resolve().parent.parent / "demos" / "configs" / "oracle_m4.ini")
         assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
         digest = hashlib.sha256((tmp_path / "oracle.csv").read_bytes()).hexdigest()
-        assert digest == "9e9e15277a1c0ae0b5fedaab7e1d46d275034ae8dc164d0ee457de4b50757597"
+        assert digest == "474f22ccfb305aac860c60bac212c12a549da1d83b8ab1d7cbbe2c927f6f2241"
 
 
 class TestValidation:

@@ -17,8 +17,9 @@ from qcradle import (
     gaussian_trap_chain,
     reduce_to_chain,
 )
-from qcradle.chains import ChainSpec
-from util import hubbard_reference
+from qcradle.chains import ChainSpec, kick_state
+from qcradle.hubbard import _reflection
+from util import dense_propagate, hubbard_reference
 
 
 def _uniform_params(M, t, U, U0=None, U1=None):
@@ -42,6 +43,47 @@ def _seeded_params(M, seed):
     U, U0, U1 = (float(u) for u in rng.uniform(5.0, 50.0, 3))
     t0, t1 = rng.uniform(0.2, 1.5, (2, M - 1))
     return HubbardParams(M=M, t0=t0, t1=t1, U=U, U0=U0, U1=U1, xi=rng.uniform(-1.0, 1.0, M))
+
+
+def _cradle_reference(p, times, nmax=2):
+    """Full-space dense oracle for compare_effective: the basis dimension,
+    leakage and both deviation arrays from one eigh of the state-by-state
+    reference H."""
+    M = p.M
+    states, H = hubbard_reference(p, M - 1, 1, nmax)
+    index = {s: i for i, s in enumerate(states)}
+    singles = [index[(tuple((1 - e).tolist()), tuple(e.tolist()))] for e in np.eye(M, dtype=int)]
+    lam, V = np.linalg.eigh(H)
+    psi = V[singles] @ (V[singles[0]][:, None] * np.exp(-1j * np.outer(lam, times)))
+    praw = np.abs(psi) ** 2
+    pnorm = praw.sum(axis=0)
+    tau = 2.0 * p.t0 * p.t1 / p.U
+    z0 = kick_state(M, 1).z
+    deviations = {}
+    for name, scale in (("2t^2/U", 1.0), ("t^2/U", 0.5)):
+        spec = ChainSpec(M=M, tau=tau * scale, eps=np.zeros(M))
+        peff = np.stack([np.abs(dense_propagate(spec, z0, t)) ** 2 for t in times], axis=1)
+        deviations[name] = np.max(np.abs(praw / pnorm - peff), axis=0)
+    return len(states), 1.0 - pnorm, deviations
+
+
+def _cradle_params(M, kind, seed):
+    # species-independent couplings; with the non-integer U the reflected
+    # diagonal of the palindromic kinds differs in its last bits (M >= 3)
+    rng = np.random.default_rng(seed)
+    t, xi = np.ones(M - 1), np.zeros(M)
+    if kind == "palindromic-t":
+        half = rng.uniform(0.5, 1.5, M // 2)
+        t = np.concatenate([half, half[: (M - 1) // 2][::-1]])
+    elif kind == "palindromic-xi":
+        half = rng.uniform(-0.5, 0.5, (M + 1) // 2)
+        xi = np.concatenate([half, half[: M // 2][::-1]])
+    elif kind == "skew-t":
+        t = rng.uniform(0.5, 1.5, M - 1)
+    elif kind == "skew-xi":
+        xi = rng.uniform(-0.5, 0.5, M)
+    U = 50.0 if kind == "uniform" else 37.3
+    return HubbardParams(M=M, t0=t, t1=t, U=U, U0=U, U1=U, xi=xi)
 
 
 class TestEffectiveParams:
@@ -176,6 +218,18 @@ class TestFockBasis:
         pairs = np.stack([np.repeat(occ0, c1, axis=0), np.tile(occ1, (c0, 1))], axis=1)
         assert pairs.tolist() == [[list(a), list(b)] for a, b in states]
 
+    # in the last case a base-(nmax+1) integer key per row would need 256^8 = 2^64 values
+    @pytest.mark.parametrize("M,N0,N1,nmax", [(4, 3, 1, 2), (5, 4, 1, 2), (4, 2, 2, 3), (5, 3, 2, 2), (1, 1, 0, 2), (8, 2, 1, 255)])
+    def test_reflection_reverses_rows(self, M, N0, N1, nmax):
+        basis = enumerate_basis(M, N0, N1, nmax)
+        R = _reflection(basis)
+        states = np.arange(basis.dim)
+        assert np.array_equal(R[R], states)
+        occ0, occ1 = basis.occ
+        c1 = len(occ1)
+        assert np.array_equal(occ0[R // c1], occ0[states // c1][:, ::-1])
+        assert np.array_equal(occ1[R % c1], occ1[states % c1][:, ::-1])
+
     def test_size_cap(self):
         with pytest.raises(TooLargeError):
             enumerate_basis(12, 12, 0, 12)
@@ -277,6 +331,33 @@ class TestCompareEffective:
         rep = compare_effective(p, np.linspace(0.0, 10.0, 5))
         assert np.all(np.abs(rep.leakage) < 1e-14)
         assert np.all(rep.deviation == 0.0)
+
+    @pytest.mark.parametrize("kind", ["uniform", "palindromic-t", "palindromic-xi", "skew-t", "skew-xi"])
+    @pytest.mark.parametrize("M", [2, 3, 4, 5, 6])
+    def test_sectors_match_full_space_reference(self, M, kind):
+        p = _cradle_params(M, kind, seed=M)
+        times = np.linspace(0.0, 60.0, 13)
+        rep = compare_effective(p, times)
+        dim, leakage, deviations = _cradle_reference(p, times)
+        assert np.max(np.abs(rep.leakage - leakage)) <= 1e-10
+        for name in deviations:
+            assert np.max(np.abs(rep.deviations[name] - deviations[name])) <= 1e-10
+        assert sum(rep.sector_dims) == rep.basis_dim == dim
+        # a one-bond chain reads the same backwards whatever its hopping
+        mirror = not kind.startswith("skew") or (kind, M) == ("skew-t", 2)
+        assert len(rep.sector_dims) == (2 if mirror else 1)
+
+    def test_m7_memory(self):
+        # two sectors of about 1250 states; one dense eigh of all 2499 peaks at 143 MB
+        M = 7
+        tracemalloc.start()
+        try:
+            rep = compare_effective(_uniform_params(M, 1.0, 50.0), np.linspace(0.0, 60.0, 13), max_dim=4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.basis_dim == 2499 and len(rep.sector_dims) == 2 and sum(rep.sector_dims) == 2499
+        assert peak < 64e6
 
     def test_second_order_convention_matches(self):
         rep = compare_effective(_uniform_params(4, 1.0, 50.0), np.linspace(0.0, 60.0, 13))
