@@ -50,7 +50,6 @@ from .hubbard import (
     compare_effective,
     effective_params,
     enumerate_basis,
-    exact_evolve,
     reduce_to_chain,
 )
 from .spectral import (
@@ -103,7 +102,6 @@ __all__ = [
     "reduce_to_chain",
     "enumerate_basis",
     "build_hamiltonian",
-    "exact_evolve",
     "compare_effective",
     "DegenerateStateError",
     "DegenerateSpectrumError",

@@ -135,13 +135,18 @@ def _end_abs_scan(omega: np.ndarray, w: np.ndarray, t0: float, dt: float, n: int
     return np.abs(outer @ inner.T).ravel()[:n]
 
 
-def _end_abs(phase: np.ndarray, cw: np.ndarray, t: float) -> float:
-    # |sum_n w_n e^{-i omega_n t}| from phase = -1j*omega and complex weights
+def _end_sum(phase: np.ndarray, cw: np.ndarray, t: float) -> complex:
+    # A_M(t) = sum_n w_n e^{-i omega_n t} from phase = -1j*omega and complex weights
     # cw; the same products and the same pairwise sum as np.sum(w * exp(...))
     z = phase * t
     np.exp(z, out=z)
     z *= cw
-    return abs(np.add.reduce(z))
+    return np.add.reduce(z)
+
+
+def _end_abs(phase: np.ndarray, cw: np.ndarray, t: float) -> float:
+    # the golden refine's objective |A_M(t)|
+    return abs(_end_sum(phase, cw, t))
 
 
 def end_amplitude(spectrum: Spectrum, t: float) -> complex:
@@ -156,12 +161,16 @@ def end_amplitude(spectrum: Spectrum, t: float) -> complex:
         raise MirrorSymmetryError(
             "end_amplitude requires a mirror-symmetric chain with simple spectrum"
         )
-    return complex(np.sum(_end_weights(spectrum) * np.exp(-1j * spectrum.omega * t)))
+    return complex(_end_sum(-1j * spectrum.omega, _end_weights(spectrum).astype(complex), t))
+
+
+def _tau_max(spectrum: Spectrum) -> float:
+    # the largest hopping sets the default window and scan step
+    return float(np.max(spectrum.spec.tau)) if spectrum.M > 1 else 1.0
 
 
 def default_window(spectrum: Spectrum) -> tuple[float, float]:
-    tau_max = float(np.max(spectrum.spec.tau)) if spectrum.M > 1 else 1.0
-    return (0.0, PEAK_WINDOW_FACTOR * spectrum.M / tau_max)
+    return (0.0, PEAK_WINDOW_FACTOR * spectrum.M / _tau_max(spectrum))
 
 
 def peak_transfer(
@@ -183,8 +192,7 @@ def peak_transfer(
     if not 0.0 <= w0 < w1 < math.inf:
         raise ValueError("window must satisfy 0 <= start < end < inf")
     if coarse_steps is None:
-        tau_max = float(np.max(spectrum.spec.tau)) if spectrum.M > 1 else 1.0
-        coarse_steps = max(10, int(np.ceil((w1 - w0) * tau_max / PEAK_COARSE_STEP)) + 1)
+        coarse_steps = max(10, int(np.ceil((w1 - w0) * _tau_max(spectrum) / PEAK_COARSE_STEP)) + 1)
     if not isinstance(coarse_steps, numbers.Integral) or coarse_steps < 10:
         raise ValueError("coarse_steps must be an integer >= 10")
     if coarse_steps > PEAK_SAMPLE_CAP:

@@ -32,13 +32,14 @@ and the offsets xi are palindromic, H commutes with R and splits into an even
 block, spanned by (e_i + e_R(i))/sqrt(2) and the fixed points e_i, and an odd
 block, spanned by (e_i - e_R(i))/sqrt(2).  Each block holds about half the
 states, so the dense eigensolve takes about a quarter of the flops.  Otherwise the
-one sector is the whole space.
+one sector is the whole space.  ``_sector_modes`` is the one dense eigensolve;
+``max_dim`` caps the full basis dimension once, before H is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,6 +50,7 @@ from .errors import NotFreeFermionError, TooLargeError
 from .spectral import diagonalize
 
 BASIS_STATE_CAP = 200_000
+# compare_effective's default max_dim, on its full basis, checked before H is built
 EVOLVE_DIM_CAP = 2048
 
 TAU_CONVENTIONS = ("2t^2/U", "t^2/U")
@@ -141,7 +143,9 @@ def reduce_to_chain(e: EffectiveParams, eps, tol: float) -> ChainSpec:
 
 def _count_rows(M: int, N: int, nmax: int) -> int:
     """Ways to put N bosons on M >= 1 sites, at most nmax per site, by
-    inclusion-exclusion over the k sites forced above nmax."""
+    inclusion-exclusion over the k sites forced above nmax, counting the fewer
+    of N atoms and M nmax - N holes."""
+    N = min(N, M * nmax - N)
     ks = range(min(M, N // (nmax + 1)) + 1)
     return sum((-1) ** k * comb(M, k) * comb(N - k * (nmax + 1) + M - 1, M - 1) for k in ks)
 
@@ -201,6 +205,12 @@ def enumerate_basis(M: int, N0: int, N1: int, nmax: int, max_states: int = BASIS
         raise ValueError("atom counts must be >= 0")
     if nmax < 1 or N0 > M * nmax or N1 > M * nmax:
         raise ValueError("nmax too small to host the atoms")
+    # Refuse from a cheap bound first; past it the exact count has few terms.  Row counts,
+    # coefficients of (1 + ... + x^nmax)^M, are symmetric and unimodal in N, so N atoms have
+    # at least the C(M, j) rows of j = min(N, M nmax - N, 2) atoms on distinct sites.
+    least = prod(comb(M, min(N, M * nmax - N, 2)) for N in (N0, N1))
+    if least > max_states:
+        raise TooLargeError(f"basis would hold at least {least} states, cap is {max_states}")
     total = _count_rows(M, N0, nmax) * _count_rows(M, N1, nmax)
     if total > max_states:
         raise TooLargeError(f"basis would hold {total} states, cap is {max_states}")
@@ -273,28 +283,11 @@ def _sectors(R: np.ndarray) -> list[sp.csr_matrix]:
     return [S for S in sectors if S.shape[1]]
 
 
-def _sector_modes(H, S, rows, max_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the block S^T H S and the given rows of its eigenvectors
-    mapped back to the full basis, (S V)[rows]; the dense V dies on return."""
-    lam, V = _dense_eigh(S.T @ H @ S, max_dim)
+def _sector_modes(H, S, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the block S^T H S and the given rows of its eigenvectors mapped back
+    to the full basis, (S V)[rows]; the dense V dies on return, before the next block's eigh."""
+    lam, V = np.linalg.eigh((S.T @ H @ S).toarray())
     return lam, S[rows] @ V
-
-
-def _dense_eigh(H, max_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of the (sparse or dense) Hermitian H."""
-    dim = H.shape[0]
-    if dim > max_dim:
-        raise TooLargeError(f"dimension {dim} exceeds dense-evolution cap {max_dim}")
-    return np.linalg.eigh(H.toarray() if sp.issparse(H) else np.asarray(H))
-
-
-def exact_evolve(H, state: np.ndarray, t: float, max_dim: int = EVOLVE_DIM_CAP) -> np.ndarray:
-    """e^{-i H t} state via full Hermitian eigendecomposition."""
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (H.shape[0],):
-        raise ValueError("state length must match the matrix dimension")
-    lam, V = _dense_eigh(H, max_dim)
-    return V @ (np.exp(-1j * lam * t) * (V.conj().T @ state))
 
 
 @dataclass(frozen=True)
@@ -350,7 +343,7 @@ def compare_effective(
         raise ValueError("t_grid must be a nonempty 1-d sequence of finite times")
 
     M = p.M
-    # a basis the dense path would refuse is not worth enumerating
+    # max_dim caps the full basis: nothing is enumerated or built past it
     basis = enumerate_basis(M, M - 1, 1, nmax, max_states=max_dim)
     H = build_hamiltonian(p, basis)
     # singly-occupied states by the site of the species-1 atom (site 1: the kick)
@@ -361,7 +354,7 @@ def compare_effective(
     # another site order and can differ by one ulp.
     mirror = np.array_equal(p.t0, p.t0[::-1]) and np.array_equal(p.xi, p.xi[::-1])
     sectors = _sectors(_reflection(basis) if mirror else np.arange(basis.dim))
-    modes = [_sector_modes(H, S, single_idx, max_dim) for S in sectors]
+    modes = [_sector_modes(H, S, single_idx) for S in sectors]
 
     tau_full = effective_params(p).tau
     frozen = float(np.max(np.abs(tau_full))) == 0.0

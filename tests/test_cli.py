@@ -251,6 +251,49 @@ class TestTuneCommand:
         assert float(rows[0][1]) >= 0.853
 
 
+# sha256 of every CSV the demo configs write, by case: (config, command and
+# overrides, {file: digest}); the same with 1 and 2 BLAS threads and with the
+# thread count unset
+DEMO_CSVS = {
+    "oracle_m4": ("oracle_m4", ["oracle"], {
+        "oracle.csv": "474f22ccfb305aac860c60bac212c12a549da1d83b8ab1d7cbbe2c927f6f2241",
+    }),
+    "trap_bounce": ("trap_bounce", ["evolve"], {
+        "grid.csv": "43b59836b95238b1d662aa51afdf87c414da7f70d75e176fb4a7a5ad026d33a4",
+        "grid_matrix.csv": "849d1070b03161b8e4f5a61c5c27b831320295d53d1e706615b3a21a4293f53a",
+    }),
+    "trap_spectrum": ("trap_spectrum", ["spectrum"], {
+        "spectrum.csv": "e62ad9a0a2de689a73836a5b25cb1883aa03911d2b17bbdd220971b992f707a3",
+    }),
+    "tune_two_bond": ("tune_two_bond", ["tune"], {
+        "tune.csv": "924b016706f9c7ba72732df73c2316bfa162f7bfed3b20cd554dd94a47866677",
+        "tune_best.csv": "e16fa14fc7e9781f3229b8b24c1f420d99ddcf106152a37067acfc92c8294fbe",
+    }),
+    "tune_two_bond-single": ("tune_two_bond", ["tune", "--override", "tune.mode=single"], {
+        "tune.csv": "adab12db62fee5b4fc1d213f90dbf1a386d11efc80ff6cf628ba2a2ef2416064",
+        "tune_best.csv": "6688208555861a90d287bca0aa2b169ff6dd4d3c74f5ae30701ba58fb45f847d",
+    }),
+    "uniform_bounce": ("uniform_bounce", ["evolve"], {
+        "grid.csv": "dfd5424c3ea929658263fba4b2bf88d93e10b5b8766f74700dba5835e6ec6f2d",
+        "grid_matrix.csv": "f89b5bac4301f396cef8adf96a89b658ecce9111aa9d76bd835760b7da30fea1",
+    }),
+}
+
+
+def assert_demo_csvs(case, tmp_path):
+    config, argv, digests = DEMO_CSVS[case]
+    cfg = Path(__file__).resolve().parent.parent / "demos" / "configs" / f"{config}.ini"
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
+    assert written == digests
+
+
+# the oracle config is pinned by TestOracleCommand::test_demo_config_bytes_pinned
+@pytest.mark.parametrize("case", [c for c in DEMO_CSVS if c != "oracle_m4"])
+def test_demo_config_bytes_pinned(case, tmp_path):
+    assert_demo_csvs(case, tmp_path)
+
+
 class TestOracleCommand:
     def test_basis_dim_in_metadata(self, tmp_path):
         cfg = write(tmp_path / "run.ini", ORACLE_M2)
@@ -284,10 +327,7 @@ class TestOracleCommand:
         assert not (tmp_path / "oracle.csv").exists()
 
     def test_demo_config_bytes_pinned(self, tmp_path):
-        cfg = str(Path(__file__).resolve().parent.parent / "demos" / "configs" / "oracle_m4.ini")
-        assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
-        digest = hashlib.sha256((tmp_path / "oracle.csv").read_bytes()).hexdigest()
-        assert digest == "474f22ccfb305aac860c60bac212c12a549da1d83b8ab1d7cbbe2c927f6f2241"
+        assert_demo_csvs("oracle_m4", tmp_path)
 
 
 class TestValidation:

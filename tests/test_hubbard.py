@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,6 @@ from qcradle import (
     diagonalize,
     effective_params,
     enumerate_basis,
-    exact_evolve,
     gaussian_trap_chain,
     reduce_to_chain,
 )
@@ -230,6 +230,15 @@ class TestFockBasis:
         assert np.array_equal(occ0[R // c1], occ0[states // c1][:, ::-1])
         assert np.array_equal(occ1[R % c1], occ1[states % c1][:, ::-1])
 
+    # the cradle basis, hard-core bosons at half filling, one hole below a full lattice:
+    # the exact inclusion-exclusion count alone takes minutes for each
+    @pytest.mark.parametrize("M,N0,N1,nmax", [(20000, 19999, 1, 2), (20000, 10000, 0, 1), (100000, 199999, 1, 2)])
+    def test_cap_refuses_long_chain_before_counting(self, M, N0, N1, nmax):
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError, match="at least"):
+            enumerate_basis(M, N0, N1, nmax)
+        assert time.perf_counter() - start < 1.0
+
     def test_size_cap(self):
         with pytest.raises(TooLargeError):
             enumerate_basis(12, 12, 0, 12)
@@ -292,37 +301,6 @@ class TestBuildHamiltonian:
         p = _seeded_params(M, 1000 * M + 100 * N0 + 10 * N1 + nmax)
         _, ref = hubbard_reference(p, N0, N1, nmax)
         assert build_hamiltonian(p, enumerate_basis(M, N0, N1, nmax)).toarray().tobytes() == ref.tobytes()
-
-
-class TestExactEvolve:
-    def test_identity_at_zero(self):
-        p = _uniform_params(3, 1.0, 20.0)
-        basis = enumerate_basis(3, 2, 1, 2)
-        H = build_hamiltonian(p, basis)
-        psi = np.zeros(basis.dim, dtype=complex)
-        psi[3] = 1.0
-        assert np.max(np.abs(exact_evolve(H, psi, 0.0) - psi)) < 1e-12
-
-    def test_norm_preserved(self):
-        p = _uniform_params(4, 1.0, 15.0)
-        H = build_hamiltonian(p, enumerate_basis(4, 3, 1, 4))
-        rng = np.random.default_rng(41)
-        psi = rng.normal(size=80) + 1j * rng.normal(size=80)
-        psi /= np.linalg.norm(psi)
-        for t in (0.5, 7.0, 100.0):
-            assert abs(np.linalg.norm(exact_evolve(H, psi, t)) - 1.0) < 1e-9
-
-    def test_diagonal_matrix_gives_phases(self):
-        H = np.diag([1.0, 2.0, -3.0])
-        psi = np.array([1.0, 1.0, 1.0], dtype=complex) / np.sqrt(3)
-        out = exact_evolve(H, psi, 0.8)
-        ref = np.exp(-1j * np.array([1.0, 2.0, -3.0]) * 0.8) * psi
-        assert np.max(np.abs(out - ref)) < 1e-12
-
-    def test_dimension_cap(self):
-        H = np.eye(10)
-        with pytest.raises(TooLargeError):
-            exact_evolve(H, np.ones(10) / np.sqrt(10), 1.0, max_dim=5)
 
 
 class TestCompareEffective:
@@ -394,6 +372,12 @@ class TestCompareEffective:
         monkeypatch.setattr("qcradle.hubbard.build_hamiltonian", boom)
         with pytest.raises(TooLargeError, match="basis would hold 8128 states, cap is 2048"):
             compare_effective(_uniform_params(8, 1.0, 50.0), [0.0, 1.0])
+
+    def test_refuses_long_chain_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError):
+            compare_effective(_uniform_params(20000, 1.0, 50.0), [0.0, 1.0])
+        assert time.perf_counter() - start < 1.0
 
     def test_requires_species_independence(self):
         p = HubbardParams(M=3, t0=[1.0, 1.0], t1=[1.0, 0.9], U=50.0, U0=50.0, U1=50.0)
