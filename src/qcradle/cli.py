@@ -20,9 +20,11 @@ version, a hash of the resolved config, and the defaults in effect, so
 output files are self-describing and byte-identical across reruns.  Exit
 codes: 0 success, 2 config validation, 3 compute cap, 4 I/O.
 
-The QCRADLE_COMPUTE_CAP environment variable scales every size cap (grid
-cells, basis states, dense-evolution dimension, oracle lattice length) by a
-finite positive factor; ``main`` reads it once per run.
+The QCRADLE_COMPUTE_CAP environment variable scales the three enforced size
+caps (evolve grid cells, the oracle's basis dimension, oracle lattice length)
+by a finite positive factor; ``main`` reads it once per run.  The header's
+``basis:`` field is the scaled library default of ``enumerate_basis``,
+recorded only: no command enforces it.
 """
 
 from __future__ import annotations
@@ -126,8 +128,6 @@ _HUBBARD = {
     "m": (int, _REQUIRED),
     "t": _FLOAT,
     "u": _FLOAT,
-    "u0": (float, None),
-    "u1": (float, None),
     "nmax": (int, 2),
     "t_max": _FLOAT,
     "steps": (int, _REQUIRED),
@@ -377,10 +377,8 @@ def cmd_oracle(cfg: dict, outdir: str | None, caps: dict) -> list[str]:
         raise ConfigError("[hubbard] keys 't_max'/'steps': need finite t_max > 0 and steps >= 2")
     directory, prec = _output_opts(cfg, outdir)
 
-    U0 = U if h["u0"] is None else h["u0"]
-    U1 = U if h["u1"] is None else h["u1"]
     try:
-        params = HubbardParams(M=M, t0=np.full(M - 1, t), t1=np.full(M - 1, t), U=U, U0=U0, U1=U1)
+        params = HubbardParams(M=M, t0=np.full(M - 1, t), t1=np.full(M - 1, t), U=U, U0=U, U1=U)
         report = compare_effective(
             params,
             np.linspace(0.0, t_max, steps),

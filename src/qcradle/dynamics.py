@@ -9,14 +9,16 @@ which is exact to round-off at any t for the time-independent chain
 Hamiltonian; no time stepping is involved.  On top of ``evolve`` this module
 builds the site-probability grids behind the bounce diagrams, end-to-end
 transfer metrics, revival fidelities, and the boundary-exposure diagnostic
-for trapped packets.  The transfer peak search scans |A_M(t)| on a coarse
-uniform grid of n samples, factored into two phase blocks so the whole scan
-is a single complex matrix product in O(sqrt(n) M + n) memory.  Each block
-holds powers of one step phase per mode, built by running products, so the
-scan takes 3M exponentials and carries an O(sqrt(n) eps) sum_n |w_n|
-round-off; it only picks the best coarse sample.  Golden-section search
-then refines that sample, and every reported amplitude is a direct mode sum
-at one time.
+for trapped packets.  The transfer peak search scans |A_M(t)| over a window
+fixed by the chain, [0, 1.5 M/tau_max], which brackets ballistic first
+arrival; its uniform grid of step 0.05/tau_max holds n = 30M + 1 or 30M + 2
+samples.  The grid is factored into two phase blocks so the whole scan is a
+single complex matrix product in O(sqrt(n) M + n) = O(M^1.5) memory, below
+the M^2 of the eigenvectors it reads.  Each block holds powers of one step
+phase per mode, built by running products, so the scan takes 2M
+exponentials and carries an O(sqrt(n) eps) sum_n |w_n| round-off; it only
+picks the best coarse sample.  Golden-section search then refines that
+sample, and every reported amplitude is a direct mode sum at one time.
 
 Times are in units of inverse energy (hbar = 1).
 """
@@ -37,16 +39,12 @@ from .spectral import Spectrum, mirror_parity
 # Guardrail on dense probability grids: T * M cells per call.
 GRID_CELL_CAP = 100_000
 
-# Default peak-search window and coarse resolution, in units of the largest
-# hopping: ballistic transport at group velocity 2*tau puts first arrival
-# near M/(2*tau), so 1.5*M/tau brackets it for every chain family here.
+# Peak-search window and coarse resolution, in units of the largest hopping:
+# ballistic transport at group velocity 2*tau puts first arrival near
+# M/(2*tau), so 1.5*M/tau brackets it for every chain family here.
 PEAK_WINDOW_FACTOR = 1.5
 PEAK_COARSE_STEP = 0.05
 PEAK_TIME_TOL = 1e-6
-
-# Guardrail on the coarse peak scan, about 24 B per sample (~240 MB): the
-# default window takes 30*M + 1 samples, so only a caller's window reaches it.
-PEAK_SAMPLE_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -110,15 +108,15 @@ def _end_weights(spectrum: Spectrum) -> np.ndarray:
     return spectrum.g[:, 0] * spectrum.g[:, -1]
 
 
-def _end_abs_scan(omega: np.ndarray, w: np.ndarray, t0: float, dt: float, n: int) -> np.ndarray:
-    """|A_M(t)| for a kick at site 1 on the uniform grid t0 + k*dt, k < n.
+def _end_abs_scan(omega: np.ndarray, w: np.ndarray, dt: float, n: int) -> np.ndarray:
+    """|A_M(t)| for a kick at site 1 on the uniform grid k*dt, k < n.
 
     ``omega`` are the mode frequencies and ``w`` the end weights.  Each grid
-    time is factored as t0 + (b*B + k)*dt with B = ceil(sqrt(n)), so the scan
+    time is factored as (b*B + k)*dt with B = ceil(sqrt(n)), so the scan
     is one complex matrix product of a B x M inner-phase block with a
     ceil(n/B) x M outer-phase block: O(sqrt(n)*M + n) memory instead of
     O(n*M).  Both blocks are running products of one step phase per mode, so
-    only 3M exponentials are taken.  No power exceeds B, which bounds the
+    only 2M exponentials are taken.  No power exceeds B, which bounds the
     round-off drift by O(sqrt(n)*eps) * sum|w|: enough to pick the coarse
     argmax, which is all the scan is used for.
     """
@@ -129,7 +127,7 @@ def _end_abs_scan(omega: np.ndarray, w: np.ndarray, t0: float, dt: float, n: int
     inner[1:] = np.exp(-1j * dt * omega)
     np.cumprod(inner, axis=0, out=inner)
     outer = np.empty((nb, omega.size), dtype=complex)
-    outer[0] = w * np.exp(-1j * t0 * omega)
+    outer[0] = w
     outer[1:] = np.exp(-1j * (B * dt) * omega)
     np.cumprod(outer, axis=0, out=outer)
     return np.abs(outer @ inner.T).ravel()[:n]
@@ -173,49 +171,38 @@ def default_window(spectrum: Spectrum) -> tuple[float, float]:
     return (0.0, PEAK_WINDOW_FACTOR * spectrum.M / _tau_max(spectrum))
 
 
-def peak_transfer(
-    spectrum: Spectrum,
-    window: tuple[float, float] | None = None,
-    coarse_steps: int | None = None,
-) -> TransferReport:
-    """Largest |A_M(t)| over a window for the kick-at-1 state.
+def peak_transfer(spectrum: Spectrum) -> TransferReport:
+    """Largest |A_M(t)| over ``default_window`` for the kick-at-1 state.
 
-    Coarse uniform scan followed by golden-section refinement of the best
-    sample to time tolerance 1e-6.  Deterministic: ties on the coarse grid
-    resolve to the earliest time.  ``window`` needs 0 <= start < end < inf
-    and ``coarse_steps`` an integer >= 10; otherwise ValueError.  A scan of
-    more than PEAK_SAMPLE_CAP samples raises TooLargeError.
+    The window (0, 1.5 M/tau_max) is fixed by the chain.  A coarse uniform
+    scan of step 0.05/tau_max, 30M + 1 or 30M + 2 samples in O(M^1.5)
+    memory, picks the best sample; golden-section search refines it to time
+    tolerance 1e-6.  Deterministic: ties on the coarse grid resolve to the
+    earliest time.  A window end that overflows (a subnormal tau_max) raises
+    ValueError.
     """
-    if window is None:
-        window = default_window(spectrum)
-    w0, w1 = float(window[0]), float(window[1])
-    if not 0.0 <= w0 < w1 < math.inf:
-        raise ValueError("window must satisfy 0 <= start < end < inf")
-    if coarse_steps is None:
-        coarse_steps = max(10, int(np.ceil((w1 - w0) * _tau_max(spectrum) / PEAK_COARSE_STEP)) + 1)
-    if not isinstance(coarse_steps, numbers.Integral) or coarse_steps < 10:
-        raise ValueError("coarse_steps must be an integer >= 10")
-    if coarse_steps > PEAK_SAMPLE_CAP:
-        raise TooLargeError(f"peak scan of {coarse_steps} samples exceeds cap {PEAK_SAMPLE_CAP}")
-
-    dt = (w1 - w0) / (coarse_steps - 1)
+    window = default_window(spectrum)
+    T, tau = window[1], _tau_max(spectrum)
+    if T == math.inf:
+        raise ValueError(f"peak-search window 1.5 M/tau_max overflows at tau_max = {tau!r}")
+    n = int(np.ceil(T * tau / PEAK_COARSE_STEP)) + 1
+    dt = T / (n - 1)
     omega, w = spectrum.omega, _end_weights(spectrum)
-    vals = _end_abs_scan(omega, w, w0, dt, coarse_steps)
-    i = int(np.argmax(vals))
-    t_best = w0 + i * dt
+    vals = _end_abs_scan(omega, w, dt, n)
+    t_best = int(np.argmax(vals)) * dt
     phase, cw = -1j * omega, w.astype(complex)
     f_best = _end_abs(phase, cw, t_best)
 
-    a = max(w0, t_best - dt)
-    b = min(w1, t_best + dt)
+    a = max(0.0, t_best - dt)
+    b = min(T, t_best + dt)
     t_ref, f_ref, evals = golden_max(lambda t: _end_abs(phase, cw, t), a, b, PEAK_TIME_TOL)
     if f_ref > f_best:
         t_best, f_best = t_ref, f_ref
     return TransferReport(
         peak_time=float(t_best),
         peak_amplitude=float(f_best),
-        window=(w0, w1),
-        samples=coarse_steps + evals + 1,
+        window=window,
+        samples=n + evals + 1,
     )
 
 

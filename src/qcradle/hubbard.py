@@ -159,7 +159,7 @@ def _occupation_rows(M: int, N: int, nmax: int) -> np.ndarray:
     tails = {0: np.empty((1, 0), dtype=np.min_scalar_type(nmax))}
     for m in range(1, M + 1):
         tails = {
-            n: np.vstack([np.insert(tails[n - f], 0, f, axis=1) for f in range(nmax + 1) if n - f in tails])
+            n: np.vstack([np.insert(tails[n - f], 0, f, axis=1) for f in range(min(nmax, n) + 1) if n - f in tails])
             for n in range(max(0, N - (M - m) * nmax), min(N, m * nmax) + 1)
         }
     return _readonly(tails[N])

@@ -77,8 +77,6 @@ def diagonalize(spec: ChainSpec) -> Spectrum:
     Backed by the LAPACK symmetric-tridiagonal solver, O(M^2) instead of the
     dense O(M^3) path.
     """
-    if spec.M == 1:
-        return Spectrum(omega=spec.eps.copy(), g=np.ones((1, 1)), spec=spec)
     w, v = eigh_tridiagonal(spec.eps, -spec.tau)
     g = np.ascontiguousarray(v.T)
     # sign convention: first non-negligible component positive

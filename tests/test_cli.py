@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +330,20 @@ class TestOracleCommand:
     def test_demo_config_bytes_pinned(self, tmp_path):
         assert_demo_csvs("oracle_m4", tmp_path)
 
+    def test_occupancy_cap_far_above_the_atoms(self, tmp_path):
+        # M = 4 puts at most 3 atoms of a species on a site, so nmax = 10**8
+        # gives the rows of nmax = 3, and in seconds
+        cfg = str(Path(__file__).resolve().parent.parent / "demos" / "configs" / "oracle_m4.ini")
+        rows = {}
+        for nmax in (3, 10**8):
+            out = tmp_path / str(nmax)
+            start = time.perf_counter()
+            argv = ["oracle", "--config", cfg, "--out", str(out), "--override", f"hubbard.nmax={nmax}"]
+            assert main(argv) == EXIT_OK
+            assert time.perf_counter() - start < 10.0
+            rows[nmax] = read_rows(out / "oracle.csv")[2]
+        assert rows[10**8] == rows[3]
+
 
 class TestValidation:
     def test_unknown_key_named(self, tmp_path, capsys):
@@ -376,6 +391,15 @@ class TestValidation:
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert not (tmp_path / "spectrum.csv").exists()
         assert not [f for f in os.listdir(tmp_path) if f.startswith("spectrum.csv.")]
+
+    def test_species_interaction_keys_rejected(self, tmp_path, capsys):
+        # the oracle takes one interaction u for both species
+        cfg = write(tmp_path / "run.ini", ORACLE_M2)
+        for key in ("u0", "u1"):
+            argv = ["oracle", "--config", cfg, "--out", str(tmp_path), "--override", f"hubbard.{key}=40"]
+            assert main(argv) == EXIT_CONFIG
+            assert f"[hubbard] has unexpected key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "oracle.csv").exists()
 
     def test_output_dir_from_config(self, tmp_path, monkeypatch):
         target = tmp_path / "results"

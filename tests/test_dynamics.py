@@ -22,7 +22,7 @@ from qcradle import (
     revival_fidelity,
     uniform_chain,
 )
-from qcradle.dynamics import PEAK_SAMPLE_CAP, _end_abs, _end_abs_scan, _end_weights, default_window
+from qcradle.dynamics import _end_abs, _end_abs_scan, _end_weights, default_window
 from util import dense_propagate, random_chain
 
 
@@ -195,13 +195,16 @@ class TestEndAmplitude:
 
 class TestPeakTransfer:
     def test_pst21_window(self):
-        # transfer recurs at every odd multiple of pi/2 inside the window
-        rep = peak_transfer(diagonalize(pst_chain(21, 1.0)), window=(0.0, 2 * np.pi))
+        # tau_max = sqrt(110) puts the window end near 3.0: it holds the first
+        # perfect transfer at pi/2 and not the next one at 3 pi/2
+        rep = peak_transfer(diagonalize(pst_chain(21, 1.0)))
+        assert rep.window[1] < 3 * np.pi / 2
         assert rep.peak_amplitude > 1.0 - 1e-8
-        assert min(abs(rep.peak_time - np.pi / 2), abs(rep.peak_time - 3 * np.pi / 2)) < 1e-5
+        assert abs(rep.peak_time - np.pi / 2) < 1e-5
 
     def test_two_site_closed_form(self):
-        rep = peak_transfer(_spectrum(2), window=(0.0, np.pi), coarse_steps=41)
+        # |A_2(t)| = |sin t| on the window (0, 3.0)
+        rep = peak_transfer(_spectrum(2))
         assert abs(rep.peak_time - np.pi / 2) < 1e-6
         assert rep.peak_amplitude > 1.0 - 1e-10
 
@@ -218,33 +221,32 @@ class TestPeakTransfer:
         b = peak_transfer(sp)
         assert a == b
 
-    def test_window_validation(self):
-        sp = _spectrum(5)
-        with pytest.raises(ValueError):
-            peak_transfer(sp, window=(2.0, 2.0))
-        with pytest.raises(ValueError):
-            peak_transfer(sp, window=(-1.0, 3.0))
-        with pytest.raises(ValueError):
-            peak_transfer(sp, window=(0.0, 3.0), coarse_steps=5)
-        # a non-finite end is refused whether or not coarse_steps is given
-        for window in [(0.0, np.inf), (0.0, np.nan), (np.nan, 3.0)]:
-            for steps in (None, 20):
-                with pytest.raises(ValueError, match="window"):
-                    peak_transfer(sp, window=window, coarse_steps=steps)
-        for steps in (12.5, 20.0):
-            with pytest.raises(ValueError, match="integer"):
-                peak_transfer(sp, window=(0.0, 3.0), coarse_steps=steps)
-        assert peak_transfer(sp, window=(0.0, 3.0), coarse_steps=np.int64(20)).samples > 20
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            uniform_chain(1, 1.0),
+            uniform_chain(7, 0.3),
+            uniform_chain(500, 2.0),
+            pst_chain(2, 1.0),
+            pst_chain(33, 0.7),
+            edge_modified_chain(5, 1.0, 0.5, 0.8),
+            edge_modified_chain(100, 1.3, 0.36, 0.64),
+        ],
+        ids=["uniform1", "uniform7", "uniform500", "pst2", "pst33", "two-bond5", "two-bond100"],
+    )
+    def test_window_and_scan_size_follow_from_the_chain(self, spec):
+        # the one window (0, 1.5 M/tau_max) and 30M + 1 or 30M + 2 coarse
+        # samples, plus the golden probes and the coarse winner's re-evaluation
+        tau_max = float(np.max(spec.tau)) if spec.M > 1 else 1.0
+        rep = peak_transfer(diagonalize(spec))
+        assert rep.window == (0.0, 1.5 * spec.M / tau_max)
+        assert 30 * spec.M + 1 < rep.samples < 30 * spec.M + 64
 
-    def test_sample_cap(self):
-        sp = _spectrum(10)
-        with pytest.raises(TooLargeError, match="cap"):
-            peak_transfer(sp, window=(0.0, 3.0), coarse_steps=PEAK_SAMPLE_CAP + 1)
-        # a long caller window is refused before anything is allocated
-        with pytest.raises(TooLargeError):
-            peak_transfer(sp, window=(0.0, 5e7))
-        # the default window stays far below the cap
-        assert peak_transfer(sp).samples < PEAK_SAMPLE_CAP
+    def test_overflowing_window_is_refused(self):
+        # 1.5 M/tau_max is inf for a subnormal hopping
+        sp = _spectrum(3, 5e-324)
+        with pytest.raises(ValueError, match="overflows"):
+            peak_transfer(sp)
 
     # pinned bits: a faster scan or refine must not flip the coarse argmax
     # or move any refine probe by one ulp
@@ -276,7 +278,9 @@ class TestEndAbs:
 
 
 class TestEndAbsScan:
-    # n = 11 is not a multiple of its block size 4; n = 49 is a perfect square
+    # n = 11 is not a multiple of its block size 4; n = 49 is a perfect square.
+    # The scan starts at t = 0; a grid that starts at t0 is the scan of the
+    # phase-shifted weights w e^{-i omega t0}
     @pytest.mark.parametrize("M", [1, 2, 100])
     @pytest.mark.parametrize("n, t0", [(1, 2.0), (10, 0.0), (11, 0.0), (49, 0.0), (50, 3.7)])
     def test_matches_dense_scan(self, M, n, t0):
@@ -285,7 +289,7 @@ class TestEndAbsScan:
         dt = 0.3
         t = t0 + dt * np.arange(n)
         dense = np.abs(np.exp(-1j * np.outer(t, sp.omega)) @ w)
-        vals = _end_abs_scan(sp.omega, w, t0, dt, n)
+        vals = _end_abs_scan(sp.omega, w * np.exp(-1j * t0 * sp.omega), dt, n)
         assert vals.shape == (n,)
         assert np.max(np.abs(vals - dense)) < 1e-12
 
@@ -293,18 +297,17 @@ class TestEndAbsScan:
         # default grid of a uniform M = 2000 chain: n = 60001, block size 245;
         # the running-product phases drift most at the end of each block
         sp = spectrum2000
-        w0, w1 = default_window(sp)
         n = 60001
-        dt = (w1 - w0) / (n - 1)
+        dt = default_window(sp)[1] / (n - 1)
         B = math.isqrt(n - 1) + 1
         assert B == 245
         w = _end_weights(sp)
-        vals = _end_abs_scan(sp.omega, w, w0, dt, n)
+        vals = _end_abs_scan(sp.omega, w, dt, n)
         assert vals.shape == (n,)
         edges = np.arange(B, n, B)
         rng = np.random.default_rng(2000)
         idx = np.unique(np.concatenate([[0, n - 1], edges, edges - 1, rng.integers(0, n, 200)]))
-        direct = np.abs(np.exp(-1j * np.outer(w0 + idx * dt, sp.omega)) @ w)
+        direct = np.abs(np.exp(-1j * np.outer(idx * dt, sp.omega)) @ w)
         assert np.max(np.abs(vals[idx] - direct)) < 1e-12
 
     def test_peak_transfer_memory_is_bounded(self, spectrum2000):

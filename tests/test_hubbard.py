@@ -239,6 +239,15 @@ class TestFockBasis:
             enumerate_basis(M, N0, N1, nmax)
         assert time.perf_counter() - start < 1.0
 
+    def test_row_build_time_does_not_grow_with_nmax(self):
+        # a site holds at most the N atoms there are, so every nmax >= N gives
+        # the rows of nmax = N; the build must not walk up to nmax per site
+        start = time.perf_counter()
+        basis = enumerate_basis(200, 1, 0, 10**5)
+        assert time.perf_counter() - start < 1.0
+        for rows, ref in zip(basis.occ, enumerate_basis(200, 1, 0, 1).occ):
+            assert np.array_equal(rows, ref)
+
     def test_size_cap(self):
         with pytest.raises(TooLargeError):
             enumerate_basis(12, 12, 0, 12)
