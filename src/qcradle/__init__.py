@@ -38,7 +38,6 @@ from .errors import (
     DegenerateSpectrumError,
     DegenerateStateError,
     MirrorSymmetryError,
-    NotFreeFermionError,
     TooLargeError,
 )
 from .hubbard import (
@@ -50,7 +49,6 @@ from .hubbard import (
     compare_effective,
     effective_params,
     enumerate_basis,
-    reduce_to_chain,
 )
 from .spectral import (
     ParitySignature,
@@ -99,13 +97,11 @@ __all__ = [
     "tune_double",
     "flatness_probe",
     "effective_params",
-    "reduce_to_chain",
     "enumerate_basis",
     "build_hamiltonian",
     "compare_effective",
     "DegenerateStateError",
     "DegenerateSpectrumError",
     "MirrorSymmetryError",
-    "NotFreeFermionError",
     "TooLargeError",
 ]

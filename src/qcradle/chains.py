@@ -19,6 +19,7 @@ convention; arrays are 0-based internally.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,8 +184,8 @@ def kick_state(M: int, site: int) -> WaveState:
     """Excitation localized on one site (1-based): the cradle trigger."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    if not 1 <= site <= M:
-        raise ValueError(f"site must lie in 1..{M}, got {site}")
+    if not isinstance(site, numbers.Integral) or not 1 <= site <= M:
+        raise ValueError(f"site must be an integer in 1..{M}, got {site}")
     z = np.zeros(M, dtype=complex)
     z[site - 1] = 1.0
     return WaveState(z=z)

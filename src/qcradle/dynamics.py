@@ -53,8 +53,6 @@ class EvolutionGrid:
 
     times: np.ndarray
     prob: np.ndarray
-    spectrum: Spectrum
-    state0: WaveState
 
     def __post_init__(self):
         object.__setattr__(self, "times", _readonly(np.asarray(self.times, dtype=float)))
@@ -100,7 +98,7 @@ def evolution_grid(
     times = np.linspace(0.0, t_max, steps)
     c = spectrum.g @ state0.z
     amps = (np.exp(-1j * np.outer(times, spectrum.omega)) * c) @ spectrum.g
-    return EvolutionGrid(times=times, prob=np.abs(amps) ** 2, spectrum=spectrum, state0=state0)
+    return EvolutionGrid(times=times, prob=np.abs(amps) ** 2)
 
 
 def _end_weights(spectrum: Spectrum) -> np.ndarray:
@@ -217,7 +215,7 @@ def edge_exposure(grid: EvolutionGrid, edge_width: int) -> float:
 
     Scans every sampled time of the grid; ``edge_width`` sites per end.
     """
-    M = grid.spectrum.M
+    M = grid.prob.shape[1]
     if edge_width < 1 or 2 * edge_width > M:
         raise ValueError(f"edge_width must lie in 1..{M // 2}")
     p = grid.prob

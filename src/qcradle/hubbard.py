@@ -46,7 +46,7 @@ import scipy.sparse as sp
 
 from .chains import ChainSpec, kick_state, _readonly
 from .dynamics import evolve
-from .errors import NotFreeFermionError, TooLargeError
+from .errors import TooLargeError
 from .spectral import diagonalize
 
 BASIS_STATE_CAP = 200_000
@@ -117,30 +117,6 @@ def effective_params(p: HubbardParams) -> EffectiveParams:
     return EffectiveParams(tau=tau, gamma=gamma, sigma=sigma)
 
 
-def reduce_to_chain(e: EffectiveParams, eps, tol: float) -> ChainSpec:
-    """Build the free hopping chain, rejecting residual interactions.
-
-    Requires max(|gamma_j|, |sigma_j|) <= tol * max(tau_j) on every bond;
-    otherwise the effective model is not a free single-excitation chain and
-    NotFreeFermionError identifies the first offending bond (1-based).
-    """
-    eps = np.asarray(eps, dtype=float)
-    M = e.tau.size + 1
-    if eps.shape != (M,):
-        raise ValueError(f"eps must have length M = {M}")
-    bound = tol * float(np.max(e.tau)) if e.tau.size else 0.0
-    residual = np.maximum(np.abs(e.gamma), np.abs(e.sigma))
-    bad = np.nonzero(residual > bound)[0]
-    if bad.size:
-        j = int(bad[0]) + 1
-        raise NotFreeFermionError(
-            j,
-            f"bond {j}: residual interaction {residual[bad[0]]:.3e} exceeds "
-            f"{tol:g} * max(tau) = {bound:.3e}",
-        )
-    return ChainSpec(M=M, tau=e.tau.copy(), eps=eps)
-
-
 def _count_rows(M: int, N: int, nmax: int) -> int:
     """Ways to put N bosons on M >= 1 sites, at most nmax per site, by
     inclusion-exclusion over the k sites forced above nmax, counting the fewer
@@ -153,10 +129,11 @@ def _count_rows(M: int, N: int, nmax: int) -> int:
 def _occupation_rows(M: int, N: int, nmax: int) -> np.ndarray:
     """Read-only (count, M) array of the occupation rows of N bosons on M
     sites, each site <= nmax, in ascending lexicographic order.  The dtype is
-    the smallest unsigned one that holds nmax: cast to int64 before arithmetic
-    (NumPy 2 turns uint8 + 1.0 into float16)."""
+    the smallest unsigned one that holds min(nmax, N), as no site holds more
+    than the N atoms: cast to int64 before arithmetic (NumPy 2 turns
+    uint8 + 1.0 into float16)."""
     # tails[n]: rows of the last m sites with n atoms, for n the first M - m sites can top up to N
-    tails = {0: np.empty((1, 0), dtype=np.min_scalar_type(nmax))}
+    tails = {0: np.empty((1, 0), dtype=np.min_scalar_type(min(nmax, N)))}
     for m in range(1, M + 1):
         tails = {
             n: np.vstack([np.insert(tails[n - f], 0, f, axis=1) for f in range(min(nmax, n) + 1) if n - f in tails])
@@ -326,7 +303,9 @@ def compare_effective(
     singly-occupied sector; ``leakage`` is the probability weight outside it
     and ``deviations`` compares the renormalized site probabilities of the
     species-1 atom with the single-excitation chain evolution under each tau
-    convention.
+    convention.  ``p.xi`` enters only the exact Hamiltonian: both effective
+    chains have eps = 0, so a non-constant xi is scored against a chain that
+    ignores it.
 
     H is diagonalized one site-reflection sector at a time: two blocks of
     about half the basis when t0 and xi are palindromic, else one block, the

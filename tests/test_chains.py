@@ -124,7 +124,7 @@ class TestKickState:
         z = kick_state(100, 1).z
         assert z[0] == 1.0 and np.count_nonzero(z) == 1
 
-    @pytest.mark.parametrize("site", [0, 5, -1])
+    @pytest.mark.parametrize("site", [0, 5, -1, 1.5, 2.0])
     def test_out_of_range(self, site):
         with pytest.raises(ValueError):
             kick_state(4, site)

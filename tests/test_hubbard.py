@@ -7,15 +7,12 @@ import pytest
 
 from qcradle import (
     HubbardParams,
-    NotFreeFermionError,
     TooLargeError,
     build_hamiltonian,
     compare_effective,
     diagonalize,
     effective_params,
     enumerate_basis,
-    gaussian_trap_chain,
-    reduce_to_chain,
 )
 from qcradle.chains import ChainSpec, kick_state
 from qcradle.hubbard import _reflection
@@ -148,26 +145,6 @@ class TestEffectiveParams:
             HubbardParams(**kwargs)
 
 
-class TestReduceToChain:
-    def test_species_independent_succeeds(self):
-        e = effective_params(_uniform_params(4, 1.0, 25.0))
-        spec = reduce_to_chain(e, np.zeros(4), tol=1e-12)
-        assert np.allclose(spec.tau, 2.0 / 25.0, rtol=0, atol=0)
-
-    def test_residual_interaction_rejected(self):
-        e = effective_params(HubbardParams(M=2, t0=[1.0], t1=[2.0], U=8.0, U0=4.0, U1=16.0))
-        with pytest.raises(NotFreeFermionError) as err:
-            reduce_to_chain(e, np.zeros(2), tol=1e-6)
-        assert err.value.bond == 1
-
-    def test_trap_composition(self):
-        e = effective_params(_uniform_params(20, 1.0, 50.0))
-        trap = gaussian_trap_chain(20, 2.0 / 50.0, 10.0, 8.0)
-        spec = reduce_to_chain(e, trap.eps, tol=1e-12)
-        assert np.array_equal(spec.eps, trap.eps)
-        assert np.allclose(spec.tau, trap.tau, rtol=0, atol=1e-16)
-
-
 class TestFockBasis:
     @pytest.mark.parametrize(
         "M,N0,N1,nmax,dim",
@@ -247,6 +224,14 @@ class TestFockBasis:
         assert time.perf_counter() - start < 1.0
         for rows, ref in zip(basis.occ, enumerate_basis(200, 1, 0, 1).occ):
             assert np.array_equal(rows, ref)
+
+    @pytest.mark.parametrize("nmax", [3, 10**8, 10**20])
+    def test_row_dtype_follows_the_atoms(self, nmax):
+        # no site holds more than the N = 3 atoms, so a larger nmax widens nothing
+        basis, ref = enumerate_basis(4, 3, 1, nmax), enumerate_basis(4, 3, 1, 3)
+        for rows, ref_rows in zip(basis.occ, ref.occ):
+            assert rows.dtype == np.uint8
+            assert np.array_equal(rows, ref_rows)
 
     def test_size_cap(self):
         with pytest.raises(TooLargeError):

@@ -1,6 +1,12 @@
-"""The package namespace: every exported name resolves, and only once."""
+"""The package namespace: every exported name resolves, and only once, and
+every exception type the package defines is raised and exported."""
+
+import ast
+import inspect
+from pathlib import Path
 
 import qcradle
+import qcradle.errors
 
 
 def test_all_names_resolve_once():
@@ -13,3 +19,30 @@ def test_star_import():
     namespace = {}
     exec("from qcradle import *", namespace)
     assert set(qcradle.__all__) <= namespace.keys()
+
+
+def _error_types():
+    return {
+        name
+        for name, obj in vars(qcradle.errors).items()
+        if inspect.isclass(obj) and issubclass(obj, BaseException) and obj.__module__ == qcradle.errors.__name__
+    }
+
+
+def _raised_names():
+    raised = set()
+    for path in Path(qcradle.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                raised.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return raised
+
+
+def test_every_error_type_is_raised():
+    assert _error_types()
+    assert sorted(_error_types() - _raised_names()) == []
+
+
+def test_every_error_type_is_exported():
+    assert sorted(_error_types() - set(qcradle.__all__)) == []
