@@ -11,20 +11,21 @@ oracle     exact Bose-Hubbard vs effective-chain check    -> oracle.csv
 Each subcommand takes ``--config <path>`` and ``--out <dir>``; repeated
 ``--override section.key=value`` flags patch the config after parsing.  The
 config is a flat sectioned key-value file ([chain], [state], [evolve],
-[tune], [hubbard], [output]).  Each section's keys are declared once, in an
-ordered schema; [chain] and [state] pick theirs by ``kind`` from
+[tune], [hubbard]).  Each section's keys are declared once, in an ordered
+schema; [chain] and [state] pick theirs by ``kind`` from
 ``_CHAIN_KINDS``/``_STATE_KINDS``, which also hold each kind's builder.
 Missing and unknown keys are reported by name, in declaration order.
-Every CSV starts with a single '#' metadata line recording the tool
-version, a hash of the resolved config, and the defaults in effect, so
-output files are self-describing and byte-identical across reruns.  Exit
-codes: 0 success, 2 config validation, 3 compute cap, 4 I/O.
+``--out`` defaults to the working directory, and every value is written with
+17 significant digits.  Every CSV starts with a single '#' metadata line
+recording the tool version, a hash of the resolved config, and the defaults
+in effect, so output files are self-describing and byte-identical across
+reruns.  Exit codes: 0 success, 2 config validation, 3 compute cap, 4 I/O.
 
 The QCRADLE_COMPUTE_CAP environment variable scales the three enforced size
 caps (evolve grid cells, the oracle's basis dimension, oracle lattice length)
-by a finite positive factor; ``main`` reads it once per run.  The header's
-``basis:`` field is the scaled library default of ``enumerate_basis``,
-recorded only: no command enforces it.
+by a positive factor under which every scaled cap stays finite; ``main``
+reads it once per run.  The header's ``basis:`` field is the scaled library
+default of ``enumerate_basis``, recorded only: no command enforces it.
 """
 
 from __future__ import annotations
@@ -132,7 +133,6 @@ _HUBBARD = {
     "t_max": _FLOAT,
     "steps": (int, _REQUIRED),
 }
-_OUTPUT = {"dir": (str, "."), "precision": (int, 17)}
 
 
 def _caps() -> dict:
@@ -143,8 +143,9 @@ def _caps() -> dict:
             factor = float(raw)
         except ValueError as exc:
             raise ConfigError(f"{ENV_CAP} must be a number, got {raw!r}") from exc
-        if not 0.0 < factor < math.inf:
-            raise ConfigError(f"{ENV_CAP} must be finite and > 0")
+        # a finite factor can still overflow the caps it scales
+        if not 0.0 < factor * max(GRID_CELL_CAP, BASIS_STATE_CAP, EVOLVE_DIM_CAP) < math.inf:
+            raise ConfigError(f"{ENV_CAP} must be > 0 and keep every scaled cap finite")
     return {
         "grid_cells": int(GRID_CELL_CAP * factor),
         "basis_states": int(BASIS_STATE_CAP * factor),
@@ -227,13 +228,6 @@ def build_state(cfg: dict, M: int) -> WaveState:
     return _build(cfg, "state", _STATE_KINDS, M)[2]
 
 
-def _output_opts(cfg: dict, outdir: str | None) -> tuple[str, int]:
-    opts = _read(cfg, "output", _OUTPUT)
-    if not 1 <= opts["precision"] <= 17:
-        raise ConfigError("[output] key 'precision': must lie in 1..17")
-    return outdir if outdir is not None else opts["dir"], opts["precision"]
-
-
 def _config_hash(cfg: dict) -> str:
     lines = []
     for section in sorted(cfg):
@@ -242,13 +236,13 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
-def _fmt(value, precision: int) -> str:
+def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return format(float(value), f".{precision}g")
+    return format(float(value), ".17g")
 
 
-def _write_csv(outdir: str, name: str, meta: str, header: list[str] | None, rows, precision: int) -> str:
+def _write_csv(outdir: str, name: str, meta: str, header: list[str] | None, rows) -> str:
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
     fd, tmp = tempfile.mkstemp(prefix=name + ".", dir=outdir, text=True)
@@ -258,7 +252,7 @@ def _write_csv(outdir: str, name: str, meta: str, header: list[str] | None, rows
             if header is not None:
                 fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(v, precision) for v in row) + "\n")
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -275,13 +269,13 @@ def _meta(command: str, cfg: dict, caps: dict, extra: dict) -> str:
         "caps": "grid:{grid_cells},basis:{basis_states},dim:{evolve_dim},oracle_m:{oracle_m}".format(**caps),
     }
     fields.update(extra)
+    fields["precision"] = 17  # the digits of every value _fmt writes
     return "# " + " ".join(f"{k}={v}" for k, v in fields.items())
 
 
-def cmd_spectrum(cfg: dict, outdir: str | None, caps: dict) -> list[str]:
-    _require_sections(cfg, ("chain",), ("state", "output"))
+def cmd_spectrum(cfg: dict, outdir: str, caps: dict) -> list[str]:
+    _require_sections(cfg, ("chain",), ("state",))
     spec, meta_extra = build_chain(cfg)
-    directory, prec = _output_opts(cfg, outdir)
     spectrum = diagonalize(spec)
     header = ["n", "omega"]
     columns = [np.arange(1, spec.M + 1), spectrum.omega]
@@ -289,18 +283,16 @@ def cmd_spectrum(cfg: dict, outdir: str | None, caps: dict) -> list[str]:
         state = build_state(cfg, spec.M)
         header.append("overlap")
         columns.append(mode_overlaps(spectrum, state))
-    meta_extra["precision"] = prec
     meta = _meta("spectrum", cfg, caps, meta_extra)
     rows = zip(*columns)
-    return [_write_csv(directory, "spectrum.csv", meta, header, rows, prec)]
+    return [_write_csv(outdir, "spectrum.csv", meta, header, rows)]
 
 
-def cmd_evolve(cfg: dict, outdir: str | None, caps: dict) -> list[str]:
-    _require_sections(cfg, ("chain", "state", "evolve"), ("output",))
+def cmd_evolve(cfg: dict, outdir: str, caps: dict) -> list[str]:
+    _require_sections(cfg, ("chain", "state", "evolve"), ())
     spec, meta_extra = build_chain(cfg)
     state = build_state(cfg, spec.M)
     opts = _read(cfg, "evolve", _EVOLVE)
-    directory, prec = _output_opts(cfg, outdir)
 
     spectrum = diagonalize(spec)
     try:
@@ -308,20 +300,20 @@ def cmd_evolve(cfg: dict, outdir: str | None, caps: dict) -> list[str]:
     except ValueError as exc:
         raise ConfigError(f"[evolve] invalid parameters: {exc}") from exc
 
-    meta_extra.update({"row_sum_tol": "1e-09", "precision": prec})
+    meta_extra["row_sum_tol"] = "1e-09"
     meta = _meta("evolve", cfg, caps, meta_extra)
     long_rows = (
         (grid.times[k], j + 1, grid.prob[k, j])
         for k in range(grid.times.size)
         for j in range(spec.M)
     )
-    paths = [_write_csv(directory, "grid.csv", meta, ["t", "j", "prob"], long_rows, prec)]
-    paths.append(_write_csv(directory, "grid_matrix.csv", meta, None, grid.prob, prec))
+    paths = [_write_csv(outdir, "grid.csv", meta, ["t", "j", "prob"], long_rows)]
+    paths.append(_write_csv(outdir, "grid_matrix.csv", meta, None, grid.prob))
     return paths
 
 
-def cmd_tune(cfg: dict, outdir: str | None, caps: dict) -> list[str]:
-    _require_sections(cfg, ("chain", "tune"), ("output",))
+def cmd_tune(cfg: dict, outdir: str, caps: dict) -> list[str]:
+    _require_sections(cfg, ("chain", "tune"), ())
     opts = _read(cfg, "tune", _TUNE)
     mode, points = opts["mode"], opts["points"]
     if mode not in ("single", "double"):
@@ -330,7 +322,6 @@ def cmd_tune(cfg: dict, outdir: str | None, caps: dict) -> list[str]:
         raise ConfigError("[chain] key 'kind': tune requires the uniform bulk chain")
     chain = _read(cfg, "chain", _CHAIN_KINDS["uniform"][0])
     M, tau = chain["m"], chain["tau"]
-    directory, prec = _output_opts(cfg, outdir)
 
     try:
         result = tune_single(M, tau, points) if mode == "single" else tune_double(M, tau, points)
@@ -345,37 +336,24 @@ def cmd_tune(cfg: dict, outdir: str | None, caps: dict) -> list[str]:
         "coarse_step": PEAK_COARSE_STEP,
         "time_tol": PEAK_TIME_TOL,
         "param_tol": PARAM_TOL,
-        "precision": prec,
     }
     meta = _meta("tune", cfg, caps, extra)
     trace_rows = (params + (amp,) for params, amp in result.trace)
-    paths = [_write_csv(directory, "tune.csv", meta, param_names + ["amplitude"], trace_rows, prec)]
+    paths = [_write_csv(outdir, "tune.csv", meta, param_names + ["amplitude"], trace_rows)]
     best_row = [result.best_params + (result.best_amplitude, result.best_time, result.evaluations)]
-    paths.append(
-        _write_csv(
-            directory,
-            "tune_best.csv",
-            meta,
-            param_names + ["amplitude", "time", "evaluations"],
-            best_row,
-            prec,
-        )
-    )
+    best_header = param_names + ["amplitude", "time", "evaluations"]
+    paths.append(_write_csv(outdir, "tune_best.csv", meta, best_header, best_row))
     return paths
 
 
-def cmd_oracle(cfg: dict, outdir: str | None, caps: dict) -> list[str]:
-    _require_sections(cfg, ("hubbard",), ("output",))
+def cmd_oracle(cfg: dict, outdir: str, caps: dict) -> list[str]:
+    _require_sections(cfg, ("hubbard",), ())
     h = _read(cfg, "hubbard", _HUBBARD)
     M, t, U, t_max, steps = h["m"], h["t"], h["u"], h["t_max"], h["steps"]
     if M > caps["oracle_m"]:
-        raise ConfigError(
-            f"[hubbard] key 'm': M={M} exceeds the oracle cap {caps['oracle_m']} "
-            f"(set {ENV_CAP} to raise it)"
-        )
+        raise TooLargeError(f"[hubbard] key 'm': M={M} exceeds the oracle cap {caps['oracle_m']}")
     if steps < 2 or not 0.0 < t_max < math.inf:
         raise ConfigError("[hubbard] keys 't_max'/'steps': need finite t_max > 0 and steps >= 2")
-    directory, prec = _output_opts(cfg, outdir)
 
     try:
         params = HubbardParams(M=M, t0=np.full(M - 1, t), t1=np.full(M - 1, t), U=U, U0=U, U1=U)
@@ -392,11 +370,10 @@ def cmd_oracle(cfg: dict, outdir: str | None, caps: dict) -> list[str]:
         "tau_convention": report.convention,
         "basis_dim": report.basis_dim,
         "nmax": h["nmax"],
-        "precision": prec,
     }
     meta = _meta("oracle", cfg, caps, extra)
     rows = zip(report.times, report.leakage, report.deviation)
-    return [_write_csv(directory, "oracle.csv", meta, ["t", "leakage", "max_deviation"], rows, prec)]
+    return [_write_csv(outdir, "oracle.csv", meta, ["t", "leakage", "max_deviation"], rows)]
 
 
 _COMMANDS = {
@@ -416,7 +393,7 @@ def main(argv=None) -> int:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the run config file")
-        p.add_argument("--out", default=None, help="output directory (default: [output] dir or '.')")
+        p.add_argument("--out", default=".", help="output directory (default: '.')")
         p.add_argument(
             "--override",
             action="append",

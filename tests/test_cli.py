@@ -219,8 +219,10 @@ class TestEvolveCommand:
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CAP
         assert "QCRADLE_COMPUTE_CAP" in capsys.readouterr().err
 
-    def test_infinite_cap_factor_is_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("QCRADLE_COMPUTE_CAP", "inf")
+    # 1e305 is finite, but the caps it scales are not
+    @pytest.mark.parametrize("factor", ["inf", "1e305"])
+    def test_infinite_cap_factor_is_config_error(self, factor, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QCRADLE_COMPUTE_CAP", factor)
         cfg = write(tmp_path / "run.ini", EVOLVE)
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "QCRADLE_COMPUTE_CAP" in capsys.readouterr().err
@@ -311,9 +313,11 @@ class TestOracleCommand:
         _, _, rows = read_rows(tmp_path / "oracle.csv")
         assert all(abs(float(r[1])) < 1e-14 and float(r[2]) == 0.0 for r in rows)
 
-    def test_lattice_cap(self, tmp_path):
+    def test_lattice_cap(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.ini", ORACLE_M2.replace("m = 2", "m = 6"))
-        assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CAP
+        assert capsys.readouterr().err.count("QCRADLE_COMPUTE_CAP") == 1
+        assert not (tmp_path / "oracle.csv").exists()
 
     def test_infinite_t_max_writes_nothing(self, tmp_path):
         cfg = write(tmp_path / "run.ini", ORACLE_M2.replace("t_max = 10", "t_max = inf"))
@@ -401,9 +405,16 @@ class TestValidation:
             assert f"[hubbard] has unexpected key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "oracle.csv").exists()
 
-    def test_output_dir_from_config(self, tmp_path, monkeypatch):
-        target = tmp_path / "results"
-        cfg = write(tmp_path / "run.ini", UNIFORM3 + f"\n[output]\ndir = {target}\n")
+    @pytest.mark.parametrize("entry", ["dir = results", "precision = 17"])
+    def test_output_section_rejected(self, entry, tmp_path, monkeypatch, capsys):
+        cfg = write(tmp_path / "run.ini", UNIFORM3 + f"\n[output]\n{entry}\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["spectrum", "--config", cfg]) == EXIT_CONFIG
+        assert "[output]" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_out_defaults_to_working_directory(self, tmp_path, monkeypatch):
+        cfg = write(tmp_path / "run.ini", UNIFORM3)
         monkeypatch.chdir(tmp_path)
         assert main(["spectrum", "--config", cfg]) == EXIT_OK
-        assert (target / "spectrum.csv").exists()
+        assert [p.name for p in tmp_path.rglob("*.csv")] == ["spectrum.csv"]

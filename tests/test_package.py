@@ -1,9 +1,13 @@
-"""The package namespace: every exported name resolves, and only once, and
-every exception type the package defines is raised and exported."""
+"""The package namespace: every exported name resolves, and only once,
+every exception type the package defines is raised and exported, and the
+console script names a callable."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
+
+import pytest
 
 import qcradle
 import qcradle.errors
@@ -46,3 +50,11 @@ def test_every_error_type_is_raised():
 
 def test_every_error_type_is_exported():
     assert sorted(_error_types() - set(qcradle.__all__)) == []
+
+
+def test_console_script_resolves():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["qcradle"]
+    module, _, attr = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
