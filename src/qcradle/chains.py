@@ -93,7 +93,7 @@ class WaveState:
         if z.ndim != 1 or z.size < 1:
             raise ValueError("z must be a nonempty 1-d amplitude vector")
         norm2 = float(np.sum(np.abs(z) ** 2))
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if not abs(norm2 - 1.0) <= NORM_TOL:  # also refuses NaN
             raise ValueError(f"state not normalized: sum |z|^2 = {norm2!r}")
         object.__setattr__(self, "z", _readonly(z))
 

@@ -73,6 +73,8 @@ def evolve(spectrum: Spectrum, state0: WaveState, t: float) -> WaveState:
     """Evolve ``state0`` for time ``t`` (negative t reverses time)."""
     if state0.M != spectrum.M:
         raise ValueError(f"state has {state0.M} sites, spectrum has {spectrum.M}")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     c = spectrum.g @ state0.z
     z = spectrum.g.T @ (np.exp(-1j * spectrum.omega * t) * c)
     return WaveState(z=z)
@@ -153,6 +155,8 @@ def end_amplitude(spectrum: Spectrum, t: float) -> complex:
     the reported peak amplitude exactly.  Defined only for mirror-symmetric
     chains with simple spectrum, the cradle geometry.
     """
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     if not mirror_parity(spectrum).all_defined():
         raise MirrorSymmetryError(
             "end_amplitude requires a mirror-symmetric chain with simple spectrum"
@@ -216,7 +220,7 @@ def edge_exposure(grid: EvolutionGrid, edge_width: int) -> float:
     Scans every sampled time of the grid; ``edge_width`` sites per end.
     """
     M = grid.prob.shape[1]
-    if edge_width < 1 or 2 * edge_width > M:
+    if not isinstance(edge_width, numbers.Integral) or edge_width < 1 or 2 * edge_width > M:
         raise ValueError(f"edge_width must lie in 1..{M // 2}")
     p = grid.prob
     exposure = p[:, :edge_width].sum(axis=1) + p[:, M - edge_width :].sum(axis=1)

@@ -7,14 +7,14 @@ quantization condition for the pseudo-wavevectors of an edge-weakened chain,
 and provides the spectrum/state diagnostics (equal-spacing deviation, mode
 overlaps) used by the transfer studies.
 
-Eigenvalues are returned in ascending order.  Eigenvectors follow a
-deterministic sign convention: the first component that is not numerically
-zero (scanning sites j = 1..M) is positive, so serialized spectra and parity
-labels do not depend on solver internals.
+Eigenvalues are returned in ascending order.  Eigenvector signs are LAPACK's.
+No output depends on them: every quantity derived here or in ``dynamics``
+holds each eigenvector an even number of times.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,15 +75,10 @@ def diagonalize(spec: ChainSpec) -> Spectrum:
     """Full eigendecomposition of the chain Hamiltonian.
 
     Backed by the LAPACK symmetric-tridiagonal solver, O(M^2) instead of the
-    dense O(M^3) path.
+    dense O(M^3) path.  Rows of ``g`` keep LAPACK's signs; no output reads them.
     """
     w, v = eigh_tridiagonal(spec.eps, -spec.tau)
-    g = np.ascontiguousarray(v.T)
-    # sign convention: first non-negligible component positive
-    mag = np.abs(g)
-    first = np.argmax(mag > 1e-8 * np.max(mag, axis=1, keepdims=True), axis=1)
-    g[g[np.arange(spec.M), first] < 0] *= -1.0
-    return Spectrum(omega=w, g=g, spec=spec)
+    return Spectrum(omega=w, g=np.ascontiguousarray(v.T), spec=spec)
 
 
 def mirror_parity(spectrum: Spectrum) -> ParitySignature:
@@ -102,12 +97,11 @@ def mirror_parity(spectrum: Spectrum) -> ParitySignature:
 
     omega = spectrum.omega
     degenerate = np.zeros(spectrum.M, dtype=bool)
-    if spectrum.M > 1:
-        width = float(omega[-1] - omega[0])
-        gap_tol = DEGENERACY_REL_TOL * width
-        close = np.diff(omega) <= gap_tol
-        degenerate[:-1] |= close
-        degenerate[1:] |= close
+    width = float(omega[-1] - omega[0])
+    gap_tol = DEGENERACY_REL_TOL * width
+    close = np.diff(omega) <= gap_tol
+    degenerate[:-1] |= close
+    degenerate[1:] |= close
 
     parity = []
     for n in range(spectrum.M):
@@ -183,7 +177,8 @@ def linearity_deviation(spectrum: Spectrum, index_range: tuple[int, int]) -> flo
     mean spacing in the window; 0 means exactly equispaced.
     """
     lo, hi = index_range
-    if not (1 <= lo < hi <= spectrum.M):
+    integral = isinstance(lo, numbers.Integral) and isinstance(hi, numbers.Integral)
+    if not (integral and 1 <= lo < hi <= spectrum.M):
         raise ValueError(f"index_range must satisfy 1 <= lo < hi <= {spectrum.M}")
     if hi - lo + 1 < 3:
         raise ValueError("index_range must contain at least 3 modes")

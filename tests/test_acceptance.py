@@ -9,10 +9,11 @@ anyway rather than loosened:
 * criterion 5: the response surface around the two-bond optimum at M = 100
   genuinely varies by ~4% over a +-0.05 box, so the neighborhood floor of
   0.98 is not met (measured 0.952);
-* criterion 9: the continuous-time supremum of the single-occupancy leakage
-  is ~12.5 (t/U)^2 (second-order channel counting reproduces the exact-
-  diagonalization value), so the 10 (t/U)^2 bound fails at representative
-  sample times.
+* criterion 9: the single-occupancy leakage that the exact oracle gives at
+  the sampled times on the M = 4 lattice peaks at 12.46 (t/U)^2 at U = 50
+  and 10.23 (t/U)^2 at U = 100, so the 10 (t/U)^2 bound fails at
+  representative sample times.  No code models this leakage independently
+  yet (ROADMAP item 5).
 
 Everything else passes at the stated tolerances.
 """

@@ -173,6 +173,11 @@ class TestInvariants:
         with pytest.raises(ValueError):
             WaveState(z=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("z", [[np.nan], [1.0, np.nan], [np.inf]], ids=["nan", "one-nan", "inf"])
+    def test_wavestate_rejects_non_finite(self, z):
+        with pytest.raises(ValueError, match="not normalized"):
+            WaveState(z=np.array(z))
+
     def test_constructor_states_normalized(self):
         for state in (kick_state(7, 3), gaussian_wavepacket(40, 11.0, 3.0)):
             assert abs(np.sum(np.abs(state.z) ** 2) - 1.0) < 1e-12

@@ -8,6 +8,7 @@ from qcradle import (
     MirrorSymmetryError,
     TooLargeError,
     ChainSpec,
+    Spectrum,
     diagonalize,
     edge_exposure,
     edge_modified_chain,
@@ -17,6 +18,8 @@ from qcradle import (
     gaussian_trap_chain,
     gaussian_wavepacket,
     kick_state,
+    mirror_parity,
+    mode_overlaps,
     peak_transfer,
     pst_chain,
     revival_fidelity,
@@ -80,6 +83,11 @@ class TestEvolve:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             evolve(_spectrum(5), kick_state(6, 1), 1.0)
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_time_must_be_finite(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            evolve(_spectrum(10), kick_state(10, 1), t)
 
 
 class TestEvolutionGrid:
@@ -191,6 +199,11 @@ class TestEndAmplitude:
         spec = ChainSpec(M=4, tau=[1.0, 2.0, 1.5], eps=np.zeros(4))
         with pytest.raises(MirrorSymmetryError):
             end_amplitude(diagonalize(spec), 1.0)
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_time_must_be_finite(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            end_amplitude(_spectrum(10), t)
 
 
 class TestPeakTransfer:
@@ -343,6 +356,11 @@ class TestRevivalFidelity:
         assert abs(fid - 0.997072) < 2e-3
         assert 0.99 < fid < 1.0 - 1e-4
 
+    @pytest.mark.parametrize("t", [np.inf, np.nan])
+    def test_time_must_be_finite(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            revival_fidelity(_spectrum(9), kick_state(9, 4), t)
+
 
 class TestEdgeExposure:
     def test_kick_initial_occupancy(self):
@@ -371,3 +389,44 @@ class TestEdgeExposure:
             edge_exposure(grid, 0)
         with pytest.raises(ValueError):
             edge_exposure(grid, 5)
+        with pytest.raises(ValueError, match="edge_width must lie in"):
+            edge_exposure(grid, 1.5)
+        with pytest.raises(ValueError, match="edge_width must lie in"):
+            edge_exposure(grid, 2.0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        uniform_chain(60, 1.0),
+        pst_chain(21, 1.0),
+        edge_modified_chain(100, 1.0, 0.5, 0.8),
+        gaussian_trap_chain(100, 1.0, 50.0, 110.0),
+    ],
+    ids=["uniform60", "pst21", "two-bond100", "trap100"],
+)
+def test_outputs_ignore_eigenvector_signs(spec):
+    # every output holds each eigenvector an even number of times, and IEEE
+    # negation is exact, so flipping rows of g changes no bit of any output
+    sp = diagonalize(spec)
+    flip = np.random.default_rng(41).random(spec.M) < 0.5
+    assert flip.any() and not flip.all()
+    flipped = Spectrum(omega=sp.omega, g=np.where(flip[:, None], -sp.g, sp.g), spec=spec)
+    kick = kick_state(spec.M, 1)
+    packet = gaussian_wavepacket(spec.M, 0.3 * spec.M, 0.1 * spec.M)
+    t = 0.7 * spec.M
+
+    assert peak_transfer(flipped) == peak_transfer(sp)
+    for state in (kick, packet):
+        assert np.array_equal(evolve(flipped, state, t).z, evolve(sp, state, t).z)
+        assert np.array_equal(
+            evolution_grid(flipped, state, t, 50).prob, evolution_grid(sp, state, t, 50).prob
+        )
+        assert revival_fidelity(flipped, state, t) == revival_fidelity(sp, state, t)
+        assert np.array_equal(mode_overlaps(flipped, state), mode_overlaps(sp, state))
+    assert mirror_parity(flipped) == mirror_parity(sp)
+    if mirror_parity(sp).all_defined():
+        assert end_amplitude(flipped, t) == end_amplitude(sp, t)
+    else:
+        with pytest.raises(MirrorSymmetryError):
+            end_amplitude(flipped, t)
