@@ -37,7 +37,6 @@ from .dynamics import (
 from .errors import (
     DegenerateSpectrumError,
     DegenerateStateError,
-    MirrorSymmetryError,
     TooLargeError,
 )
 from .hubbard import (
@@ -102,6 +101,5 @@ __all__ = [
     "compare_effective",
     "DegenerateStateError",
     "DegenerateSpectrumError",
-    "MirrorSymmetryError",
     "TooLargeError",
 ]

@@ -41,6 +41,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _count(name: str, value, least: int) -> None:
+    # the one rule for every integer count: sites, steps, grid points, atoms
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Immutable chain description: site count, hoppings, on-site offsets."""
@@ -50,8 +56,7 @@ class ChainSpec:
     eps: np.ndarray
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ValueError("M must be a positive integer")
+        _count("M", self.M, 1)
         tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
         eps = np.atleast_1d(np.asarray(self.eps, dtype=float))
         if tau.shape != (self.M - 1,):
@@ -107,8 +112,7 @@ class WaveState:
 
 def uniform_chain(M: int, tau: float) -> ChainSpec:
     """Chain with all hoppings equal to ``tau`` and zero offsets."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    _count("M", M, 1)
     if not tau > 0.0:
         raise ValueError("tau must be > 0")
     return ChainSpec(M=M, tau=np.full(M - 1, float(tau)), eps=np.zeros(M))
@@ -120,8 +124,7 @@ def pst_chain(M: int, Omega: float) -> ChainSpec:
     The spectrum is equally spaced, which makes the single-excitation
     dynamics exactly periodic and end-to-end mirroring.
     """
-    if M < 2:
-        raise ValueError("pst_chain needs M >= 2")
+    _count("M", M, 2)
     if not Omega > 0.0:
         raise ValueError("Omega must be > 0")
     j = np.arange(1, M, dtype=float)
@@ -135,11 +138,7 @@ def edge_modified_chain(M: int, tau: float, x: float, y: float | None = None) ->
     second bonds from each end are scaled to ``y * tau`` as well.  Both
     factors must lie in (0, 1]: zero would disconnect the endpoints.
     """
-    if y is None:
-        if M < 3:
-            raise ValueError("edge_modified_chain needs M >= 3")
-    elif M < 5:
-        raise ValueError("edge_modified_chain with a second bond pair needs M >= 5")
+    _count("M", M, 3 if y is None else 5)
     if not tau > 0.0:
         raise ValueError("tau must be > 0")
     if not 0.0 < x <= 1.0:
@@ -167,8 +166,7 @@ def gaussian_trap_chain(
     eps_j = sign * exp(-(j - x_m)^2 / theta^2).  The default sign makes the
     trap confining for a zero-momentum packet (see DEFAULT_TRAP_SIGN).
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    _count("M", M, 1)
     if not tau > 0.0:
         raise ValueError("tau must be > 0")
     if not theta > 0.0:
@@ -182,8 +180,7 @@ def gaussian_trap_chain(
 
 def kick_state(M: int, site: int) -> WaveState:
     """Excitation localized on one site (1-based): the cradle trigger."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    _count("M", M, 1)
     if not isinstance(site, numbers.Integral) or not 1 <= site <= M:
         raise ValueError(f"site must be an integer in 1..{M}, got {site}")
     z = np.zeros(M, dtype=complex)
@@ -197,8 +194,7 @@ def gaussian_wavepacket(M: int, x0: float, sigma: float) -> WaveState:
     Normalized in the discrete l2 sense over the M sites.  Raises
     DegenerateStateError when every site weight underflows to zero.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    _count("M", M, 1)
     if not sigma > 0.0:
         raise ValueError("sigma must be > 0")
     if not np.isfinite(x0):

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._golden import golden_max
-from .chains import WaveState, _readonly
-from .errors import MirrorSymmetryError, TooLargeError
-from .spectral import Spectrum, mirror_parity
+from .chains import WaveState, _count, _readonly
+from .errors import TooLargeError
+from .spectral import Spectrum
 
 # Guardrail on dense probability grids: T * M cells per call.
 GRID_CELL_CAP = 100_000
@@ -92,8 +92,7 @@ def evolution_grid(
         raise ValueError(f"state has {state0.M} sites, spectrum has {spectrum.M}")
     if not 0.0 < t_max < math.inf:
         raise ValueError("t_max must be finite and > 0")
-    if not isinstance(steps, numbers.Integral) or steps < 2:
-        raise ValueError("steps must be an integer >= 2")
+    _count("steps", steps, 2)
     cells = steps * spectrum.M
     if cells > max_cells:
         raise TooLargeError(f"grid of {steps} x {spectrum.M} = {cells} cells exceeds cap {max_cells}")
@@ -152,15 +151,10 @@ def end_amplitude(spectrum: Spectrum, t: float) -> complex:
 
     The mode sum A_M(t) = sum_n g_{n1} g_{nM} e^{-i omega_n t} with the same
     end weights as the peak search, so |A_M| at a reported peak time equals
-    the reported peak amplitude exactly.  Defined only for mirror-symmetric
-    chains with simple spectrum, the cradle geometry.
+    the reported peak amplitude exactly, on any chain.
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    if not mirror_parity(spectrum).all_defined():
-        raise MirrorSymmetryError(
-            "end_amplitude requires a mirror-symmetric chain with simple spectrum"
-        )
     return complex(_end_sum(-1j * spectrum.omega, _end_weights(spectrum).astype(complex), t))
 
 

@@ -9,9 +9,5 @@ class DegenerateSpectrumError(ValueError):
     """A spectral quantity is undefined because eigenvalues coincide."""
 
 
-class MirrorSymmetryError(ValueError):
-    """An operation requiring a mirror-symmetric chain was given an asymmetric one."""
-
-
 class TooLargeError(RuntimeError):
     """A requested computation exceeds a configured size cap."""

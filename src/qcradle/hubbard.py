@@ -44,7 +44,7 @@ from math import comb, prod
 import numpy as np
 import scipy.sparse as sp
 
-from .chains import ChainSpec, kick_state, _readonly
+from .chains import ChainSpec, kick_state, _count, _readonly
 from .dynamics import evolve
 from .errors import TooLargeError
 from .spectral import diagonalize
@@ -69,8 +69,7 @@ class HubbardParams:
     xi: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.M < 1:
-            raise ValueError("M must be >= 1")
+        _count("M", self.M, 1)
         t0 = np.atleast_1d(np.asarray(self.t0, dtype=float))
         t1 = np.atleast_1d(np.asarray(self.t1, dtype=float))
         if t0.shape != (self.M - 1,) or t1.shape != (self.M - 1,):
@@ -176,11 +175,11 @@ def enumerate_basis(M: int, N0: int, N1: int, nmax: int, max_states: int = BASIS
     basis (and everything built on it) is reproducible.  nmax >= 2 keeps the
     virtual doubly-occupied states that mediate the second-order processes.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if N0 < 0 or N1 < 0:
-        raise ValueError("atom counts must be >= 0")
-    if nmax < 1 or N0 > M * nmax or N1 > M * nmax:
+    _count("M", M, 1)
+    _count("N0", N0, 0)
+    _count("N1", N1, 0)
+    _count("nmax", nmax, 1)
+    if N0 > M * nmax or N1 > M * nmax:
         raise ValueError("nmax too small to host the atoms")
     # Refuse from a cheap bound first; past it the exact count has few terms.  Row counts,
     # coefficients of (1 + ... + x^nmax)^M, are symmetric and unimodal in N, so N atoms have
@@ -315,8 +314,7 @@ def compare_effective(
     """
     if not p.species_independent():
         raise ValueError("compare_effective requires species-independent parameters")
-    if p.M < 2:
-        raise ValueError("the cradle configuration needs M >= 2")
+    _count("M", p.M, 2)
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size == 0 or not np.isfinite(times).all():
         raise ValueError("t_grid must be a nonempty 1-d sequence of finite times")

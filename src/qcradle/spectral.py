@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .chains import ChainSpec, WaveState, _readonly
+from .chains import ChainSpec, WaveState, _count, _readonly
 from .errors import DegenerateSpectrumError
 
 # Eigenvalues closer than this fraction of the spectral width are treated as
@@ -46,8 +46,11 @@ class Spectrum:
     def __post_init__(self):
         object.__setattr__(self, "omega", _readonly(np.asarray(self.omega, dtype=float)))
         object.__setattr__(self, "g", _readonly(np.asarray(self.g, dtype=float)))
-        if np.any(np.diff(self.omega) < 0):
-            raise ValueError("omega must be nondecreasing")
+        M = self.M
+        if self.omega.shape != (M,) or self.g.shape != (M, M):
+            raise ValueError(f"omega {self.omega.shape} and g {self.g.shape} must be ({M},) and ({M}, {M})")
+        if not (np.isfinite(self.omega).all() and (np.diff(self.omega) >= 0).all()):
+            raise ValueError("omega must be finite and nondecreasing")
 
     @property
     def M(self) -> int:
@@ -143,8 +146,7 @@ def pseudo_wavevectors(M: int, x: float) -> np.ndarray:
     x in (0, 1], because every starting bracket holds exactly one sign change
     of a rising residual (comment below).
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    _count("M", M, 1)
     if not 0.0 < x <= 1.0:
         raise ValueError("x must lie in (0, 1]")
 

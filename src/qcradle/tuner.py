@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._golden import golden_max
-from .chains import edge_modified_chain
+from .chains import _count, edge_modified_chain
 from .dynamics import TransferReport, peak_transfer
 from .spectral import diagonalize
 
@@ -54,8 +54,7 @@ def _objective(M: int, tau: float, params: tuple[float, ...]) -> TransferReport:
 
 def _axis_grid(points: int) -> np.ndarray:
     # degenerate resolution anchors at the unmodified chain
-    if points < 1:
-        raise ValueError("grid resolution must be >= 1")
+    _count("points", points, 1)
     if points == 1:
         return np.array([1.0])
     return np.linspace(GRID_LO, 1.0, points)

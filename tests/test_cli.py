@@ -405,6 +405,25 @@ class TestValidation:
             assert f"[hubbard] has unexpected key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "oracle.csv").exists()
 
+    # one refused count per layer: chains, dynamics, tuner, hubbard
+    @pytest.mark.parametrize(
+        "command, body, override, message",
+        [
+            ("spectrum", UNIFORM3, "chain.m=0", "M must be an integer >= 1, got 0"),
+            ("evolve", EVOLVE, "evolve.steps=1", "steps must be an integer >= 2, got 1"),
+            ("tune", TUNE_ONE_POINT, "tune.points=0", "points must be an integer >= 1, got 0"),
+            ("oracle", ORACLE_M2, "hubbard.nmax=0", "nmax must be an integer >= 1, got 0"),
+        ],
+        ids=["chain.m", "evolve.steps", "tune.points", "hubbard.nmax"],
+    )
+    def test_bad_count_is_config_error(self, command, body, override, message, tmp_path, capsys):
+        cfg = write(tmp_path / "run.ini", body)
+        argv = [command, "--config", cfg, "--out", str(tmp_path), "--override", override]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize("entry", ["dir = results", "precision = 17"])
     def test_output_section_rejected(self, entry, tmp_path, monkeypatch, capsys):
         cfg = write(tmp_path / "run.ini", UNIFORM3 + f"\n[output]\n{entry}\n")

@@ -28,6 +28,24 @@ from util import dense_eig, random_chain, residual_norm
 SQRT2 = np.sqrt(2.0)
 
 
+class TestSpectrum:
+    @pytest.mark.parametrize(
+        "omega, g, match",
+        [
+            ([0.0, np.nan, 1.0], np.eye(3), "finite"),
+            ([0.0, 1.0, np.inf], np.eye(3), "finite"),
+            ([1.0, 0.0, 2.0], np.eye(3), "nondecreasing"),
+            ([0.0, 1.0], np.eye(3), r"must be \(3,\) and \(3, 3\)"),
+            ([0.0, 1.0, 2.0], np.eye(2), r"must be \(3,\) and \(3, 3\)"),
+            ([0.0, 1.0, 2.0], np.eye(3)[:2], r"must be \(3,\) and \(3, 3\)"),
+        ],
+        ids=["nan", "inf", "unsorted", "short-omega", "small-g", "non-square-g"],
+    )
+    def test_fields_must_fit_the_chain(self, omega, g, match):
+        with pytest.raises(ValueError, match=match):
+            Spectrum(omega=omega, g=g, spec=uniform_chain(3, 1.0))
+
+
 class TestDiagonalize:
     def test_uniform3_eigenvalues(self):
         omega = diagonalize(uniform_chain(3, 1.0)).omega
