@@ -12,13 +12,15 @@ transfer metrics, revival fidelities, and the boundary-exposure diagnostic
 for trapped packets.  The transfer peak search scans |A_M(t)| over a window
 fixed by the chain, [0, 1.5 M/tau_max], which brackets ballistic first
 arrival; its uniform grid of step 0.05/tau_max holds n = 30M + 1 or 30M + 2
-samples.  The grid is factored into two phase blocks so the whole scan is a
-single complex matrix product in O(sqrt(n) M + n) = O(M^1.5) memory, below
-the M^2 of the eigenvectors it reads.  Each block holds powers of one step
-phase per mode, built by running products, so the scan takes 2M
-exponentials and carries an O(sqrt(n) eps) sum_n |w_n| round-off; it only
-picks the best coarse sample.  Golden-section search then refines that
-sample, and every reported amplitude is a direct mode sum at one time.
+samples.  It reads only the eigenvalues and the end weights g_{n1} g_{nM},
+which ``Spectrum`` derives from the eigenvalues without building the M^2
+eigenvectors.  The grid is factored into two phase blocks so the whole scan
+is a single complex matrix product in O(sqrt(n) M + n) = O(M^1.5) memory.
+Each block holds powers of one step phase per mode, built by running
+products, so the scan takes 2M exponentials and carries an O(sqrt(n) eps)
+sum_n |w_n| round-off; it only picks the best coarse sample.  Golden-section
+search then refines that sample, and every reported amplitude is a direct
+mode sum at one time.
 
 Times are in units of inverse energy (hbar = 1).
 """
@@ -102,11 +104,6 @@ def evolution_grid(
     return EvolutionGrid(times=times, prob=np.abs(amps) ** 2)
 
 
-def _end_weights(spectrum: Spectrum) -> np.ndarray:
-    # mode amplitudes of the kick-at-1 -> site-M matrix element
-    return spectrum.g[:, 0] * spectrum.g[:, -1]
-
-
 def _end_abs_scan(omega: np.ndarray, w: np.ndarray, dt: float, n: int) -> np.ndarray:
     """|A_M(t)| for a kick at site 1 on the uniform grid k*dt, k < n.
 
@@ -149,13 +146,14 @@ def _end_abs(phase: np.ndarray, cw: np.ndarray, t: float) -> float:
 def end_amplitude(spectrum: Spectrum, t: float) -> complex:
     """End-site amplitude A_M(t) for a kick at site 1.
 
-    The mode sum A_M(t) = sum_n g_{n1} g_{nM} e^{-i omega_n t} with the same
-    end weights as the peak search, so |A_M| at a reported peak time equals
-    the reported peak amplitude exactly, on any chain.
+    The mode sum A_M(t) = sum_n g_{n1} g_{nM} e^{-i omega_n t} over the same
+    frequencies and end weights as the peak search, so |A_M| at a reported
+    peak time equals the reported peak amplitude exactly, on any chain.
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    return complex(_end_sum(-1j * spectrum.omega, _end_weights(spectrum).astype(complex), t))
+    omega, w = spectrum._end_modes
+    return complex(_end_sum(-1j * omega, w.astype(complex), t))
 
 
 def _tau_max(spectrum: Spectrum) -> float:
@@ -183,7 +181,7 @@ def peak_transfer(spectrum: Spectrum) -> TransferReport:
         raise ValueError(f"peak-search window 1.5 M/tau_max overflows at tau_max = {tau!r}")
     n = int(np.ceil(T * tau / PEAK_COARSE_STEP)) + 1
     dt = T / (n - 1)
-    omega, w = spectrum.omega, _end_weights(spectrum)
+    omega, w = spectrum._end_modes
     vals = _end_abs_scan(omega, w, dt, n)
     t_best = int(np.argmax(vals)) * dt
     phase, cw = -1j * omega, w.astype(complex)

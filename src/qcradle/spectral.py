@@ -1,24 +1,30 @@
 """
 Spectral analysis of hopping chains.
 
-Diagonalizes the real symmetric tridiagonal single-particle Hamiltonian of a
+Solves the real symmetric tridiagonal single-particle Hamiltonian of a
 ChainSpec, classifies eigenvector mirror parity, solves the boundary-modified
 quantization condition for the pseudo-wavevectors of an edge-weakened chain,
 and provides the spectrum/state diagnostics (equal-spacing deviation, mode
 overlaps) used by the transfer studies.
 
-Eigenvalues are returned in ascending order.  Eigenvector signs are LAPACK's.
-No output depends on them: every quantity derived here or in ``dynamics``
-holds each eigenvector an even number of times.
+A ``Spectrum`` solves on first use and keeps what it solved.  The eigenpairs
+(ascending eigenvalues, eigenvectors with LAPACK's signs) come from one
+LAPACK call, O(M^2) memory.  The end-to-end transfer reads only the
+eigenvalues and the end weights g_{n1} g_{nM}, which follow from the
+eigenvalues alone (``_end_weights``) in O(M) memory, so a transfer never
+builds the eigenvectors.  No output depends on an eigenvector's sign: every
+quantity derived here or in ``dynamics`` holds each eigenvector an even
+number of times.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .chains import ChainSpec, WaveState, _count, _readonly
 from .errors import DegenerateSpectrumError
@@ -35,26 +41,84 @@ PARITY_TOL = 1e-8
 ROOT_RESIDUAL_TOL = 1e-12
 
 
+# Gap-matrix entries per chunk of rows in _end_weights: 8 MB of float64.
+_GAP_CHUNK = 2**20
+
+
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (ascending) and row-wise eigenvectors of a chain."""
+    """The eigenproblem of a chain, solved on first use.
 
-    omega: np.ndarray
-    g: np.ndarray
+    ``omega`` (ascending) and the row-wise eigenvectors ``g`` come from one
+    ``eigh_tridiagonal`` call, made when either is first read.  The transfer
+    path reads ``_end_modes`` instead, which needs no eigenvectors.
+    """
+
     spec: ChainSpec
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega", _readonly(np.asarray(self.omega, dtype=float)))
-        object.__setattr__(self, "g", _readonly(np.asarray(self.g, dtype=float)))
-        M = self.M
-        if self.omega.shape != (M,) or self.g.shape != (M, M):
-            raise ValueError(f"omega {self.omega.shape} and g {self.g.shape} must be ({M},) and ({M}, {M})")
-        if not (np.isfinite(self.omega).all() and (np.diff(self.omega) >= 0).all()):
-            raise ValueError("omega must be finite and nondecreasing")
 
     @property
     def M(self) -> int:
         return self.spec.M
+
+    @cached_property
+    def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        w, v = eigh_tridiagonal(self.spec.eps, -self.spec.tau)
+        return _readonly(w), _readonly(np.ascontiguousarray(v.T))
+
+    @property
+    def omega(self) -> np.ndarray:
+        return self._eigenpairs[0]
+
+    @property
+    def g(self) -> np.ndarray:
+        return self._eigenpairs[1]
+
+    @cached_property
+    def _end_modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mode frequencies and end weights g_{n1} g_{nM} of the transfer.
+
+        From the eigenvalues alone when ``_end_weights`` certifies them;
+        otherwise (computed eigenvalues that tie) from the eigenpairs.
+        """
+        omega = eigvalsh_tridiagonal(self.spec.eps, -self.spec.tau)
+        w = _end_weights(omega, self.spec.tau)
+        if w is None:
+            omega, g = self._eigenpairs
+            w = g[:, 0] * g[:, -1]
+        return _readonly(omega), _readonly(w)
+
+
+def _end_weights(omega: np.ndarray, tau: np.ndarray) -> np.ndarray | None:
+    """End weights g_{n1} g_{nM} from ascending eigenvalues, or None.
+
+    For a Jacobi matrix with off-diagonal -tau_j (Parlett, The Symmetric
+    Eigenvalue Problem, 1980)
+
+        g_{n1} g_{nM} = prod_j (-tau_j) / prod_{k != n} (omega_n - omega_k),
+
+    so with tau > 0 and ascending omega the sign is (-1)^(n-1) for 1-based n.
+    The magnitude is a sum of logs taken over chunks of rows of the gap
+    matrix, so memory stays O(M) for large M.  The weights are certified, and
+    returned, only when every gap is > 0 and sum_n |w_n| <= 1 + 64 M eps,
+    which the exact weights meet by Cauchy-Schwarz.  Computed eigenvalues
+    that tie fail it, and so do near ties that inflate the weights.
+    """
+    M = omega.size
+    if not (np.diff(omega) > 0.0).all():
+        return None
+    log_gaps = np.empty(M)
+    rows = max(1, _GAP_CHUNK // M)
+    for lo in range(0, M, rows):
+        hi = min(M, lo + rows)
+        gaps = np.abs(omega[lo:hi, None] - omega)
+        gaps[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
+        log_gaps[lo:hi] = np.log(gaps).sum(axis=1)
+    with np.errstate(over="ignore"):
+        w = np.exp(np.log(tau).sum() - log_gaps)
+    w[1::2] = -w[1::2]
+    if not np.abs(w).sum() <= 1.0 + 64 * M * np.finfo(float).eps:
+        return None
+    return w
 
 
 @dataclass(frozen=True)
@@ -75,13 +139,12 @@ class ParitySignature:
 
 
 def diagonalize(spec: ChainSpec) -> Spectrum:
-    """Full eigendecomposition of the chain Hamiltonian.
+    """The spectrum of the chain Hamiltonian, solved when first read.
 
-    Backed by the LAPACK symmetric-tridiagonal solver, O(M^2) instead of the
+    Backed by the LAPACK symmetric-tridiagonal solvers, O(M^2) instead of the
     dense O(M^3) path.  Rows of ``g`` keep LAPACK's signs; no output reads them.
     """
-    w, v = eigh_tridiagonal(spec.eps, -spec.tau)
-    return Spectrum(omega=w, g=np.ascontiguousarray(v.T), spec=spec)
+    return Spectrum(spec)
 
 
 def mirror_parity(spectrum: Spectrum) -> ParitySignature:

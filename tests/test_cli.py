@@ -244,6 +244,13 @@ class TestTuneCommand:
         assert header == ["x", "amplitude", "time", "evaluations"]
         assert float(rows[0][0]) == 1.0
 
+    def test_tiny_hopping(self, tmp_path):
+        body = TUNE_ONE_POINT.replace("m = 12", "m = 5").replace("tau = 1.0", "tau = 1e-10")
+        cfg = write(tmp_path / "run.ini", body.replace("points = 1", "points = 3"))
+        assert main(["tune", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        _, _, rows = read_rows(tmp_path / "tune_best.csv")
+        assert float(rows[0][1]) > 0.99
+
     def test_single_mode_m100_beats_uniform(self, tmp_path):
         cfg = write(
             tmp_path / "run.ini",
@@ -269,12 +276,12 @@ DEMO_CSVS = {
         "spectrum.csv": "e62ad9a0a2de689a73836a5b25cb1883aa03911d2b17bbdd220971b992f707a3",
     }),
     "tune_two_bond": ("tune_two_bond", ["tune"], {
-        "tune.csv": "924b016706f9c7ba72732df73c2316bfa162f7bfed3b20cd554dd94a47866677",
-        "tune_best.csv": "e16fa14fc7e9781f3229b8b24c1f420d99ddcf106152a37067acfc92c8294fbe",
+        "tune.csv": "2de9e90fa530c522219e73d4e7cecd4fbd8ca6198ba86d3ccf082b2da5ccd0ad",
+        "tune_best.csv": "c8b946574f05319a1bb8d11d94ced3314afa3ffa13d88043e1c20ba935848ee9",
     }),
     "tune_two_bond-single": ("tune_two_bond", ["tune", "--override", "tune.mode=single"], {
-        "tune.csv": "adab12db62fee5b4fc1d213f90dbf1a386d11efc80ff6cf628ba2a2ef2416064",
-        "tune_best.csv": "6688208555861a90d287bca0aa2b169ff6dd4d3c74f5ae30701ba58fb45f847d",
+        "tune.csv": "a504947720a644174672f97628a00ebcc606b7315664e9026dce70b8df43c9b5",
+        "tune_best.csv": "e4ec4888e2c64597c147ce81a16c135609230f43b6a131d14a9f883176b66b42",
     }),
     "uniform_bounce": ("uniform_bounce", ["evolve"], {
         "grid.csv": "dfd5424c3ea929658263fba4b2bf88d93e10b5b8766f74700dba5835e6ec6f2d",

@@ -3,15 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 import qcradle.spectral
 from qcradle import (
     ChainSpec,
     DegenerateSpectrumError,
-    Spectrum,
     diagonalize,
     edge_modified_chain,
+    end_amplitude,
     gaussian_trap_chain,
     gaussian_wavepacket,
     kick_state,
@@ -19,31 +19,115 @@ from qcradle import (
     mirror_parity,
     mirror_symmetric,
     mode_overlaps,
+    peak_transfer,
     pseudo_wavevectors,
     pst_chain,
     uniform_chain,
 )
-from util import dense_eig, random_chain, residual_norm
+from qcradle.spectral import _end_weights
+from util import dense_eig, random_chain, residual_norm, seeded_spectrum
 
 SQRT2 = np.sqrt(2.0)
 
 
 class TestSpectrum:
+    def test_solves_on_first_use(self):
+        # nothing is solved until read, then solved once (the bits are
+        # eigh_tridiagonal's: TestDiagonalize::test_sign_convention_and_determinism)
+        sp = diagonalize(random_chain(np.random.default_rng(5), M=23))
+        assert "_eigenpairs" not in vars(sp) and "_end_modes" not in vars(sp)
+        assert sp.g is sp.g and sp.omega is sp.omega
+        assert not sp.g.flags.writeable and not sp.omega.flags.writeable
+
     @pytest.mark.parametrize(
-        "omega, g, match",
+        "family",
         [
-            ([0.0, np.nan, 1.0], np.eye(3), "finite"),
-            ([0.0, 1.0, np.inf], np.eye(3), "finite"),
-            ([1.0, 0.0, 2.0], np.eye(3), "nondecreasing"),
-            ([0.0, 1.0], np.eye(3), r"must be \(3,\) and \(3, 3\)"),
-            ([0.0, 1.0, 2.0], np.eye(2), r"must be \(3,\) and \(3, 3\)"),
-            ([0.0, 1.0, 2.0], np.eye(3)[:2], r"must be \(3,\) and \(3, 3\)"),
+            lambda M: uniform_chain(M, 1.0),
+            lambda M: pst_chain(M, 1.0),
+            lambda M: edge_modified_chain(M, 1.0, 0.5, 0.8),
         ],
-        ids=["nan", "inf", "unsorted", "short-omega", "small-g", "non-square-g"],
+        ids=["uniform", "pst", "two-bond"],
     )
-    def test_fields_must_fit_the_chain(self, omega, g, match):
-        with pytest.raises(ValueError, match=match):
-            Spectrum(omega=omega, g=g, spec=uniform_chain(3, 1.0))
+    def test_transfer_builds_no_eigenvectors(self, family):
+        # the benchmark's chain families take the certified eigenvalue route
+        sp = diagonalize(family(200))
+        rep = peak_transfer(sp)
+        assert abs(end_amplitude(sp, rep.peak_time)) == rep.peak_amplitude
+        assert "_eigenpairs" not in vars(sp)
+
+    def test_transfer_memory_is_linear(self):
+        # the eigenvectors alone would be 200 MB at M = 5000, and the
+        # eigensolve peaked at 400 MB; the scan's phase blocks are ~62 MB
+        sp = diagonalize(uniform_chain(5000, 1.0))
+        tracemalloc.start()
+        try:
+            peak_transfer(sp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+
+
+def _weight_error(spec):
+    # largest deviation of the eigenvalue end weights from g_{n1} g_{nM}
+    w = _end_weights(eigvalsh_tridiagonal(spec.eps, -spec.tau), spec.tau)
+    _, v = eigh_tridiagonal(spec.eps, -spec.tau)
+    return np.max(np.abs(w - v[0] * v[-1]))
+
+
+class TestEndWeights:
+    @pytest.mark.parametrize("M", [3, 100, 2000])
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda M: uniform_chain(M, 1.0),
+            lambda M: pst_chain(M, 1.0),
+            # two bond pairs need M >= 5; M = 3 takes the one-pair chain
+            lambda M: edge_modified_chain(M, 1.0, 0.5, 0.8 if M >= 5 else None),
+        ],
+        ids=["uniform", "pst", "two-bond"],
+    )
+    def test_match_the_eigenvectors(self, family, M):
+        assert _weight_error(family(M)) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "spec",
+        [gaussian_trap_chain(100, 1.0, 50.0, 110.0), edge_modified_chain(100, 1.0, 1e-9, 1.0)],
+        ids=["trap100", "edge1e-9"],
+    )
+    def test_match_on_trap_and_nearly_cut_chains(self, spec):
+        assert _weight_error(spec) <= 1e-13
+
+    def test_match_on_random_chains(self):
+        rng = np.random.default_rng(16)
+        for _ in range(30):
+            assert _weight_error(random_chain(rng)) <= 1e-13
+
+    def test_single_site(self):
+        assert np.array_equal(_end_weights(np.array([0.37]), np.array([])), [1.0])
+
+    @pytest.mark.parametrize(
+        "tau",
+        [
+            # computed eigenvalues tie exactly
+            [1.0, 1e-9, 1e-9, 1e-9, 1.0],
+            # distinct eigenvalues 1 ulp apart: the weights exceed the
+            # Cauchy-Schwarz bound sum |w_n| <= 1
+            [1.0, 1e-15, 1.0],
+        ],
+        ids=["tie", "one-ulp"],
+    )
+    def test_uncertified_weights_fall_back_to_the_eigenvectors(self, tau):
+        # no inf weight, no NaN amplitude and no RuntimeWarning (an error here)
+        spec = ChainSpec(M=len(tau) + 1, tau=tau, eps=np.zeros(len(tau) + 1))
+        assert _end_weights(eigvalsh_tridiagonal(spec.eps, -spec.tau), spec.tau) is None
+        sp = diagonalize(spec)
+        omega, w = sp._end_modes
+        assert np.array_equal(omega, sp.omega)
+        assert np.array_equal(w, sp.g[:, 0] * sp.g[:, -1])
+        rep = peak_transfer(sp)
+        assert np.isfinite(rep.peak_amplitude) and 0.0 <= rep.peak_amplitude <= 1.0
+        assert np.isfinite(end_amplitude(sp, 7.5))
 
 
 class TestDiagonalize:
@@ -135,7 +219,7 @@ class TestDiagonalize:
         spec = uniform_chain(M, 1.0)
         tracemalloc.start()
         try:
-            diagonalize(spec)
+            diagonalize(spec).g
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -283,7 +367,7 @@ class TestLinearityDeviation:
             linearity_deviation(sp, (1.0, 5.0))
         with pytest.raises(ValueError, match="index_range must satisfy"):
             linearity_deviation(sp, (1, 5.0))
-        flat = Spectrum(omega=np.zeros(3), g=np.eye(3), spec=uniform_chain(3, 1.0))
+        flat = seeded_spectrum(uniform_chain(3, 1.0), np.zeros(3), np.eye(3))
         with pytest.raises(DegenerateSpectrumError):
             linearity_deviation(flat, (1, 3))
 

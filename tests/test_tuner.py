@@ -43,6 +43,11 @@ class TestTuneSingle:
         b = tune_single(15, 1.0, x_grid=15)
         assert a.trace == b.trace and a.best_params == b.best_params
 
+    def test_scale_free_at_tiny_hopping(self):
+        # peak times near 1e12 are coarser than the time tolerance; the tuned
+        # factor does not depend on the hopping scale
+        assert tune_single(5, 1e-12, 3).best_params == tune_single(5, 1.0, 3).best_params
+
     def test_needs_three_sites(self):
         with pytest.raises(ValueError):
             tune_single(2, 1.0)

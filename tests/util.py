@@ -1,4 +1,5 @@
-"""Shared test helpers: independent dense-matrix oracles and random chains."""
+"""Shared test helpers: independent dense-matrix oracles, random chains and
+spectra seeded with given eigenpairs."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from qcradle import ChainSpec, HubbardParams
+from qcradle import ChainSpec, HubbardParams, Spectrum
 
 
 def dense_eig(spec: ChainSpec):
@@ -19,6 +20,15 @@ def dense_propagate(spec: ChainSpec, z0: np.ndarray, t: float) -> np.ndarray:
     """Independent evolution oracle: e^{-iHt} z0 via the dense eigenbasis."""
     w, v = dense_eig(spec)
     return v @ (np.exp(-1j * w * t) * (v.conj().T @ z0))
+
+
+def seeded_spectrum(spec: ChainSpec, omega, g) -> Spectrum:
+    """A Spectrum of ``spec`` whose eigenpairs are the given (omega, g), as
+    if its one eigensolve had returned them; the transfer path still solves
+    for its own eigenvalues."""
+    sp = Spectrum(spec)
+    sp.__dict__["_eigenpairs"] = (np.asarray(omega, dtype=float), np.asarray(g, dtype=float))
+    return sp
 
 
 def random_chain(rng: np.random.Generator, M: int | None = None, symmetric: bool = False) -> ChainSpec:
