@@ -47,7 +47,7 @@ def _count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainSpec:
     """Immutable chain description: site count, hoppings, on-site offsets."""
 
@@ -87,7 +87,7 @@ def mirror_symmetric(spec: ChainSpec) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveState:
     """Normalized complex amplitudes over the M sites of a chain."""
 

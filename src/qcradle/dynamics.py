@@ -49,7 +49,7 @@ PEAK_COARSE_STEP = 0.05
 PEAK_TIME_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvolutionGrid:
     """Site probabilities |A_j(t)|^2 on a uniform time grid."""
 

@@ -56,7 +56,7 @@ EVOLVE_DIM_CAP = 2048
 TAU_CONVENTIONS = ("2t^2/U", "t^2/U")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HubbardParams:
     """Two-species Bose-Hubbard couplings on an open M-site chain."""
 
@@ -92,7 +92,7 @@ class HubbardParams:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectiveParams:
     """Second-order effective couplings: hopping tau, density-density gamma,
     chemical-potential sigma, one entry per bond."""
@@ -266,7 +266,7 @@ def _sector_modes(H, S, rows) -> tuple[np.ndarray, np.ndarray]:
     return lam, S[rows] @ V
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleReport:
     """Exact-vs-effective comparison along a time grid.
 

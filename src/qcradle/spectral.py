@@ -10,11 +10,12 @@ overlaps) used by the transfer studies.
 A ``Spectrum`` solves on first use and keeps what it solved.  The eigenpairs
 (ascending eigenvalues, eigenvectors with LAPACK's signs) come from one
 LAPACK call, O(M^2) memory.  The end-to-end transfer reads only the
-eigenvalues and the end weights g_{n1} g_{nM}, which follow from the
-eigenvalues alone (``_end_weights``) in O(M) memory, so a transfer never
-builds the eigenvectors.  No output depends on an eigenvector's sign: every
-quantity derived here or in ``dynamics`` holds each eigenvector an even
-number of times.
+eigenvalues, from the two reflection sectors of a mirror-symmetric chain at
+half the cost of one solve (``_eigvals``), and the end weights g_{n1} g_{nM},
+which follow from the eigenvalues alone (``_end_weights``) in O(M) memory,
+so a transfer never builds the eigenvectors.  No output depends on an
+eigenvector's sign: every quantity derived here or in ``dynamics`` holds
+each eigenvector an even number of times.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
-from .chains import ChainSpec, WaveState, _count, _readonly
+from .chains import ChainSpec, WaveState, _count, _readonly, mirror_symmetric
 from .errors import DegenerateSpectrumError
 
 # Eigenvalues closer than this fraction of the spectral width are treated as
@@ -43,6 +44,10 @@ ROOT_RESIDUAL_TOL = 1e-12
 
 # Gap-matrix entries per chunk of rows in _end_weights: 8 MB of float64.
 _GAP_CHUNK = 2**20
+
+# End weights below this are set to 0: the scan's GEMM would make subnormal
+# products of them, which are slow and add nothing at double precision.
+_WEIGHT_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -77,15 +82,39 @@ class Spectrum:
     def _end_modes(self) -> tuple[np.ndarray, np.ndarray]:
         """Mode frequencies and end weights g_{n1} g_{nM} of the transfer.
 
-        From the eigenvalues alone when ``_end_weights`` certifies them;
-        otherwise (computed eigenvalues that tie) from the eigenpairs.
+        From ``_eigvals`` and, when ``_end_weights`` certifies them, from
+        those eigenvalues alone; otherwise (computed eigenvalues that tie or
+        nearly tie) from the eigenpairs.  Weights below ``_WEIGHT_FLOOR`` are 0.
         """
-        omega = eigvalsh_tridiagonal(self.spec.eps, -self.spec.tau)
+        omega = _eigvals(self.spec)
         w = _end_weights(omega, self.spec.tau)
         if w is None:
             omega, g = self._eigenpairs
             w = g[:, 0] * g[:, -1]
+        w[np.abs(w) < _WEIGHT_FLOOR] = 0.0
         return _readonly(omega), _readonly(w)
+
+
+def _eigvals(spec: ChainSpec) -> np.ndarray:
+    """Ascending eigenvalues, from the two reflection sectors of a
+    mirror-symmetric chain (M = 2m or 2m + 1), at half the cost of one solve.
+
+    Each sector is a leading block of H.  Even M: two m x m blocks whose last
+    diagonal entry is eps_m -/+ tau_m.  Odd M: the (m+1)-site symmetric block
+    with its bond to the centre scaled by sqrt(2), and the m x m block.
+    """
+    d, e = spec.eps, -spec.tau
+    m = spec.M // 2
+    if m == 0 or not mirror_symmetric(spec):
+        return eigvalsh_tridiagonal(d, e)
+    if spec.M % 2:
+        e[m - 1] *= np.sqrt(2.0)
+        sectors = ((d[: m + 1], e[:m]), (d[:m], e[: m - 1]))
+    else:
+        edge = np.zeros(m)
+        edge[-1] = e[m - 1]
+        sectors = ((d[:m] + edge, e[: m - 1]), (d[:m] - edge, e[: m - 1]))
+    return np.sort(np.concatenate([eigvalsh_tridiagonal(*s) for s in sectors]))
 
 
 def _end_weights(omega: np.ndarray, tau: np.ndarray) -> np.ndarray | None:
@@ -99,24 +128,29 @@ def _end_weights(omega: np.ndarray, tau: np.ndarray) -> np.ndarray | None:
     so with tau > 0 and ascending omega the sign is (-1)^(n-1) for 1-based n.
     The magnitude is a sum of logs taken over chunks of rows of the gap
     matrix, so memory stays O(M) for large M.  The weights are certified, and
-    returned, only when every gap is > 0 and sum_n |w_n| <= 1 + 64 M eps,
-    which the exact weights meet by Cauchy-Schwarz.  Computed eigenvalues
-    that tie fail it, and so do near ties that inflate the weights.
+    returned, only when every gap is > 0, sum_n |w_n| <= 1 + 64 M eps (the
+    exact weights meet it by Cauchy-Schwarz), and every weight's first-order
+    error under eigenvalue errors of eps ||T||,
+    2 eps ||T|| |w_n| sum_{k != n} 1/|omega_n - omega_k|, is <= 64 M eps.
+    Computed eigenvalues that tie fail it, and so do near ties.
     """
     M = omega.size
     if not (np.diff(omega) > 0.0).all():
         return None
-    log_gaps = np.empty(M)
+    log_gaps, inv_gaps = np.empty(M), np.empty(M)
     rows = max(1, _GAP_CHUNK // M)
-    for lo in range(0, M, rows):
-        hi = min(M, lo + rows)
-        gaps = np.abs(omega[lo:hi, None] - omega)
-        gaps[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
-        log_gaps[lo:hi] = np.log(gaps).sum(axis=1)
     with np.errstate(over="ignore"):
+        for lo in range(0, M, rows):
+            hi = min(M, lo + rows)
+            gaps = np.abs(omega[lo:hi, None] - omega)
+            gaps[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
+            log_gaps[lo:hi] = np.log(gaps).sum(axis=1)
+            inv_gaps[lo:hi] = (1.0 / gaps).sum(axis=1) - 1.0  # less the diagonal's 1
         w = np.exp(np.log(tau).sum() - log_gaps)
     w[1::2] = -w[1::2]
-    if not np.abs(w).sum() <= 1.0 + 64 * M * np.finfo(float).eps:
+    eps = np.finfo(float).eps
+    first_order = 2.0 * eps * max(-omega[0], omega[-1]) * np.abs(w) * inv_gaps
+    if not (np.abs(w).sum() <= 1.0 + 64 * M * eps and np.max(first_order) <= 64 * M * eps):
         return None
     return w
 

@@ -276,12 +276,12 @@ DEMO_CSVS = {
         "spectrum.csv": "e62ad9a0a2de689a73836a5b25cb1883aa03911d2b17bbdd220971b992f707a3",
     }),
     "tune_two_bond": ("tune_two_bond", ["tune"], {
-        "tune.csv": "2de9e90fa530c522219e73d4e7cecd4fbd8ca6198ba86d3ccf082b2da5ccd0ad",
-        "tune_best.csv": "c8b946574f05319a1bb8d11d94ced3314afa3ffa13d88043e1c20ba935848ee9",
+        "tune.csv": "ac27c079211ae2c661ef507b715d07ecc52309f0ee741090670cda32d1ebee60",
+        "tune_best.csv": "0e24f18d717c12b04920047f39738c0993b4e4a51dbb1a7de2c1bbf8dd4eab07",
     }),
     "tune_two_bond-single": ("tune_two_bond", ["tune", "--override", "tune.mode=single"], {
-        "tune.csv": "a504947720a644174672f97628a00ebcc606b7315664e9026dce70b8df43c9b5",
-        "tune_best.csv": "e4ec4888e2c64597c147ce81a16c135609230f43b6a131d14a9f883176b66b42",
+        "tune.csv": "2ff93a2ad1201629acb67377ed62db94be052fa61afbcf9c4f52690a168736e9",
+        "tune_best.csv": "39d3d1bd10d83a28286a7de3d2987e763cefec729a6e3085d4c2bc19434ef96f",
     }),
     "uniform_bounce": ("uniform_bounce", ["evolve"], {
         "grid.csv": "dfd5424c3ea929658263fba4b2bf88d93e10b5b8766f74700dba5835e6ec6f2d",

@@ -1,7 +1,8 @@
 """The package namespace: every exported name resolves, and only once,
 every exception type the package defines is raised, exported and mapped to
-a CLI exit code, every integer count follows one rule, and the console
-script names a callable."""
+a CLI exit code, every integer count follows one rule, the value types that
+hold arrays compare and hash by identity, and the console script names a
+callable."""
 
 import ast
 import importlib
@@ -20,6 +21,7 @@ from qcradle import (
     compare_effective,
     diagonalize,
     edge_modified_chain,
+    effective_params,
     enumerate_basis,
     evolution_grid,
     gaussian_trap_chain,
@@ -115,6 +117,27 @@ def test_counts_follow_one_rule(case):
     with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {least}, got {least - 1}$"):
         call(least - 1)
     call(np.int64(least))
+
+
+# value types that hold arrays: a field-wise == would ask numpy for the
+# truth value of an array, and a field hash would hash an ndarray
+ARRAY_HOLDERS = {
+    "ChainSpec": lambda: uniform_chain(3, 1.0),
+    "WaveState": lambda: kick_state(3, 1),
+    "Spectrum": lambda: diagonalize(uniform_chain(3, 1.0)),
+    "EvolutionGrid": lambda: evolution_grid(diagonalize(uniform_chain(3, 1.0)), kick_state(3, 1), 1.0, 2),
+    "HubbardParams": lambda: _hubbard(3),
+    "EffectiveParams": lambda: effective_params(_hubbard(3)),
+    "FockBasis": lambda: enumerate_basis(2, 1, 1, 2),
+    "OracleReport": lambda: compare_effective(_hubbard(2), [0.0]),
+}
+
+
+@pytest.mark.parametrize("case", ARRAY_HOLDERS)
+def test_array_holders_compare_by_identity(case):
+    a, b = ARRAY_HOLDERS[case](), ARRAY_HOLDERS[case]()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and {a, b} == {b, a}
 
 
 def test_console_script_resolves():

@@ -24,8 +24,9 @@ from qcradle import (
     pst_chain,
     uniform_chain,
 )
-from qcradle.spectral import _end_weights
-from util import dense_eig, random_chain, residual_norm, seeded_spectrum
+from qcradle.dynamics import PEAK_COARSE_STEP, _end_abs_scan, default_window
+from qcradle.spectral import _WEIGHT_FLOOR, _eigvals, _end_weights
+from util import dense_eig, dense_propagate, random_chain, residual_norm, seeded_spectrum
 
 SQRT2 = np.sqrt(2.0)
 
@@ -68,40 +69,68 @@ class TestSpectrum:
         assert peak < 100 * 2**20
 
 
-def _weight_error(spec):
-    # largest deviation of the eigenvalue end weights from g_{n1} g_{nM}
-    w = _end_weights(eigvalsh_tridiagonal(spec.eps, -spec.tau), spec.tau)
+def _two_bond(M):
+    # two bond pairs need M >= 5 and one pair M >= 3; M = 2 has one bond
+    if M < 3:
+        return uniform_chain(M, 0.5)
+    return edge_modified_chain(M, 1.0, 0.5, 0.8 if M >= 5 else None)
+
+
+def _transfer_error(spec):
+    # the transfer's eigenvalues against one full solve, relative to the
+    # spectral radius; its end weights against g_{n1} g_{nM}; and whether the
+    # eigenvalues alone gave the weights (no eigenvector fallback)
+    sp = diagonalize(spec)
+    omega, w = sp._end_modes
+    full = eigvalsh_tridiagonal(spec.eps, -spec.tau)
     _, v = eigh_tridiagonal(spec.eps, -spec.tau)
-    return np.max(np.abs(w - v[0] * v[-1]))
+    omega_error = np.max(np.abs(omega - full)) / np.max(np.abs(full))
+    return omega_error, np.max(np.abs(w - v[0] * v[-1])), "_eigenpairs" not in vars(sp)
 
 
 class TestEndWeights:
-    @pytest.mark.parametrize("M", [3, 100, 2000])
+    @pytest.mark.parametrize("M", [2, 3, 4, 5, 100, 101, 2000])
     @pytest.mark.parametrize(
         "family",
-        [
-            lambda M: uniform_chain(M, 1.0),
-            lambda M: pst_chain(M, 1.0),
-            # two bond pairs need M >= 5; M = 3 takes the one-pair chain
-            lambda M: edge_modified_chain(M, 1.0, 0.5, 0.8 if M >= 5 else None),
-        ],
+        [lambda M: uniform_chain(M, 1.0), lambda M: pst_chain(M, 1.0), _two_bond],
         ids=["uniform", "pst", "two-bond"],
     )
     def test_match_the_eigenvectors(self, family, M):
-        assert _weight_error(family(M)) <= 1e-13
+        # these mirror-symmetric chains take the reflection sectors
+        omega_error, w_error, certified = _transfer_error(family(M))
+        assert certified and omega_error <= 1e-13 and w_error <= 1e-13
 
     @pytest.mark.parametrize(
-        "spec",
-        [gaussian_trap_chain(100, 1.0, 50.0, 110.0), edge_modified_chain(100, 1.0, 1e-9, 1.0)],
+        "spec, certified",
+        [(gaussian_trap_chain(100, 1.0, 50.0, 110.0), True), (edge_modified_chain(100, 1.0, 1e-9, 1.0), False)],
         ids=["trap100", "edge1e-9"],
     )
-    def test_match_on_trap_and_nearly_cut_chains(self, spec):
-        assert _weight_error(spec) <= 1e-13
+    def test_match_on_trap_and_nearly_cut_chains(self, spec, certified):
+        # the sectors of the nearly cut chain give its end pair at |omega|
+        # ~ 1e-18 to only eps ||T||: their weights would be 2e-8 off, and
+        # the first-order error check hands them to the eigenvectors
+        omega_error, w_error, route = _transfer_error(spec)
+        assert route == certified and omega_error <= 1e-13 and w_error <= 1e-13
 
     def test_match_on_random_chains(self):
         rng = np.random.default_rng(16)
         for _ in range(30):
-            assert _weight_error(random_chain(rng)) <= 1e-13
+            assert max(_transfer_error(random_chain(rng))[:2]) <= 1e-13
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-12], ids=["mirror", "offset-end"])
+    def test_match_on_random_mirror_chains(self, offset):
+        # random on-site energies bind end states in pairs split by 1e-8 and
+        # less.  Their weights came out 4e-8 off from the sector eigenvalues,
+        # and 3.4e-9 off from the full solve once one end is offset (no
+        # mirror symmetry); the sum |w_n| check certified both
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            spec = random_chain(rng, symmetric=True)
+            eps = spec.eps.copy()
+            eps[-1] += offset
+            spec = ChainSpec(M=spec.M, tau=spec.tau, eps=eps)
+            assert mirror_symmetric(spec) == (offset == 0.0 or spec.M == 1)
+            assert max(_transfer_error(spec)[:2]) <= 1e-13
 
     def test_single_site(self):
         assert np.array_equal(_end_weights(np.array([0.37]), np.array([])), [1.0])
@@ -128,6 +157,64 @@ class TestEndWeights:
         rep = peak_transfer(sp)
         assert np.isfinite(rep.peak_amplitude) and 0.0 <= rep.peak_amplitude <= 1.0
         assert np.isfinite(end_amplitude(sp, 7.5))
+
+    def test_near_tie_falls_back_to_the_eigenvectors(self):
+        # the middle bond 1e-13 splits each pair of sector eigenvalues by
+        # 1e-13; the sum |w_n| check refuses their weights and the
+        # eigenvectors serve the transfer (the full-solve weights were
+        # certified, and end_amplitude was 5.2e-12 off at |A| ~ 5e-9)
+        spec = ChainSpec(M=4, tau=[1.0, 1e-13, 1.0], eps=np.zeros(4))
+        assert _end_weights(_eigvals(spec), spec.tau) is None
+        sp = diagonalize(spec)
+        for t in (3.0, 1e6):
+            exact = dense_propagate(spec, kick_state(4, 1).z, t)[-1]
+            assert abs(end_amplitude(sp, t) - exact) <= 1e-15
+
+    def test_pst2000_floor_leaves_the_scan_unchanged(self):
+        # pst weights fall like 2^-M: the floor zeroes those whose scan
+        # products would be subnormal, and the scan does not move a bit
+        sp = diagonalize(pst_chain(2000, 1.0))
+        omega, w = sp._end_modes
+        raw = _end_weights(_eigvals(sp.spec), sp.spec.tau)
+        assert not ((0.0 < np.abs(w)) & (np.abs(w) < _WEIGHT_FLOOR)).any()
+        assert (w == 0.0).sum() > (raw == 0.0).sum()
+        # the peak search's grid
+        T = default_window(sp)[1]
+        n = int(np.ceil(T * np.max(sp.spec.tau) / PEAK_COARSE_STEP)) + 1
+        dt = T / (n - 1)
+        assert np.array_equal(_end_abs_scan(omega, w, dt, n), _end_abs_scan(omega, raw, dt, n))
+
+
+class TestReflectionSectors:
+    @pytest.mark.parametrize("M", [100, 101])
+    def test_mirror_chain_takes_two_half_size_solves(self, M, monkeypatch):
+        sizes = []
+
+        def spy(d, e):
+            sizes.append(len(d))
+            return eigvalsh_tridiagonal(d, e)
+
+        monkeypatch.setattr(qcradle.spectral, "eigvalsh_tridiagonal", spy)
+        diagonalize(_two_bond(M))._end_modes
+        assert sorted(sizes) == [M // 2, (M + 1) // 2]
+
+    def test_other_chains_take_the_full_solve(self):
+        rng = np.random.default_rng(18)
+        specs = [gaussian_trap_chain(100, 1.0, 50.0, 110.0), ChainSpec(M=4, tau=[1.0, 2.0, 1.5], eps=np.zeros(4))]
+        specs += [random_chain(rng) for _ in range(20)]
+        for spec in specs:
+            assert spec.M == 1 or not mirror_symmetric(spec)
+            assert np.array_equal(_eigvals(spec), eigvalsh_tridiagonal(spec.eps, -spec.tau))
+
+    @pytest.mark.parametrize("M", [100, 101])
+    def test_nearly_cut_middle_bond(self, M):
+        # no NaN and no RuntimeWarning (an error here)
+        tau = np.ones(M - 1)
+        tau[(M - 2) // 2 : M // 2] = 1e-300
+        sp = diagonalize(ChainSpec(M=M, tau=tau, eps=np.zeros(M)))
+        omega, w = sp._end_modes
+        assert np.isfinite(omega).all() and np.isfinite(w).all()
+        assert np.isfinite(peak_transfer(sp).peak_amplitude)
 
 
 class TestDiagonalize:
