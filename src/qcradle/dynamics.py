@@ -12,15 +12,21 @@ transfer metrics, revival fidelities, and the boundary-exposure diagnostic
 for trapped packets.  The transfer peak search scans |A_M(t)| over a window
 fixed by the chain, [0, 1.5 M/tau_max], which brackets ballistic first
 arrival; its uniform grid of step 0.05/tau_max holds n = 30M + 1 or 30M + 2
-samples.  It reads only the eigenvalues and the end weights g_{n1} g_{nM},
-which ``Spectrum`` derives from the eigenvalues without building the M^2
-eigenvectors.  The grid is factored into two phase blocks so the whole scan
-is a single complex matrix product in O(sqrt(n) M + n) = O(M^1.5) memory.
-Each block holds powers of one step phase per mode, built by running
-products, so the scan takes 2M exponentials and carries an O(sqrt(n) eps)
-sum_n |w_n| round-off; it only picks the best coarse sample.  Golden-section
-search then refines that sample, and every reported amplitude is a direct
-mode sum at one time.
+samples.  It reads only the modes (nu, p, q) of ``Spectrum._end_modes``, in
+which the end amplitude is the real form
+
+    A_M(t) = sum_k p_k cos(nu_k t) - i sum_k q_k sin(nu_k t).
+
+A chain with eps = 0 folds onto (M + 1) // 2 modes and one of the two sums
+(q alone for even M, p alone for odd M); any other chain has nu = omega and
+p = q = g_{n1} g_{nM}.  ``Spectrum`` derives these from the eigenvalues
+without building the M^2 eigenvectors.  The grid is factored into two phase
+blocks so the whole scan is one real matrix product over the nonzero sums, in
+O(sqrt(n) M + n) = O(M^1.5) memory.  Each block holds powers of one step
+phase per mode, built by running products, so the scan carries an
+O(sqrt(n) eps) sum_n |w_n| round-off; it only picks the best coarse sample.
+Golden-section search then refines that sample, and every reported amplitude
+is a direct sum over the modes at one time.
 
 Times are in units of inverse energy (hbar = 1).
 """
@@ -104,56 +110,68 @@ def evolution_grid(
     return EvolutionGrid(times=times, prob=np.abs(amps) ** 2)
 
 
-def _end_abs_scan(omega: np.ndarray, w: np.ndarray, dt: float, n: int) -> np.ndarray:
+def _phase_powers(nu: np.ndarray, step: float, count: int) -> np.ndarray:
+    # rows e^{-i nu k step}, k < count, as running products of one step phase
+    powers = np.empty((count, nu.size), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = np.exp(-1j * step * nu)
+    return np.cumprod(powers, axis=0, out=powers)
+
+
+def _end_abs_scan(nu: np.ndarray, p, q, dt: float, n: int) -> np.ndarray:
     """|A_M(t)| for a kick at site 1 on the uniform grid k*dt, k < n.
 
-    ``omega`` are the mode frequencies and ``w`` the end weights.  Each grid
-    time is factored as (b*B + k)*dt with B = ceil(sqrt(n)), so the scan
-    is one complex matrix product of a B x M inner-phase block with a
-    ceil(n/B) x M outer-phase block: O(sqrt(n)*M + n) memory instead of
-    O(n*M).  Both blocks are running products of one step phase per mode, so
-    only 2M exponentials are taken.  No power exceeds B, which bounds the
-    round-off drift by O(sqrt(n)*eps) * sum|w|: enough to pick the coarse
-    argmax, which is all the scan is used for.
+    ``(nu, p, q)`` are the modes of ``Spectrum._end_modes``; a None half is
+    skipped.  Complex weights p e^{-i nu t0}, q e^{-i nu t0} scan the grid
+    that starts at t0.  Each grid time is factored as (b*B + k)*dt with
+    B = ceil(sqrt(n)), so C = Re sum p e^{-i nu t} and S = Re sum i q e^{-i nu t}
+    come from a ceil(n/B) x len(nu) outer-phase block and a B x len(nu)
+    inner-phase block: O(sqrt(n)*M + n) memory instead of O(n*M).  Re(a b)
+    is the real dot of conj(a) with b, both seen as (re, im) pairs, so the
+    scan is one real matrix product over the nonzero halves: for a folded
+    chain, a quarter of the flops of a complex product over all M modes.
+    Both blocks are running products of one step phase per mode.  No power
+    exceeds B, which bounds the round-off drift by O(sqrt(n)*eps) * sum|w|:
+    enough to pick the coarse argmax, which is all the scan is used for.
     """
     B = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     nb = -(-n // B)
-    inner = np.empty((B, omega.size), dtype=complex)
-    inner[0] = 1.0
-    inner[1:] = np.exp(-1j * dt * omega)
-    np.cumprod(inner, axis=0, out=inner)
-    outer = np.empty((nb, omega.size), dtype=complex)
-    outer[0] = w
-    outer[1:] = np.exp(-1j * (B * dt) * omega)
-    np.cumprod(outer, axis=0, out=outer)
-    return np.abs(outer @ inner.T).ravel()[:n]
+    inner = _phase_powers(nu, dt, B)
+    outer = _phase_powers(nu, B * dt, nb)
+    weights = []
+    if p is not None:
+        weights.append(p)
+    if q is not None:
+        weights.append(1j * q)
+    lhs = np.empty((len(weights), nb, nu.size), dtype=complex)
+    for block, c in zip(lhs, weights):
+        np.multiply(outer, c, out=block)
+    del outer
+    np.conj(lhs, out=lhs)
+    parts = lhs.view(float).reshape(-1, 2 * nu.size) @ inner.view(float).T
+    parts = parts.reshape(len(weights), -1)[:, :n]
+    return np.hypot(*parts) if len(weights) == 2 else np.abs(parts[0])
 
 
-def _end_sum(phase: np.ndarray, cw: np.ndarray, t: float) -> complex:
-    # A_M(t) = sum_n w_n e^{-i omega_n t} from phase = -1j*omega and complex weights
-    # cw; the same products and the same pairwise sum as np.sum(w * exp(...))
-    z = phase * t
-    np.exp(z, out=z)
-    z *= cw
-    return np.add.reduce(z)
-
-
-def _end_abs(phase: np.ndarray, cw: np.ndarray, t: float) -> float:
-    # the golden refine's objective |A_M(t)|
-    return abs(_end_sum(phase, cw, t))
+def _end_sum(nu: np.ndarray, p, q, t: float) -> complex:
+    # A_M(t) = C - iS with C = p . cos(nu t) and S = q . sin(nu t); a None half is 0
+    x = nu * t
+    c = 0.0 if p is None else p @ np.cos(x)
+    s = 0.0 if q is None else q @ np.sin(x, out=x)
+    return complex(c, -s)
 
 
 def end_amplitude(spectrum: Spectrum, t: float) -> complex:
     """End-site amplitude A_M(t) for a kick at site 1.
 
-    The mode sum A_M(t) = sum_n g_{n1} g_{nM} e^{-i omega_n t} over the same
-    frequencies and end weights as the peak search, so |A_M| at a reported
-    peak time equals the reported peak amplitude exactly, on any chain.
+    The mode sum A_M(t) = sum_n g_{n1} g_{nM} e^{-i omega_n t}, taken by the
+    peak search's point kernel over the same modes (``Spectrum._end_modes``),
+    so |A_M| at a reported peak time equals the reported peak amplitude
+    exactly, on any chain.
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    omega, w = spectrum._end_modes
-    return complex(_end_sum(-1j * omega, w.astype(complex), t))
+    return _end_sum(*spectrum._end_modes, t)
 
 
 def _tau_max(spectrum: Spectrum) -> float:
@@ -181,15 +199,14 @@ def peak_transfer(spectrum: Spectrum) -> TransferReport:
         raise ValueError(f"peak-search window 1.5 M/tau_max overflows at tau_max = {tau!r}")
     n = int(np.ceil(T * tau / PEAK_COARSE_STEP)) + 1
     dt = T / (n - 1)
-    omega, w = spectrum._end_modes
-    vals = _end_abs_scan(omega, w, dt, n)
+    modes = spectrum._end_modes
+    vals = _end_abs_scan(*modes, dt, n)
     t_best = int(np.argmax(vals)) * dt
-    phase, cw = -1j * omega, w.astype(complex)
-    f_best = _end_abs(phase, cw, t_best)
+    f_best = abs(_end_sum(*modes, t_best))
 
     a = max(0.0, t_best - dt)
     b = min(T, t_best + dt)
-    t_ref, f_ref, evals = golden_max(lambda t: _end_abs(phase, cw, t), a, b, PEAK_TIME_TOL)
+    t_ref, f_ref, evals = golden_max(lambda t: abs(_end_sum(*modes, t)), a, b, PEAK_TIME_TOL)
     if f_ref > f_best:
         t_best, f_best = t_ref, f_ref
     return TransferReport(

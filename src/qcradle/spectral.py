@@ -13,9 +13,12 @@ LAPACK call, O(M^2) memory.  The end-to-end transfer reads only the
 eigenvalues, from the two reflection sectors of a mirror-symmetric chain at
 half the cost of one solve (``_eigvals``), and the end weights g_{n1} g_{nM},
 which follow from the eigenvalues alone (``_end_weights``) in O(M) memory,
-so a transfer never builds the eigenvectors.  No output depends on an
-eigenvector's sign: every quantity derived here or in ``dynamics`` holds
-each eigenvector an even number of times.
+so a transfer never builds the eigenvectors.  A chain with eps = 0 is
+bipartite, so its spectrum and end weights come in mirror pairs: its
+transfer folds onto the (M + 1) // 2 lowest modes (``Spectrum._end_modes``),
+and for even M with mirror symmetry one reflection sector gives them.  No
+output depends on an eigenvector's sign: every quantity derived here or in
+``dynamics`` holds each eigenvector an even number of times.
 """
 
 from __future__ import annotations
@@ -79,29 +82,54 @@ class Spectrum:
         return self._eigenpairs[1]
 
     @cached_property
-    def _end_modes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mode frequencies and end weights g_{n1} g_{nM} of the transfer.
+    def _end_modes(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """Modes (nu, p, q) of the transfer: A_M(t) = sum p cos(nu t) - i sum q sin(nu t).
+
+        A chain with eps = 0 is bipartite: omega_{M+1-n} = -omega_n and
+        w_{M+1-n} = (-1)^(M-1) w_n for the end weights w_n = g_{n1} g_{nM}, so
+        the M-mode sum folds onto the lower half of the spectrum.  Even M:
+        nu holds the M/2 negative eigenvalues, p = 0 and q = 2w.  Odd M: nu
+        also holds the exact zero mode last, p = (2w, w_0) and q = 0.  Any
+        other chain, and a single site: nu = omega and p = q = w.  A zero
+        half is None.
 
         From ``_eigvals`` and, when ``_end_weights`` certifies them, from
         those eigenvalues alone; otherwise (computed eigenvalues that tie or
-        nearly tie) from the eigenpairs.  Weights below ``_WEIGHT_FLOOR`` are 0.
+        nearly tie) from the eigenpairs, unfolded.  Weights below
+        ``_WEIGHT_FLOOR`` are 0.
         """
-        omega = _eigvals(self.spec)
-        w = _end_weights(omega, self.spec.tau)
+        spec, M = self.spec, self.M
+        omega = _eigvals(spec)
+        fold = not spec.eps.any()
+        if fold:
+            # the symmetrised spectrum: the lower half and its mirror image
+            lower = omega[: M // 2]
+            omega = np.concatenate([lower, np.zeros(M % 2), -lower[::-1]])
+        w = _end_weights(omega, spec.tau, (M + 1) // 2 if fold else M)
         if w is None:
             omega, g = self._eigenpairs
             w = g[:, 0] * g[:, -1]
         w[np.abs(w) < _WEIGHT_FLOOR] = 0.0
-        return _readonly(omega), _readonly(w)
+        if w.size == M:  # no fold: eps != 0, the eigenvector fallback, or one site
+            w = _readonly(w)
+            return _readonly(omega), w, w
+        nu = _readonly(omega[: w.size])
+        w *= 2.0
+        if M % 2:
+            w[-1] /= 2.0  # the zero mode has no mirror image
+            return nu, _readonly(w), None
+        return nu, None, _readonly(w)
 
 
 def _eigvals(spec: ChainSpec) -> np.ndarray:
     """Ascending eigenvalues, from the two reflection sectors of a
     mirror-symmetric chain (M = 2m or 2m + 1), at half the cost of one solve.
 
-    Each sector is a leading block of H.  Even M: two m x m blocks whose last
-    diagonal entry is eps_m -/+ tau_m.  Odd M: the (m+1)-site symmetric block
-    with its bond to the centre scaled by sqrt(2), and the m x m block.
+    Each sector is a leading block of H.  Even M: two m x m blocks J+/- whose
+    last diagonal entry is eps_m -/+ tau_m.  Odd M: the (m+1)-site symmetric
+    block with its bond to the centre scaled by sqrt(2), and the m x m block.
+    With eps = 0 and even M the sublattice sign flip (-1)^j maps J+ onto -J-,
+    so J+ alone gives the spectrum: -|lambda(J+)| and its mirror image.
     """
     d, e = spec.eps, -spec.tau
     m = spec.M // 2
@@ -113,44 +141,52 @@ def _eigvals(spec: ChainSpec) -> np.ndarray:
     else:
         edge = np.zeros(m)
         edge[-1] = e[m - 1]
+        if not d.any():
+            lower = np.sort(-np.abs(eigvalsh_tridiagonal(edge, e[: m - 1])))
+            return np.concatenate([lower, -lower[::-1]])
         sectors = ((d[:m] + edge, e[: m - 1]), (d[:m] - edge, e[: m - 1]))
     return np.sort(np.concatenate([eigvalsh_tridiagonal(*s) for s in sectors]))
 
 
-def _end_weights(omega: np.ndarray, tau: np.ndarray) -> np.ndarray | None:
-    """End weights g_{n1} g_{nM} from ascending eigenvalues, or None.
+def _end_weights(omega: np.ndarray, tau: np.ndarray, rows: int) -> np.ndarray | None:
+    """End weights g_{n1} g_{nM} of the lowest ``rows`` modes, or None.
 
-    For a Jacobi matrix with off-diagonal -tau_j (Parlett, The Symmetric
-    Eigenvalue Problem, 1980)
+    ``omega`` is the whole ascending spectrum.  ``rows`` < M only for a
+    chain with eps = 0, whose spectrum is symmetric and whose other weights
+    repeat these up to sign.  For a Jacobi matrix with off-diagonal -tau_j
+    (Parlett, The Symmetric Eigenvalue Problem, 1980)
 
         g_{n1} g_{nM} = prod_j (-tau_j) / prod_{k != n} (omega_n - omega_k),
 
     so with tau > 0 and ascending omega the sign is (-1)^(n-1) for 1-based n.
     The magnitude is a sum of logs taken over chunks of rows of the gap
     matrix, so memory stays O(M) for large M.  The weights are certified, and
-    returned, only when every gap is > 0, sum_n |w_n| <= 1 + 64 M eps (the
-    exact weights meet it by Cauchy-Schwarz), and every weight's first-order
-    error under eigenvalue errors of eps ||T||,
+    returned, only when every gap is > 0, sum_n |w_n| over all M modes is
+    <= 1 + 64 M eps (the exact weights meet it by Cauchy-Schwarz), and every
+    weight's first-order error under eigenvalue errors of eps ||T||,
     2 eps ||T|| |w_n| sum_{k != n} 1/|omega_n - omega_k|, is <= 64 M eps.
     Computed eigenvalues that tie fail it, and so do near ties.
     """
     M = omega.size
     if not (np.diff(omega) > 0.0).all():
         return None
-    log_gaps, inv_gaps = np.empty(M), np.empty(M)
-    rows = max(1, _GAP_CHUNK // M)
+    log_gaps, inv_gaps = np.empty(rows), np.empty(rows)
+    chunk = max(1, _GAP_CHUNK // M)
     with np.errstate(over="ignore"):
-        for lo in range(0, M, rows):
-            hi = min(M, lo + rows)
+        for lo in range(0, rows, chunk):
+            hi = min(rows, lo + chunk)
             gaps = np.abs(omega[lo:hi, None] - omega)
             gaps[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
             log_gaps[lo:hi] = np.log(gaps).sum(axis=1)
             inv_gaps[lo:hi] = (1.0 / gaps).sum(axis=1) - 1.0  # less the diagonal's 1
         w = np.exp(np.log(tau).sum() - log_gaps)
     w[1::2] = -w[1::2]
+    total = np.abs(w).sum()
+    if rows < M:  # each weight stands for its mirror mode too, bar an odd chain's zero mode
+        total = 2.0 * total - (abs(w[-1]) if M % 2 else 0.0)
     eps = np.finfo(float).eps
     first_order = 2.0 * eps * max(-omega[0], omega[-1]) * np.abs(w) * inv_gaps
-    if not (np.abs(w).sum() <= 1.0 + 64 * M * eps and np.max(first_order) <= 64 * M * eps):
+    if not (total <= 1.0 + 64 * M * eps and np.max(first_order) <= 64 * M * eps):
         return None
     return w
 

@@ -276,12 +276,12 @@ DEMO_CSVS = {
         "spectrum.csv": "e62ad9a0a2de689a73836a5b25cb1883aa03911d2b17bbdd220971b992f707a3",
     }),
     "tune_two_bond": ("tune_two_bond", ["tune"], {
-        "tune.csv": "ac27c079211ae2c661ef507b715d07ecc52309f0ee741090670cda32d1ebee60",
-        "tune_best.csv": "0e24f18d717c12b04920047f39738c0993b4e4a51dbb1a7de2c1bbf8dd4eab07",
+        "tune.csv": "d8046476576659a83c0ba4aec543095ad8c9db3f1ace8379e5a15a1a19e3960a",
+        "tune_best.csv": "ab5ae1c1c9c43020330990ab642a8f4a76796bca81500a6622c09b8e52850552",
     }),
     "tune_two_bond-single": ("tune_two_bond", ["tune", "--override", "tune.mode=single"], {
-        "tune.csv": "2ff93a2ad1201629acb67377ed62db94be052fa61afbcf9c4f52690a168736e9",
-        "tune_best.csv": "39d3d1bd10d83a28286a7de3d2987e763cefec729a6e3085d4c2bc19434ef96f",
+        "tune.csv": "c3771653d40a0c8881192960f13914803bb43f0592d47cdbd5c1214c12ce98d7",
+        "tune_best.csv": "79d775a60d77332a6c479cfc016b5f129af5d69ef5c21ca8db5169e7455ec79e",
     }),
     "uniform_bounce": ("uniform_bounce", ["evolve"], {
         "grid.csv": "dfd5424c3ea929658263fba4b2bf88d93e10b5b8766f74700dba5835e6ec6f2d",

@@ -24,8 +24,8 @@ from qcradle import (
     revival_fidelity,
     uniform_chain,
 )
-from qcradle.dynamics import _end_abs, _end_abs_scan, default_window
-from util import dense_propagate, random_chain, seeded_spectrum
+from qcradle.dynamics import _end_abs_scan, _end_sum, default_window
+from util import dense_propagate, random_chain, seeded_spectrum, unfold_modes
 
 
 def _spectrum(M=10, tau=1.0):
@@ -185,11 +185,13 @@ class TestEndAmplitude:
             pst_chain(21, 1.0),
             edge_modified_chain(100, 1.0, 0.5, 0.8),
             uniform_chain(101, 1.0),
+            gaussian_trap_chain(100, 1.0, 50.0, 110.0),
         ],
-        ids=["uniform50", "pst21", "two-bond100", "uniform101"],
+        ids=["uniform50", "pst21", "two-bond100", "uniform101", "trap100"],
     )
     def test_equals_peak_amplitude_exactly(self, spec):
-        # end_amplitude and the peak search share one weight definition
+        # end_amplitude and the peak search share one point kernel: on eps = 0
+        # chains of even and odd M, which fold, and on a trap chain, which does not
         sp = diagonalize(spec)
         rep = peak_transfer(sp)
         assert abs(end_amplitude(sp, rep.peak_time)) == rep.peak_amplitude
@@ -213,6 +215,43 @@ class TestEndAmplitude:
     def test_time_must_be_finite(self, t):
         with pytest.raises(ValueError, match="t must be finite"):
             end_amplitude(_spectrum(10), t)
+
+
+def _zero_offsets(spec):
+    return ChainSpec(M=spec.M, tau=spec.tau, eps=np.zeros(spec.M))
+
+
+class TestChiralFold:
+    # a chain with eps = 0 sums over its (M + 1) // 2 folded modes; the
+    # dense propagator sums over all M modes of its own eigensolve.  Random
+    # mirror chains of M >= 100 bind end states in near-degenerate pairs,
+    # whose weights the eigenvectors give, unfolded
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 100, 101])
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "mirror"])
+    def test_matches_dense_propagator(self, M, symmetric):
+        rng = np.random.default_rng(M)
+        spec = _zero_offsets(random_chain(rng, M=M, symmetric=symmetric))
+        folded = self._check(spec, rng)
+        assert folded or (symmetric and M >= 100)
+
+    def test_trap_chain_does_not_fold(self):
+        spec = gaussian_trap_chain(100, 1.0, 50.0, 110.0)
+        assert not self._check(spec, np.random.default_rng(3))
+
+    @staticmethod
+    def _check(spec, rng):
+        # True when the transfer took the folded modes
+        sp = diagonalize(spec)
+        size = sp._end_modes[0].size
+        folded = size == (spec.M + 1) // 2 and "_eigenpairs" not in vars(sp)
+        assert folded or size == spec.M
+        kick = kick_state(spec.M, 1).z
+        rep = peak_transfer(sp)
+        exact = abs(dense_propagate(spec, kick, rep.peak_time)[-1])
+        assert abs(rep.peak_amplitude - exact) <= 1e-12
+        for t in rng.uniform(0.0, 3.0 * spec.M, 5):
+            assert abs(end_amplitude(sp, t) - dense_propagate(spec, kick, t)[-1]) <= 1e-12
+        return folded
 
 
 class TestPeakTransfer:
@@ -279,18 +318,19 @@ class TestPeakTransfer:
 
     # pinned bits: a faster scan or refine must not flip the coarse argmax
     # or move any refine probe by one ulp.  The old amplitude is the one the
-    # end weights g_{n1} g_{nM} of the eigenvectors gave; the weights from
-    # the eigenvalues, and the eigenvalues from the two reflection sectors of
-    # these mirror-symmetric chains, move it by round-off only, at the same
-    # peak time
+    # end weights g_{n1} g_{nM} of the eigenvectors gave, summed over all M
+    # modes; the weights from the eigenvalues, the eigenvalues from the
+    # reflection sectors, and the real sum over the folded modes of these
+    # eps = 0 chains move it by round-off only (pst50 by 101 ulp), at the
+    # same peak time
     @pytest.mark.parametrize(
         "spec, time_hex, amp_hex, old_amp_hex, samples",
         [
-            (uniform_chain(101, 1.0), "0x1.a619ec95cb85dp+5", "0x1.11a004662a7e2p-1", "0x1.11a004662a7dcp-1", 3060),
-            (pst_chain(50, 1.0), "0x1.921fb68fd6a85p+0", "0x1.ffffffffffa6bp-1", "0x1.ffffffffffadfp-1", 1524),
+            (uniform_chain(101, 1.0), "0x1.a619ec95cb85dp+5", "0x1.11a004662a7bap-1", "0x1.11a004662a7dcp-1", 3060),
+            (pst_chain(50, 1.0), "0x1.921fb68fd6a85p+0", "0x1.ffffffffffb44p-1", "0x1.ffffffffffadfp-1", 1524),
             (
                 edge_modified_chain(100, 1.0, 0.5, 0.8),
-                "0x1.b52da4c252a3cp+5", "0x1.e1c1938b619e7p-1", "0x1.e1c1938b6197dp-1", 3030,
+                "0x1.b52da4c252a3cp+5", "0x1.e1c1938b619d2p-1", "0x1.e1c1938b6197dp-1", 3030,
             ),
         ],
         ids=["uniform101", "pst50", "two-bond100"],
@@ -303,31 +343,64 @@ class TestPeakTransfer:
         assert rep.samples == samples
 
 
-class TestEndAbs:
-    def test_bitwise_equal_to_direct_mode_sum(self):
-        # the refine kernel takes hoisted arrays but must keep the products and
-        # the summation order of the direct sum, so tune traces stay bit-equal
-        sp = diagonalize(edge_modified_chain(100, 1.0, 0.5, 0.8))
-        omega, w = sp._end_modes
-        phase, cw = -1j * omega, w.astype(complex)
+class TestEndSum:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            edge_modified_chain(100, 1.0, 0.5, 0.8),
+            edge_modified_chain(101, 1.0, 0.5, 0.8),
+            gaussian_trap_chain(100, 1.0, 50.0, 110.0),
+        ],
+        ids=["even", "odd", "trap"],
+    )
+    def test_matches_direct_mode_sum(self, spec):
+        # the real sums over the transfer's modes against the complex sum
+        # over all M modes with the same eigenvalues and end weights
+        modes = diagonalize(spec)._end_modes
+        omega, w = unfold_modes(modes, spec.M)
         for t in np.random.default_rng(7).uniform(0.0, 150.0, 1000):
-            assert _end_abs(phase, cw, t) == abs(np.sum(w * np.exp(-1j * omega * t)))
+            assert abs(_end_sum(*modes, t) - np.sum(w * np.exp(-1j * omega * t))) <= 1e-14
+
+
+def _scan_modes(spec):
+    # the transfer's modes, and all M eigenvalues and end weights of one full solve
+    sp = diagonalize(spec)
+    return sp._end_modes, sp.omega, sp.g[:, 0] * sp.g[:, -1]
+
+
+def _shifted(modes, t0):
+    # the modes whose scan from t = 0 is the scan from t = t0
+    nu, p, q = modes
+    phase = np.exp(-1j * t0 * nu)
+    return nu, None if p is None else p * phase, None if q is None else q * phase
 
 
 class TestEndAbsScan:
     # n = 11 is not a multiple of its block size 4; n = 49 is a perfect square.
     # The scan starts at t = 0; a grid that starts at t0 is the scan of the
-    # phase-shifted weights w e^{-i omega t0}
+    # phase-shifted weights p e^{-i nu t0}, q e^{-i nu t0}
     @pytest.mark.parametrize("M", [1, 2, 100])
     @pytest.mark.parametrize("n, t0", [(1, 2.0), (10, 0.0), (11, 0.0), (49, 0.0), (50, 3.7)])
     def test_matches_dense_scan(self, M, n, t0):
-        omega, w = diagonalize(random_chain(np.random.default_rng(M), M=M))._end_modes
+        modes, omega, w = _scan_modes(random_chain(np.random.default_rng(M), M=M))
         dt = 0.3
         t = t0 + dt * np.arange(n)
         dense = np.abs(np.exp(-1j * np.outer(t, omega)) @ w)
-        vals = _end_abs_scan(omega, w * np.exp(-1j * t0 * omega), dt, n)
+        vals = _end_abs_scan(*_shifted(modes, t0), dt, n)
         assert vals.shape == (n,)
         assert np.max(np.abs(vals - dense)) < 1e-12
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 100, 101])
+    @pytest.mark.parametrize("n, t0", [(1, 2.0), (11, 0.0), (50, 3.7)])
+    def test_folded_modes_match_dense_scan(self, M, n, t0):
+        # eps = 0 chains scan one half: the sine sum (even M) or the cosine sum (odd M)
+        spec = random_chain(np.random.default_rng(M), M=M)
+        modes, omega, w = _scan_modes(ChainSpec(M=M, tau=spec.tau, eps=np.zeros(M)))
+        assert modes[0].size == (M + 1) // 2 and (modes[1] is None) == (M % 2 == 0)
+        dt = 0.3
+        t = t0 + dt * np.arange(n)
+        dense = np.abs(np.exp(-1j * np.outer(t, omega)) @ w)
+        assert np.max(np.abs(_end_abs_scan(*_shifted(modes, t0), dt, n) - dense)) < 1e-12
 
     def test_realistic_grid_matches_direct_sum(self, spectrum2000):
         # default grid of a uniform M = 2000 chain: n = 60001, block size 245;
@@ -337,12 +410,12 @@ class TestEndAbsScan:
         dt = default_window(sp)[1] / (n - 1)
         B = math.isqrt(n - 1) + 1
         assert B == 245
-        omega, w = sp._end_modes
-        vals = _end_abs_scan(omega, w, dt, n)
+        vals = _end_abs_scan(*sp._end_modes, dt, n)
         assert vals.shape == (n,)
         edges = np.arange(B, n, B)
         rng = np.random.default_rng(2000)
         idx = np.unique(np.concatenate([[0, n - 1], edges, edges - 1, rng.integers(0, n, 200)]))
+        omega, w = sp.omega, sp.g[:, 0] * sp.g[:, -1]
         direct = np.abs(np.exp(-1j * np.outer(idx * dt, omega)) @ w)
         assert np.max(np.abs(vals[idx] - direct)) < 1e-12
 

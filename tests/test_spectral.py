@@ -22,11 +22,12 @@ from qcradle import (
     peak_transfer,
     pseudo_wavevectors,
     pst_chain,
+    tune_double,
     uniform_chain,
 )
 from qcradle.dynamics import PEAK_COARSE_STEP, _end_abs_scan, default_window
 from qcradle.spectral import _WEIGHT_FLOOR, _eigvals, _end_weights
-from util import dense_eig, dense_propagate, random_chain, residual_norm, seeded_spectrum
+from util import dense_eig, dense_propagate, random_chain, residual_norm, seeded_spectrum, unfold_modes
 
 SQRT2 = np.sqrt(2.0)
 
@@ -50,11 +51,15 @@ class TestSpectrum:
         ids=["uniform", "pst", "two-bond"],
     )
     def test_transfer_builds_no_eigenvectors(self, family):
-        # the benchmark's chain families take the certified eigenvalue route
-        sp = diagonalize(family(200))
-        rep = peak_transfer(sp)
-        assert abs(end_amplitude(sp, rep.peak_time)) == rep.peak_amplitude
-        assert "_eigenpairs" not in vars(sp)
+        # the benchmark's chain families take the certified eigenvalue route,
+        # folded onto (M + 1) // 2 modes since they have eps = 0
+        for M in (200, 500, 2000):
+            sp = diagonalize(family(M))
+            rep = peak_transfer(sp)
+            assert abs(end_amplitude(sp, rep.peak_time)) == rep.peak_amplitude
+            assert "_eigenpairs" not in vars(sp)
+            nu, p, q = sp._end_modes
+            assert nu.size == M // 2 and p is None and q.size == M // 2
 
     def test_transfer_memory_is_linear(self):
         # the eigenvectors alone would be 200 MB at M = 5000, and the
@@ -81,7 +86,7 @@ def _transfer_error(spec):
     # spectral radius; its end weights against g_{n1} g_{nM}; and whether the
     # eigenvalues alone gave the weights (no eigenvector fallback)
     sp = diagonalize(spec)
-    omega, w = sp._end_modes
+    omega, w = unfold_modes(sp._end_modes, spec.M)
     full = eigvalsh_tridiagonal(spec.eps, -spec.tau)
     _, v = eigh_tridiagonal(spec.eps, -spec.tau)
     omega_error = np.max(np.abs(omega - full)) / np.max(np.abs(full))
@@ -133,7 +138,7 @@ class TestEndWeights:
             assert max(_transfer_error(spec)[:2]) <= 1e-13
 
     def test_single_site(self):
-        assert np.array_equal(_end_weights(np.array([0.37]), np.array([])), [1.0])
+        assert np.array_equal(_end_weights(np.array([0.37]), np.array([]), 1), [1.0])
 
     @pytest.mark.parametrize(
         "tau",
@@ -149,11 +154,12 @@ class TestEndWeights:
     def test_uncertified_weights_fall_back_to_the_eigenvectors(self, tau):
         # no inf weight, no NaN amplitude and no RuntimeWarning (an error here)
         spec = ChainSpec(M=len(tau) + 1, tau=tau, eps=np.zeros(len(tau) + 1))
-        assert _end_weights(eigvalsh_tridiagonal(spec.eps, -spec.tau), spec.tau) is None
+        assert _end_weights(eigvalsh_tridiagonal(spec.eps, -spec.tau), spec.tau, spec.M) is None
         sp = diagonalize(spec)
-        omega, w = sp._end_modes
-        assert np.array_equal(omega, sp.omega)
-        assert np.array_equal(w, sp.g[:, 0] * sp.g[:, -1])
+        # the eigenvector weights of an eps = 0 chain are not folded
+        nu, p, q = sp._end_modes
+        assert p is q and np.array_equal(nu, sp.omega)
+        assert np.array_equal(p, sp.g[:, 0] * sp.g[:, -1])
         rep = peak_transfer(sp)
         assert np.isfinite(rep.peak_amplitude) and 0.0 <= rep.peak_amplitude <= 1.0
         assert np.isfinite(end_amplitude(sp, 7.5))
@@ -164,30 +170,42 @@ class TestEndWeights:
         # eigenvectors serve the transfer (the full-solve weights were
         # certified, and end_amplitude was 5.2e-12 off at |A| ~ 5e-9)
         spec = ChainSpec(M=4, tau=[1.0, 1e-13, 1.0], eps=np.zeros(4))
-        assert _end_weights(_eigvals(spec), spec.tau) is None
+        assert _end_weights(_eigvals(spec), spec.tau, 2) is None
         sp = diagonalize(spec)
         for t in (3.0, 1e6):
             exact = dense_propagate(spec, kick_state(4, 1).z, t)[-1]
             assert abs(end_amplitude(sp, t) - exact) <= 1e-15
 
+    def test_tune_double_fallback_count(self, monkeypatch):
+        # the tuner's near-cut corner y = 0.02 splits end-state pairs by less
+        # than the first-order check allows; 3 of 2739 transfers took the
+        # eigenvectors with all M eigenvalues from two sectors, 5 with the
+        # symmetrised spectrum from one
+        calls = []
+        weights, eigenpairs = qcradle.spectral._end_weights, qcradle.spectral.eigh_tridiagonal
+        monkeypatch.setattr(qcradle.spectral, "_end_weights", lambda *a: calls.append("w") or weights(*a))
+        monkeypatch.setattr(qcradle.spectral, "eigh_tridiagonal", lambda *a: calls.append("g") or eigenpairs(*a))
+        tune_double(100, 1.0)
+        assert (calls.count("w"), calls.count("g")) == (2739, 5)
+
     def test_pst2000_floor_leaves_the_scan_unchanged(self):
         # pst weights fall like 2^-M: the floor zeroes those whose scan
         # products would be subnormal, and the scan does not move a bit
         sp = diagonalize(pst_chain(2000, 1.0))
-        omega, w = sp._end_modes
-        raw = _end_weights(_eigvals(sp.spec), sp.spec.tau)
-        assert not ((0.0 < np.abs(w)) & (np.abs(w) < _WEIGHT_FLOOR)).any()
-        assert (w == 0.0).sum() > (raw == 0.0).sum()
+        nu, _, q = sp._end_modes
+        raw = 2.0 * _end_weights(_eigvals(sp.spec), sp.spec.tau, 1000)
+        assert not ((0.0 < np.abs(q)) & (np.abs(q) < 2.0 * _WEIGHT_FLOOR)).any()
+        assert (q == 0.0).sum() > (raw == 0.0).sum()
         # the peak search's grid
         T = default_window(sp)[1]
         n = int(np.ceil(T * np.max(sp.spec.tau) / PEAK_COARSE_STEP)) + 1
         dt = T / (n - 1)
-        assert np.array_equal(_end_abs_scan(omega, w, dt, n), _end_abs_scan(omega, raw, dt, n))
+        assert np.array_equal(_end_abs_scan(nu, None, q, dt, n), _end_abs_scan(nu, None, raw, dt, n))
 
 
 class TestReflectionSectors:
-    @pytest.mark.parametrize("M", [100, 101])
-    def test_mirror_chain_takes_two_half_size_solves(self, M, monkeypatch):
+    @staticmethod
+    def _solve_sizes(spec, monkeypatch):
         sizes = []
 
         def spy(d, e):
@@ -195,8 +213,38 @@ class TestReflectionSectors:
             return eigvalsh_tridiagonal(d, e)
 
         monkeypatch.setattr(qcradle.spectral, "eigvalsh_tridiagonal", spy)
-        diagonalize(_two_bond(M))._end_modes
-        assert sorted(sizes) == [M // 2, (M + 1) // 2]
+        diagonalize(spec)._end_modes
+        return sorted(sizes)
+
+    @pytest.mark.parametrize("M", [100, 101])
+    def test_mirror_chain_takes_two_half_size_solves(self, M, monkeypatch):
+        # on-site offsets, or odd M, need both sectors
+        spec = random_chain(np.random.default_rng(M), M=M, symmetric=True)
+        assert self._solve_sizes(spec, monkeypatch) == [M // 2, (M + 1) // 2]
+        if M % 2:
+            assert self._solve_sizes(_two_bond(M), monkeypatch) == [M // 2, M // 2 + 1]
+
+    @pytest.mark.parametrize("M", [2, 4, 100, 2000])
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda M: uniform_chain(M, 1.0),
+            lambda M: pst_chain(M, 1.0),
+            _two_bond,
+            lambda M: random_chain(np.random.default_rng(M), M=M, symmetric=True),
+        ],
+        ids=["uniform", "pst", "two-bond", "random"],
+    )
+    def test_even_chiral_mirror_chain_takes_one_sector(self, family, M, monkeypatch):
+        # with eps = 0 the sublattice sign flip maps one sector onto minus
+        # the other: one M/2-site solve gives the negative half of the spectrum
+        spec = family(M)
+        spec = ChainSpec(M=M, tau=spec.tau, eps=np.zeros(M))
+        assert self._solve_sizes(spec, monkeypatch) == [M // 2]
+        omega = _eigvals(spec)
+        full = eigvalsh_tridiagonal(spec.eps, -spec.tau)
+        assert np.array_equal(omega, -omega[::-1]) and (omega[: M // 2] < 0.0).all()
+        assert np.max(np.abs(omega[: M // 2] - full[: M // 2])) <= 1e-13 * np.max(np.abs(full))
 
     def test_other_chains_take_the_full_solve(self):
         rng = np.random.default_rng(18)
@@ -212,7 +260,7 @@ class TestReflectionSectors:
         tau = np.ones(M - 1)
         tau[(M - 2) // 2 : M // 2] = 1e-300
         sp = diagonalize(ChainSpec(M=M, tau=tau, eps=np.zeros(M)))
-        omega, w = sp._end_modes
+        omega, w = unfold_modes(sp._end_modes, M)
         assert np.isfinite(omega).all() and np.isfinite(w).all()
         assert np.isfinite(peak_transfer(sp).peak_amplitude)
 

@@ -31,6 +31,20 @@ def seeded_spectrum(spec: ChainSpec, omega, g) -> Spectrum:
     return sp
 
 
+def unfold_modes(modes, M: int):
+    """All M eigenvalues and end weights g_{n1} g_{nM} behind the transfer's
+    modes (nu, p, q); the folded modes of an eps = 0 chain are mirrored back
+    with omega_{M+1-n} = -omega_n and w_{M+1-n} = (-1)^(M-1) w_n."""
+    nu, p, q = modes
+    if p is q:
+        return nu, p
+    half = (q if p is None else p) / 2.0
+    if M % 2:
+        half[-1] *= 2.0  # the zero mode is not doubled
+    omega = np.concatenate([nu, -nu[::-1][M % 2 :]])
+    return omega, np.concatenate([half, (-1) ** (M - 1) * half[::-1][M % 2 :]])
+
+
 def random_chain(rng: np.random.Generator, M: int | None = None, symmetric: bool = False) -> ChainSpec:
     if M is None:
         M = int(rng.integers(1, 31))
