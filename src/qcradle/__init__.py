@@ -50,11 +50,9 @@ from .hubbard import (
     enumerate_basis,
 )
 from .spectral import (
-    ParitySignature,
     Spectrum,
     diagonalize,
     linearity_deviation,
-    mirror_parity,
     mode_overlaps,
     pseudo_wavevectors,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "ChainSpec",
     "WaveState",
     "Spectrum",
-    "ParitySignature",
     "EvolutionGrid",
     "TransferReport",
     "TuneResult",
@@ -82,7 +79,6 @@ __all__ = [
     "gaussian_wavepacket",
     "mirror_symmetric",
     "diagonalize",
-    "mirror_parity",
     "pseudo_wavevectors",
     "linearity_deviation",
     "mode_overlaps",

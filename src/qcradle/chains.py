@@ -70,14 +70,6 @@ class ChainSpec:
         object.__setattr__(self, "tau", _readonly(tau))
         object.__setattr__(self, "eps", _readonly(eps))
 
-    def hamiltonian(self) -> np.ndarray:
-        """Dense M x M single-particle Hamiltonian."""
-        H = np.diag(self.eps.copy())
-        idx = np.arange(self.M - 1)
-        H[idx, idx + 1] = -self.tau
-        H[idx + 1, idx] = -self.tau
-        return H
-
 
 def mirror_symmetric(spec: ChainSpec) -> bool:
     """True iff tau_j = tau_{M-j} and eps_j = eps_{M+1-j} exactly."""

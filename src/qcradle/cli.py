@@ -168,7 +168,8 @@ def parse_config(path: str, overrides=()) -> dict:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         target, value = item.split("=", 1)
         section, key = target.split(".", 1)
-        cfg.setdefault(section.strip(), {})[key.strip()] = value.strip()
+        # fold the key as the file's keys were folded; section names stay as given
+        cfg.setdefault(section.strip(), {})[parser.optionxform(key.strip())] = value.strip()
     return cfg
 
 

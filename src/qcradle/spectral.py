@@ -2,10 +2,10 @@
 Spectral analysis of hopping chains.
 
 Solves the real symmetric tridiagonal single-particle Hamiltonian of a
-ChainSpec, classifies eigenvector mirror parity, solves the boundary-modified
-quantization condition for the pseudo-wavevectors of an edge-weakened chain,
-and provides the spectrum/state diagnostics (equal-spacing deviation, mode
-overlaps) used by the transfer studies.
+ChainSpec, solves the boundary-modified quantization condition for the
+pseudo-wavevectors of an edge-weakened chain, and provides the
+spectrum/state diagnostics (equal-spacing deviation, mode overlaps) used by
+the transfer studies.
 
 A ``Spectrum`` solves on first use and keeps what it solved.  The eigenpairs
 (ascending eigenvalues, eigenvectors with LAPACK's signs) come from one
@@ -32,14 +32,6 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .chains import ChainSpec, WaveState, _count, _readonly, mirror_symmetric
 from .errors import DegenerateSpectrumError
-
-# Eigenvalues closer than this fraction of the spectral width are treated as
-# degenerate when assigning parity labels.
-DEGENERACY_REL_TOL = 1e-12
-
-# Largest mirror mismatch max_j |g_{n,M+1-j} -/+ g_{nj}| that still labels a
-# mode symmetric (+1) or antisymmetric (-1).
-PARITY_TOL = 1e-8
 
 # A pseudo-wavevector is accepted once its quantization residual is this small.
 ROOT_RESIDUAL_TOL = 1e-12
@@ -191,23 +183,6 @@ def _end_weights(omega: np.ndarray, tau: np.ndarray, rows: int) -> np.ndarray | 
     return w
 
 
-@dataclass(frozen=True)
-class ParitySignature:
-    """Mirror parity per mode: +1, -1, or None when undefined."""
-
-    parity: tuple
-    max_deviation: float
-
-    def all_defined(self) -> bool:
-        return all(p is not None for p in self.parity)
-
-    def alternating(self) -> bool:
-        ps = self.parity
-        return self.all_defined() and all(
-            ps[n + 1] == -ps[n] for n in range(len(ps) - 1)
-        )
-
-
 def diagonalize(spec: ChainSpec) -> Spectrum:
     """The spectrum of the chain Hamiltonian, solved when first read.
 
@@ -215,41 +190,6 @@ def diagonalize(spec: ChainSpec) -> Spectrum:
     dense O(M^3) path.  Rows of ``g`` keep LAPACK's signs; no output reads them.
     """
     return Spectrum(spec)
-
-
-def mirror_parity(spectrum: Spectrum) -> ParitySignature:
-    """Classify each eigenvector as mirror symmetric (+1) or antisymmetric (-1).
-
-    A mode gets None when neither sign matches within PARITY_TOL or when its
-    eigenvalue sits in a near-degenerate cluster (parity is basis-dependent
-    there).  For a mirror-symmetric chain with simple spectrum the labels
-    alternate between consecutive modes.
-    """
-    g = spectrum.g
-    rev = g[:, ::-1]
-    d_plus = np.max(np.abs(rev - g), axis=1)
-    d_minus = np.max(np.abs(rev + g), axis=1)
-    max_deviation = float(np.max(np.minimum(d_plus, d_minus))) if g.size else 0.0
-
-    omega = spectrum.omega
-    degenerate = np.zeros(spectrum.M, dtype=bool)
-    width = float(omega[-1] - omega[0])
-    gap_tol = DEGENERACY_REL_TOL * width
-    close = np.diff(omega) <= gap_tol
-    degenerate[:-1] |= close
-    degenerate[1:] |= close
-
-    parity = []
-    for n in range(spectrum.M):
-        if degenerate[n]:
-            parity.append(None)
-        elif d_plus[n] <= PARITY_TOL and d_plus[n] <= d_minus[n]:
-            parity.append(1)
-        elif d_minus[n] <= PARITY_TOL:
-            parity.append(-1)
-        else:
-            parity.append(None)
-    return ParitySignature(parity=tuple(parity), max_deviation=max_deviation)
 
 
 def _boundary_shift(k: np.ndarray, x: float) -> np.ndarray:
@@ -261,16 +201,22 @@ def _boundary_shift(k: np.ndarray, x: float) -> np.ndarray:
     (M+1) k_n = pi n + 2 (k_n - psi(k_n)).
     """
     c = x * x / (2.0 - x * x)
-    # acot on the (0, pi) branch; cot(k)/c stays finite away from k = 0, pi
-    return 0.5 * np.pi - np.arctan(np.cos(k) / (np.sin(k) * c))
+    # acot on the (0, pi) branch.  Below x ~ 1e-154, c or sin(k) c underflows
+    # to 0 and cot(k)/c overflows to +-inf, whose arctan is the right limit.
+    with np.errstate(divide="ignore", over="ignore"):
+        return 0.5 * np.pi - np.arctan(np.cos(k) / (np.sin(k) * c))
 
 
 def pseudo_wavevectors(M: int, x: float) -> np.ndarray:
     """Solve the boundary-modified quantization condition of the edge chain.
 
-    Returns the M strictly increasing pseudo-wavevectors k_n in (0, pi);
+    Returns the M non-decreasing pseudo-wavevectors k_n in (0, pi);
     -2 tau cos(k_n) reproduces the eigenvalues of edge_modified_chain(M, tau, x).
-    At x = 1 the shift vanishes and k_n = pi n / (M + 1) exactly.
+    At x = 1 the shift vanishes and k_n = pi n / (M + 1) exactly.  The two
+    modes bound to the weakened edges sit next to k = pi/2, split by O(x^2)
+    for even M and O(x) for odd M; once that splitting is below one ulp of
+    pi/2 (2.2e-16, from x ~ 1e-8 for even M and x ~ 1e-15 for odd M) the
+    two roots come out equal.  Every other pair stays strictly increasing.
 
     One bisection runs over all M brackets at once.  A mode stops when its
     residual is within ROOT_RESIDUAL_TOL, when its bracket is narrower than

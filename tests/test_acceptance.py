@@ -43,7 +43,7 @@ from qcradle import (
     tune_single,
     uniform_chain,
 )
-from util import random_chain
+from util import dense_hamiltonian, random_chain
 
 
 def _criterion(name: str, started: float, clauses) -> None:
@@ -238,7 +238,7 @@ def test_c10_universal_properties():
         spec = random_chain(rng)
         sp = diagonalize(spec)
         worst_orth = max(worst_orth, float(np.max(np.abs(sp.g @ sp.g.T - np.eye(spec.M)))))
-        H = spec.hamiltonian()
+        H = dense_hamiltonian(spec)
         resid = float(np.max(np.abs(sp.g @ H.T - sp.omega[:, None] * sp.g))) if spec.M else 0.0
         scale = max(float(np.max(np.abs(sp.omega))), 1e-300)
         worst_resid_rel = max(worst_resid_rel, resid / scale)

@@ -373,12 +373,18 @@ class TestValidation:
 
     def test_override_applies(self, tmp_path):
         cfg = write(tmp_path / "run.ini", UNIFORM3)
-        assert (
-            main(["spectrum", "--config", cfg, "--out", str(tmp_path), "--override", "chain.m=5"])
-            == EXIT_OK
-        )
-        _, _, rows = read_rows(tmp_path / "spectrum.csv")
-        assert len(rows) == 5
+        csv = {}
+        # override keys fold like the file's keys: M is m
+        for key in ("m", "M"):
+            out = tmp_path / key
+            assert (
+                main(["spectrum", "--config", cfg, "--out", str(out), "--override", f"chain.{key}=5"])
+                == EXIT_OK
+            )
+            _, _, rows = read_rows(out / "spectrum.csv")
+            assert len(rows) == 5
+            csv[key] = (out / "spectrum.csv").read_bytes()
+        assert csv["M"] == csv["m"]
 
     def test_bad_override_value(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.ini", UNIFORM3)

@@ -16,7 +16,6 @@ from qcradle import (
     gaussian_trap_chain,
     gaussian_wavepacket,
     kick_state,
-    mirror_parity,
     mirror_symmetric,
     mode_overlaps,
     peak_transfer,
@@ -520,4 +519,3 @@ def test_outputs_ignore_eigenvector_signs(spec):
         )
         assert revival_fidelity(flipped, state, t) == revival_fidelity(sp, state, t)
         assert np.array_equal(mode_overlaps(flipped, state), mode_overlaps(sp, state))
-    assert mirror_parity(flipped) == mirror_parity(sp)
