@@ -15,8 +15,10 @@ config is a flat sectioned key-value file ([chain], [state], [evolve],
 schema; [chain] and [state] pick theirs by ``kind`` from
 ``_CHAIN_KINDS``/``_STATE_KINDS``, which also hold each kind's builder.
 Missing and unknown keys are reported by name, in declaration order.
-``--out`` defaults to the working directory, and every value is written with
-17 significant digits.  Every CSV starts with a single '#' metadata line
+``--out`` defaults to the working directory.  One writer, ``_write_csv``,
+formats every CSV a block of rows at a time, integers as they are and floats
+with 17 significant digits, and replaces the file atomically with permissions
+that follow the umask.  Every CSV starts with a single '#' metadata line
 recording the tool version, a hash of the resolved config, and the defaults
 in effect, so output files are self-describing and byte-identical across
 reruns.  Exit codes: 0 success, 2 config validation, 3 compute cap, 4 I/O.
@@ -237,23 +239,32 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+# values per `%` operation of _write_csv; a block holds at least one row
+_CHUNK_VALUES = 1 << 11
 
 
-def _write_csv(outdir: str, name: str, meta: str, header: list[str] | None, rows) -> str:
+def _write_csv(outdir: str, name: str, meta: str, header: list[str] | None, columns) -> str:
+    """Atomically write equal-length 1-D ``columns`` as the CSV rows of
+    ``outdir/name``: ``%d`` for integer columns, ``%.17g`` for the rest."""
+    columns = [np.asarray(c) for c in columns]
+    row_fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    width, n = len(columns), len(columns[0])
+    rows = max(1, _CHUNK_VALUES // width)
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
     fd, tmp = tempfile.mkstemp(prefix=name + ".", dir=outdir, text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(meta + "\n")
-            if header is not None:
-                fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(meta + "\n" + ("" if header is None else ",".join(header) + "\n"))
+            for start in range(0, n, rows):
+                stop = min(start + rows, n)
+                values = [None] * (width * (stop - start))
+                for k, c in enumerate(columns):
+                    values[k::width] = c[start:stop].tolist()
+                fh.write(row_fmt * (stop - start) % tuple(values))
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -270,7 +281,7 @@ def _meta(command: str, cfg: dict, caps: dict, extra: dict) -> str:
         "caps": "grid:{grid_cells},basis:{basis_states},dim:{evolve_dim},oracle_m:{oracle_m}".format(**caps),
     }
     fields.update(extra)
-    fields["precision"] = 17  # the digits of every value _fmt writes
+    fields["precision"] = 17  # the digits of every float value _write_csv writes
     return "# " + " ".join(f"{k}={v}" for k, v in fields.items())
 
 
@@ -285,8 +296,7 @@ def cmd_spectrum(cfg: dict, outdir: str, caps: dict) -> list[str]:
         header.append("overlap")
         columns.append(mode_overlaps(spectrum, state))
     meta = _meta("spectrum", cfg, caps, meta_extra)
-    rows = zip(*columns)
-    return [_write_csv(outdir, "spectrum.csv", meta, header, rows)]
+    return [_write_csv(outdir, "spectrum.csv", meta, header, columns)]
 
 
 def cmd_evolve(cfg: dict, outdir: str, caps: dict) -> list[str]:
@@ -303,13 +313,10 @@ def cmd_evolve(cfg: dict, outdir: str, caps: dict) -> list[str]:
 
     meta_extra["row_sum_tol"] = "1e-09"
     meta = _meta("evolve", cfg, caps, meta_extra)
-    long_rows = (
-        (grid.times[k], j + 1, grid.prob[k, j])
-        for k in range(grid.times.size)
-        for j in range(spec.M)
-    )
-    paths = [_write_csv(outdir, "grid.csv", meta, ["t", "j", "prob"], long_rows)]
-    paths.append(_write_csv(outdir, "grid_matrix.csv", meta, None, grid.prob))
+    T, M = grid.prob.shape
+    long_columns = [np.repeat(grid.times, M), np.tile(np.arange(1, M + 1), T), grid.prob.ravel()]
+    paths = [_write_csv(outdir, "grid.csv", meta, ["t", "j", "prob"], long_columns)]
+    paths.append(_write_csv(outdir, "grid_matrix.csv", meta, None, grid.prob.T))
     return paths
 
 
@@ -339,11 +346,12 @@ def cmd_tune(cfg: dict, outdir: str, caps: dict) -> list[str]:
         "param_tol": PARAM_TOL,
     }
     meta = _meta("tune", cfg, caps, extra)
-    trace_rows = (params + (amp,) for params, amp in result.trace)
-    paths = [_write_csv(outdir, "tune.csv", meta, param_names + ["amplitude"], trace_rows)]
-    best_row = [result.best_params + (result.best_amplitude, result.best_time, result.evaluations)]
+    params, amps = zip(*result.trace)
+    trace_columns = [*zip(*params), amps]
+    paths = [_write_csv(outdir, "tune.csv", meta, param_names + ["amplitude"], trace_columns)]
+    best = result.best_params + (result.best_amplitude, result.best_time, result.evaluations)
     best_header = param_names + ["amplitude", "time", "evaluations"]
-    paths.append(_write_csv(outdir, "tune_best.csv", meta, best_header, best_row))
+    paths.append(_write_csv(outdir, "tune_best.csv", meta, best_header, [[v] for v in best]))
     return paths
 
 
@@ -373,8 +381,8 @@ def cmd_oracle(cfg: dict, outdir: str, caps: dict) -> list[str]:
         "nmax": h["nmax"],
     }
     meta = _meta("oracle", cfg, caps, extra)
-    rows = zip(report.times, report.leakage, report.deviation)
-    return [_write_csv(outdir, "oracle.csv", meta, ["t", "leakage", "max_deviation"], rows)]
+    columns = [report.times, report.leakage, report.deviation]
+    return [_write_csv(outdir, "oracle.csv", meta, ["t", "leakage", "max_deviation"], columns)]
 
 
 _COMMANDS = {

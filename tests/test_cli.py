@@ -1,8 +1,10 @@
 import hashlib
 import os
+import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,10 @@ from qcradle import (
     pst_chain,
     uniform_chain,
 )
+from qcradle import cli
 from qcradle.cli import EXIT_CAP, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from qcradle.dynamics import GRID_CELL_CAP
+from util import reference_csv
 
 
 def write(path, text):
@@ -231,6 +236,95 @@ class TestEvolveCommand:
         cfg = write(tmp_path / "run.ini", EVOLVE.replace("t_max = 3.2", "t_max = inf"))
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".csv")]
+
+
+_ROWS_PER_CHUNK3 = cli._CHUNK_VALUES // 3  # rows in one chunk of a 3-column table
+_RNG_VALUES = np.random.default_rng(20).standard_normal(3 * _ROWS_PER_CHUNK3 + 5)
+
+
+def _csv_cases():
+    specials = np.array([-0.0, 5e-324, 1e-310, np.inf, -np.inf, np.nan, 1 / 3, 2.0**60])
+    counts = np.array([0, -7, 2**62, 10**17 + 1])
+    j = np.arange(_RNG_VALUES.size) % 100 + 1  # three full chunks and a partial fourth
+    matrix = np.random.default_rng(21).uniform(-1e300, 1e300, size=(1, 20_000))
+    return {
+        "special_floats": (["x"], [specials]),
+        "integers": (["n", "x"], [counts, counts / 3.0]),
+        "partial_last_chunk": (["t", "j", "p"], [_RNG_VALUES, j, _RNG_VALUES**3]),
+        "one_row": (["x", "y", "n"], [[0.1], [np.float64(-2.5e-8)], [np.int64(12)]]),
+        "wider_than_a_chunk": (None, matrix.T),
+    }
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("case", list(_csv_cases()))
+    def test_bytes_equal_per_value_formatter(self, case, tmp_path):
+        header, columns = _csv_cases()[case]
+        path = cli._write_csv(str(tmp_path), "t.csv", "# meta", header, columns)
+        assert Path(path).read_bytes() == reference_csv("# meta", header, columns)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_permissions_follow_umask(self, umask, tmp_path):
+        evolve = write(tmp_path / "evolve.ini", EVOLVE)
+        spectrum = write(tmp_path / "spectrum.ini", TRAP_WITH_STATE)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "grid.csv").write_text("old")
+        os.chmod(out / "grid.csv", 0o600)
+        old = os.umask(umask)
+        try:
+            assert main(["evolve", "--config", evolve, "--out", str(out)]) == EXIT_OK
+            assert main(["spectrum", "--config", spectrum, "--out", str(out)]) == EXIT_OK
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(os.stat(p).st_mode) for p in out.glob("*.csv")}
+        want = 0o666 & ~umask
+        assert modes == {"grid.csv": want, "grid_matrix.csv": want, "spectrum.csv": want}
+
+    def test_failed_chunk_keeps_old_file(self, tmp_path, monkeypatch):
+        (tmp_path / "t.csv").write_bytes(b"old bytes\n")
+        real_fdopen = os.fdopen
+        chunks = []
+
+        class FailingFile:
+            """Text file whose second chunk of data rows fails to write."""
+
+            def __init__(self, *args, **kwargs):
+                self.fh = real_fdopen(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                if not text.startswith("#"):
+                    chunks.append(text)
+                    if len(chunks) == 2:
+                        raise OSError("no space left on device")
+                return self.fh.write(text)
+
+        monkeypatch.setattr(cli.os, "fdopen", FailingFile)
+        columns = [_RNG_VALUES, _RNG_VALUES, _RNG_VALUES]
+        with pytest.raises(OSError, match="no space"):
+            cli._write_csv(str(tmp_path), "t.csv", "# meta", ["a", "b", "c"], columns)
+        assert len(chunks) == 2 and chunks[0].count("\n") == _ROWS_PER_CHUNK3
+        assert (tmp_path / "t.csv").read_bytes() == b"old bytes\n"
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    def test_memory_bounded_on_a_cap_sized_grid(self, tmp_path):
+        T, M = GRID_CELL_CAP // 100, 100
+        prob = np.random.default_rng(22).random((T, M))
+        t = np.repeat(np.linspace(0.0, 1.0, T), M)
+        columns = [t, np.tile(np.arange(1, M + 1), T), prob.ravel()]
+        tracemalloc.start()
+        try:
+            cli._write_csv(str(tmp_path), "grid.csv", "# meta", ["t", "j", "prob"], columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestTuneCommand:

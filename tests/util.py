@@ -1,5 +1,5 @@
-"""Shared test helpers: independent dense-matrix oracles, random chains and
-spectra seeded with given eigenpairs."""
+"""Shared test helpers: independent dense-matrix oracles, random chains,
+spectra seeded with given eigenpairs and a per-value CSV formatter."""
 
 from __future__ import annotations
 
@@ -49,6 +49,21 @@ def unfold_modes(modes, M: int):
         half[-1] *= 2.0  # the zero mode is not doubled
     omega = np.concatenate([nu, -nu[::-1][M % 2 :]])
     return omega, np.concatenate([half, (-1) ** (M - 1) * half[::-1][M % 2 :]])
+
+
+def reference_csv(meta: str, header, columns) -> bytes:
+    """Independent CSV oracle: the bytes of a writer that formats one value
+    at a time, ``str(int(v))`` for an integer and ``format(float(v), ".17g")``
+    for anything else."""
+
+    def fmt(v) -> str:
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return format(float(v), ".17g")
+
+    lines = [meta] + ([] if header is None else [",".join(header)])
+    lines += [",".join(fmt(v) for v in row) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def random_chain(rng: np.random.Generator, M: int | None = None, symmetric: bool = False) -> ChainSpec:
