@@ -23,11 +23,12 @@ recording the tool version, a hash of the resolved config, and the defaults
 in effect, so output files are self-describing and byte-identical across
 reruns.  Exit codes: 0 success, 2 config validation, 3 compute cap, 4 I/O.
 
-The QCRADLE_COMPUTE_CAP environment variable scales the three enforced size
-caps (evolve grid cells, the oracle's basis dimension, oracle lattice length)
-by a positive factor under which every scaled cap stays finite; ``main``
-reads it once per run.  The header's ``basis:`` field is the scaled library
-default of ``enumerate_basis``, recorded only: no command enforces it.
+One table, ``_CAPS``, holds the size caps by their ``# caps=`` header names:
+``grid`` (evolve grid cells), ``basis``, ``dim`` (the oracle's basis
+dimension) and ``oracle_m`` (oracle lattice length).  QCRADLE_COMPUTE_CAP
+scales each by a positive factor that keeps every cap finite; ``main`` reads
+it once per run.  ``basis``, the default of ``enumerate_basis``, is recorded
+only: no command enforces it.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ from .hubbard import (
 from .spectral import diagonalize, mode_overlaps
 from .tuner import PARAM_TOL, tune_double, tune_single
 
-ORACLE_M_CAP = 5
 ENV_CAP = "QCRADLE_COMPUTE_CAP"
+_CAPS = {"grid": GRID_CELL_CAP, "basis": BASIS_STATE_CAP, "dim": EVOLVE_DIM_CAP, "oracle_m": 5}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -146,14 +147,9 @@ def _caps() -> dict:
         except ValueError as exc:
             raise ConfigError(f"{ENV_CAP} must be a number, got {raw!r}") from exc
         # a finite factor can still overflow the caps it scales
-        if not 0.0 < factor * max(GRID_CELL_CAP, BASIS_STATE_CAP, EVOLVE_DIM_CAP) < math.inf:
+        if not 0.0 < factor * max(_CAPS.values()) < math.inf:
             raise ConfigError(f"{ENV_CAP} must be > 0 and keep every scaled cap finite")
-    return {
-        "grid_cells": int(GRID_CELL_CAP * factor),
-        "basis_states": int(BASIS_STATE_CAP * factor),
-        "evolve_dim": int(EVOLVE_DIM_CAP * factor),
-        "oracle_m": int(ORACLE_M_CAP * factor),
-    }
+    return {name: int(cap * factor) for name, cap in _CAPS.items()}
 
 
 def parse_config(path: str, overrides=()) -> dict:
@@ -278,7 +274,7 @@ def _meta(command: str, cfg: dict, caps: dict, extra: dict) -> str:
         "qcradle": __version__,
         "command": command,
         "config": _config_hash(cfg),
-        "caps": "grid:{grid_cells},basis:{basis_states},dim:{evolve_dim},oracle_m:{oracle_m}".format(**caps),
+        "caps": ",".join(f"{name}:{cap}" for name, cap in caps.items()),
     }
     fields.update(extra)
     fields["precision"] = 17  # the digits of every float value _write_csv writes
@@ -307,7 +303,7 @@ def cmd_evolve(cfg: dict, outdir: str, caps: dict) -> list[str]:
 
     spectrum = diagonalize(spec)
     try:
-        grid = evolution_grid(spectrum, state, opts["t_max"], opts["steps"], max_cells=caps["grid_cells"])
+        grid = evolution_grid(spectrum, state, opts["t_max"], opts["steps"], max_cells=caps["grid"])
     except ValueError as exc:
         raise ConfigError(f"[evolve] invalid parameters: {exc}") from exc
 
@@ -365,12 +361,13 @@ def cmd_oracle(cfg: dict, outdir: str, caps: dict) -> list[str]:
         raise ConfigError("[hubbard] keys 't_max'/'steps': need finite t_max > 0 and steps >= 2")
 
     try:
-        params = HubbardParams(M=M, t0=np.full(M - 1, t), t1=np.full(M - 1, t), U=U, U0=U, U1=U)
+        # lists, so that HubbardParams checks M before an array of M - 1 hoppings is made
+        params = HubbardParams(M=M, t0=[t] * (M - 1), t1=[t] * (M - 1), U=U, U0=U, U1=U)
         report = compare_effective(
             params,
             np.linspace(0.0, t_max, steps),
             nmax=h["nmax"],
-            max_dim=caps["evolve_dim"],
+            max_dim=caps["dim"],
         )
     except ValueError as exc:
         raise ConfigError(f"[hubbard] invalid parameters: {exc}") from exc

@@ -19,8 +19,9 @@ For species-independent parameters gamma and sigma cancel exactly and the
 dynamics is a free single-excitation hopping chain.  ``compare_effective``
 validates that reduction against exact diagonalization of the full model on
 small lattices, and settles empirically the factor-two ambiguity between the
-tau above and the tau_j = t_j^2/U convention: it evolves both and records
-which one tracks the exact site probabilities.
+tau above and the tau_j = t_j^2/U convention with one chain: t^2/U halves
+every hopping of 2t^2/U, so evolving the 2t^2/U chain at t and at t/2 scores
+both, and it records which one tracks the exact site probabilities.
 
 The exact basis stores each species' occupation rows apart: state
 i = i0 c1 + i1 pairs row i0 of species 0 with row i1 of the c1 species-1 rows.
@@ -53,7 +54,8 @@ BASIS_STATE_CAP = 200_000
 # compare_effective's default max_dim, on its full basis, checked before H is built
 EVOLVE_DIM_CAP = 2048
 
-TAU_CONVENTIONS = ("2t^2/U", "t^2/U")
+# tau convention -> its tau as a multiple of 2t^2/U, which is also its time scale
+TAU_CONVENTIONS = {"2t^2/U": 1.0, "t^2/U": 0.5}
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,9 +304,9 @@ def compare_effective(
     singly-occupied sector; ``leakage`` is the probability weight outside it
     and ``deviations`` compares the renormalized site probabilities of the
     species-1 atom with the single-excitation chain evolution under each tau
-    convention.  ``p.xi`` enters only the exact Hamiltonian: both effective
-    chains have eps = 0, so a non-constant xi is scored against a chain that
-    ignores it.
+    convention: the one 2t^2/U chain evolved for ``TAU_CONVENTIONS[name] * t``.
+    ``p.xi`` enters only the exact Hamiltonian: the effective chain has
+    eps = 0, so a non-constant xi is scored against a chain that ignores it.
 
     H is diagonalized one site-reflection sector at a time: two blocks of
     about half the basis when t0 and xi are palindromic, else one block, the
@@ -333,12 +335,9 @@ def compare_effective(
     sectors = _sectors(_reflection(basis) if mirror else np.arange(basis.dim))
     modes = [_sector_modes(H, S, single_idx) for S in sectors]
 
-    tau_full = effective_params(p).tau
-    frozen = float(np.max(np.abs(tau_full))) == 0.0
-    chains = {}
-    if not frozen:
-        chains["2t^2/U"] = diagonalize(ChainSpec(M=M, tau=tau_full.copy(), eps=np.zeros(M)))
-        chains["t^2/U"] = diagonalize(ChainSpec(M=M, tau=tau_full / 2.0, eps=np.zeros(M)))
+    # the 2t^2/U chain; None when the hopping is frozen (tau == 0)
+    tau = effective_params(p).tau
+    chain = diagonalize(ChainSpec(M=M, tau=tau, eps=np.zeros(M))) if tau.any() else None
 
     z0 = kick_state(M, 1)
     p0 = z0.probabilities()
@@ -350,8 +349,8 @@ def compare_effective(
         praw = np.abs(psit) ** 2
         pnorm = float(praw.sum())
         leakage[k] = 1.0 - pnorm
-        for name in TAU_CONVENTIONS:
-            peff = p0 if frozen else evolve(chains[name], z0, t).probabilities()
+        for name, scale in TAU_CONVENTIONS.items():
+            peff = p0 if chain is None else evolve(chain, z0, scale * t).probabilities()
             deviations[name][k] = float(np.max(np.abs(praw / pnorm - peff)))
 
     worst = {name: float(np.max(dev)) for name, dev in deviations.items()}

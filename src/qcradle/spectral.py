@@ -33,10 +33,6 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from .chains import ChainSpec, WaveState, _count, _readonly, mirror_symmetric
 from .errors import DegenerateSpectrumError
 
-# A pseudo-wavevector is accepted once its quantization residual is this small.
-ROOT_RESIDUAL_TOL = 1e-12
-
-
 # Gap-matrix entries per chunk of rows in _end_weights: 8 MB of float64.
 _GAP_CHUNK = 2**20
 
@@ -218,12 +214,12 @@ def pseudo_wavevectors(M: int, x: float) -> np.ndarray:
     pi/2 (2.2e-16, from x ~ 1e-8 for even M and x ~ 1e-15 for odd M) the
     two roots come out equal.  Every other pair stays strictly increasing.
 
-    One bisection runs over all M brackets at once.  A mode stops when its
-    residual is within ROOT_RESIDUAL_TOL, when its bracket is narrower than
-    1e-16 max(1, hi), when halving no longer moves its midpoint, or after 200
-    halvings, and returns the midpoint of its bracket.  It cannot fail for
-    x in (0, 1], because every starting bracket holds exactly one sign change
-    of a rising residual (comment below).
+    One bisection runs over all M brackets at once, with one stop rule: a
+    bracket is halved until its midpoint is one of its ends, so its ends are
+    adjacent doubles across which the residual changes sign, and that midpoint
+    is the root.  200 halvings bound the loop.  It cannot fail for x in (0, 1],
+    because every starting bracket holds exactly one sign change of a rising
+    residual (comment below).
     """
     _count("M", M, 1)
     if not 0.0 < x <= 1.0:
@@ -235,18 +231,13 @@ def pseudo_wavevectors(M: int, x: float) -> np.ndarray:
     target = np.pi * np.arange(1, M + 1)
     lo = np.full(M, 1e-12)
     hi = np.full(M, np.pi - 1e-12)
-    active = np.ones(M, dtype=bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        active &= (mid != lo) & (mid != hi)
-        f = (M - 1) * mid + 2.0 * _boundary_shift(mid, x) - target
-        hit = active & (np.abs(f) <= ROOT_RESIDUAL_TOL)
-        below = f < 0.0
-        lo = np.where(hit | active & below, mid, lo)
-        hi = np.where(hit | active & ~below, mid, hi)
-        active &= ~hit & (hi - lo > 1e-16 * np.maximum(1.0, hi))
-        if not active.any():
+        if np.all((mid == lo) | (mid == hi)):
             break
+        # a midpoint that is an end keeps the residual's sign there, so its bracket stays put
+        below = (M - 1) * mid + 2.0 * _boundary_shift(mid, x) - target < 0.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return 0.5 * (lo + hi)
 
 

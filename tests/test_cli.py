@@ -512,7 +512,7 @@ class TestValidation:
             assert f"[hubbard] has unexpected key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "oracle.csv").exists()
 
-    # one refused count per layer: chains, dynamics, tuner, hubbard
+    # one refused count per layer (chains, dynamics, tuner, hubbard), and the oracle's M
     @pytest.mark.parametrize(
         "command, body, override, message",
         [
@@ -520,8 +520,9 @@ class TestValidation:
             ("evolve", EVOLVE, "evolve.steps=1", "steps must be an integer >= 2, got 1"),
             ("tune", TUNE_ONE_POINT, "tune.points=0", "points must be an integer >= 1, got 0"),
             ("oracle", ORACLE_M2, "hubbard.nmax=0", "nmax must be an integer >= 1, got 0"),
+            ("oracle", ORACLE_M2, "hubbard.m=0", "M must be an integer >= 1, got 0"),
         ],
-        ids=["chain.m", "evolve.steps", "tune.points", "hubbard.nmax"],
+        ids=["chain.m", "evolve.steps", "tune.points", "hubbard.nmax", "hubbard.m"],
     )
     def test_bad_count_is_config_error(self, command, body, override, message, tmp_path, capsys):
         cfg = write(tmp_path / "run.ini", body)

@@ -319,6 +319,28 @@ class TestCompareEffective:
         mirror = not kind.startswith("skew") or (kind, M) == ("skew-t", 2)
         assert len(rep.sector_dims) == (2 if mirror else 1)
 
+    def test_one_effective_chain(self, monkeypatch):
+        # both tau conventions run on one diagonalized chain; the frozen limit needs none
+        calls = []
+        monkeypatch.setattr("qcradle.hubbard.diagonalize", lambda spec: calls.append(spec) or diagonalize(spec))
+        compare_effective(_uniform_params(4, 1.0, 50.0), [0.0, 1.0])
+        assert len(calls) == 1
+        compare_effective(_uniform_params(3, 0.0, 50.0), [0.0, 1.0])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", ["uniform", "palindromic-t", "skew-t", "skew-xi"])
+    @pytest.mark.parametrize("M", [2, 3, 4, 5])
+    def test_half_time_is_the_half_tau_chain(self, M, kind, monkeypatch):
+        # t^2/U scored at half the time equals, bit for bit, the chain built with tau / 2
+        p = _cradle_params(M, kind, seed=M)
+        times = np.linspace(0.0, 60.0, 13)
+        rep = compare_effective(p, times)
+        half = diagonalize(ChainSpec(M=M, tau=effective_params(p).tau / 2.0, eps=np.zeros(M)))
+        monkeypatch.setattr("qcradle.hubbard.diagonalize", lambda spec: half)
+        monkeypatch.setattr("qcradle.hubbard.TAU_CONVENTIONS", {"t^2/U": 1.0})
+        ref = compare_effective(p, times)
+        assert ref.deviations["t^2/U"].tobytes() == rep.deviations["t^2/U"].tobytes()
+
     def test_m7_memory(self):
         # two sectors of about 1250 states; one dense eigh of all 2499 peaks at 143 MB
         M = 7

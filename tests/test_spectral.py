@@ -445,15 +445,29 @@ class TestPseudoWavevectors:
         "M, x, digest",
         [
             (1, 1.0, "c3f113d6cbe802411220c98356d28b3c4ce2b9b769df839bd479276aff85c18e"),
-            (4, 0.5, "ec8dfd6c8491b7d282b316194e9308eb7be430958bc2c32485a6aaab8a60401a"),
-            (37, 1.0, "a9a14aea1694d59cbad21a7b9f7bffef4101cae41a7409859592e528a550102e"),
-            (100, 0.48, "f9d1ed5e1daa4f03119c5d155ab9f011c4b7c428e7903687e73748a37ad64661"),
-            (101, 0.02, "28a21ee7b546ff6426520fa6098f5960c6f4dce77bd88b533e135c0636804fe1"),
-            (200, 0.35, "28b2f4f375fafa6d3d72b18dfbb865433710d295407f732a5ac2269e94213841"),
+            (4, 0.5, "40edff939d4c4043e466017d18b18afb65dc281685a77fc39d30efc56e9ba173"),
+            (37, 1.0, "6314b347099495d50a015c6d812f2d07ff7216dfa426b68a1f90fcb8d295f706"),
+            (100, 0.48, "4e24bf62af45befa4023b4b5d4d3aab7db546bdfbbebc7237ed9794bc14faaee"),
+            (101, 0.02, "3bb230aedeb6468ab988d6e6023a7caf4a8f9bd548c136f2dc3727b6032d74e8"),
+            (200, 0.35, "6c8915ec31cf8a3c4d08be2f335f8d338271e6a614b033a5b70ff5d9c58296b7"),
         ],
     )
     def test_pinned_bits(self, M, x, digest):
         assert hashlib.sha256(pseudo_wavevectors(M, x).tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("x", [1e-9, 1e-3, 0.02, 0.5, 1.0])
+    @pytest.mark.parametrize("M", [4, 37, 100, 101, 2000])
+    def test_root_is_next_to_its_sign_change(self, M, x):
+        # each root is one of the two adjacent doubles that bracket the residual's sign change
+        k = pseudo_wavevectors(M, x)
+        n = np.arange(1, M + 1)
+
+        def residual(k):
+            return (M - 1) * k + 2.0 * qcradle.spectral._boundary_shift(k, x) - np.pi * n
+
+        f = residual(k)
+        below, above = residual(np.nextafter(k, 0.0)), residual(np.nextafter(k, np.pi))
+        assert np.all((f < 0.0) & (above >= 0.0) | (below < 0.0) & (f >= 0.0))
 
     def test_stops_at_the_fixed_point(self, monkeypatch):
         # at x = 0.005 the brackets stop halving long before the 200 cap
