@@ -32,9 +32,12 @@ Reversing the sites permutes the basis (state i -> R(i)); when the hoppings
 and the offsets xi are palindromic, H commutes with R and splits into an even
 block, spanned by (e_i + e_R(i))/sqrt(2) and the fixed points e_i, and an odd
 block, spanned by (e_i - e_R(i))/sqrt(2).  Each block holds about half the
-states, so the dense eigensolve takes about a quarter of the flops.  Otherwise the
-one sector is the whole space.  ``_sector_modes`` is the one dense eigensolve;
-``max_dim`` caps the full basis dimension once, before H is built.
+states, so the two solves take about a quarter of the flops of one.
+Otherwise the one sector is the whole space.  ``_sector_modes`` solves every
+block the same way: a tridiagonal reduction whose reflectors reach only the M
+singly-occupied rows, then divide and conquer on the tridiagonal, so no
+block's n x n eigenvectors are formed.  ``max_dim`` caps the full basis
+dimension once, before H is built.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from math import comb, prod
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import blas, lapack
 
 from .chains import ChainSpec, kick_state, _count, _readonly
 from .dynamics import evolve
@@ -262,10 +266,33 @@ def _sectors(R: np.ndarray) -> list[sp.csr_matrix]:
 
 
 def _sector_modes(H, S, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the block S^T H S and the given rows of its eigenvectors mapped back
-    to the full basis, (S V)[rows]; the dense V dies on return, before the next block's eigh."""
-    lam, V = np.linalg.eigh((S.T @ H @ S).toarray())
-    return lam, S[rows] @ V
+    """Ascending eigenvalues of the block S^T H S and the given rows of its eigenvectors
+    mapped back to the full basis, (S V)[rows], without forming V.
+
+    The block is reduced in place to tridiagonal form, S^T H S = Q T Q^T (LAPACK sytrd,
+    lower storage, so Q = diag(1, Q~)); the reflectors of Q are applied to the few rows
+    X = S[rows] alone; the block is freed; and T = Z diag(lam) Z^T is solved by divide and
+    conquer (stevd), so (S V)[rows] = (X Q) Z.  This is syevd's algorithm without its
+    back-transform of all n eigenvectors.  Every dense step stays in scipy's LAPACK and
+    BLAS: numpy loads its own OpenBLAS thread pool, and switching pools stalls."""
+    n = S.shape[1]
+    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])  # the default lwork = n runs unblocked
+    c, d, e, tau, _ = lapack.dsytrd((S.T @ H @ S).toarray(order="F"), lower=1, lwork=lwork, overwrite_a=1)
+    X = S[rows].toarray(order="F")
+    if n > 1:
+        # reflector i lies below the subdiagonal of column i.  As LAPACK's ormtr does, hand
+        # ormqr the block from entry (1, 0) on with leading dimension n: a view, not a copy
+        V = c.ravel(order="F")[1 : 1 + n * (n - 1)].reshape(n, n - 1, order="F")
+        lwork = int(lapack.dormqr(b"R", b"N", V, tau, X[:, 1:], -1)[1][0])
+        X[:, 1:] = lapack.dormqr(b"R", b"N", V, tau, X[:, 1:], lwork, overwrite_c=1)[0]
+        del V
+    else:
+        e = np.zeros(1)  # one state has no reflectors, and stevd refuses an empty e
+    del c
+    lam, Z, info = lapack.dstevd(d, e, overwrite_d=1)
+    if info:
+        raise np.linalg.LinAlgError(f"stevd did not converge (LAPACK info={info})")
+    return lam, blas.dgemm(1.0, X, Z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,9 +337,10 @@ def compare_effective(
 
     H is diagonalized one site-reflection sector at a time: two blocks of
     about half the basis when t0 and xi are palindromic, else one block, the
-    whole basis.  Each sector keeps only the M singly-occupied rows of its
-    eigenvectors.  ``max_dim`` caps the full basis dimension, checked before
-    H is built.
+    whole basis.  Each sector yields its eigenvalues and only the M
+    singly-occupied rows of its eigenvectors (``_sector_modes``), about
+    2 n^2 doubles at its peak for a block of n states.  ``max_dim`` caps the
+    full basis dimension, checked before H is built.
     """
     if not p.species_independent():
         raise ValueError("compare_effective requires species-independent parameters")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from .chains import ChainSpec, WaveState, _count, _readonly, mirror_symmetric
 from .errors import DegenerateSpectrumError
@@ -109,6 +109,18 @@ class Spectrum:
         return nu, None, _readonly(w)
 
 
+def _stevd_eigvals(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal (d, e) from LAPACK stevd, the
+    driver eigvalsh_tridiagonal picks, without its checks.  stevd refuses the empty e of
+    one site, whose eigenvalue is d."""
+    if d.size == 1:
+        return d.copy()
+    w, _, info = lapack.dstevd(d, e, compute_v=0)
+    if info:
+        raise np.linalg.LinAlgError(f"stevd did not converge (LAPACK info={info})")
+    return w
+
+
 def _eigvals(spec: ChainSpec) -> np.ndarray:
     """Ascending eigenvalues, from the two reflection sectors of a
     mirror-symmetric chain (M = 2m or 2m + 1), at half the cost of one solve.
@@ -122,7 +134,7 @@ def _eigvals(spec: ChainSpec) -> np.ndarray:
     d, e = spec.eps, -spec.tau
     m = spec.M // 2
     if m == 0 or not mirror_symmetric(spec):
-        return eigvalsh_tridiagonal(d, e)
+        return _stevd_eigvals(d, e)
     if spec.M % 2:
         e[m - 1] *= np.sqrt(2.0)
         sectors = ((d[: m + 1], e[:m]), (d[:m], e[: m - 1]))
@@ -130,10 +142,10 @@ def _eigvals(spec: ChainSpec) -> np.ndarray:
         edge = np.zeros(m)
         edge[-1] = e[m - 1]
         if not d.any():
-            lower = np.sort(-np.abs(eigvalsh_tridiagonal(edge, e[: m - 1])))
+            lower = np.sort(-np.abs(_stevd_eigvals(edge, e[: m - 1])))
             return np.concatenate([lower, -lower[::-1]])
         sectors = ((d[:m] + edge, e[: m - 1]), (d[:m] - edge, e[: m - 1]))
-    return np.sort(np.concatenate([eigvalsh_tridiagonal(*s) for s in sectors]))
+    return np.sort(np.concatenate([_stevd_eigvals(*s) for s in sectors]))
 
 
 def _end_weights(omega: np.ndarray, tau: np.ndarray, rows: int) -> np.ndarray | None:

@@ -360,7 +360,7 @@ class TestTuneCommand:
 # thread count unset
 DEMO_CSVS = {
     "oracle_m4": ("oracle_m4", ["oracle"], {
-        "oracle.csv": "474f22ccfb305aac860c60bac212c12a549da1d83b8ab1d7cbbe2c927f6f2241",
+        "oracle.csv": "15a37c93147ae5950fb1a5ba3dd98266f05f98669365d2122aaf6edf1cf7277e",
     }),
     "trap_bounce": ("trap_bounce", ["evolve"], {
         "grid.csv": "43b59836b95238b1d662aa51afdf87c414da7f70d75e176fb4a7a5ad026d33a4",

@@ -1,10 +1,17 @@
 import itertools
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import lapack
 
+import qcradle
 from qcradle import (
     HubbardParams,
     TooLargeError,
@@ -15,7 +22,7 @@ from qcradle import (
     enumerate_basis,
 )
 from qcradle.chains import ChainSpec, kick_state
-from qcradle.hubbard import _reflection
+from qcradle.hubbard import _reflection, _sector_modes, _sectors
 from util import dense_propagate, hubbard_reference
 
 
@@ -297,6 +304,64 @@ class TestBuildHamiltonian:
         assert build_hamiltonian(p, enumerate_basis(M, N0, N1, nmax)).toarray().tobytes() == ref.tobytes()
 
 
+class TestSectorModes:
+    @staticmethod
+    def _check(H, S, rows, monkeypatch):
+        # against a dense eigh of the block, and through LAPACK sytrd and stevd at every size
+        lam_ref, V = np.linalg.eigh((S.T @ H @ S).toarray())
+        ref = S[rows] @ V
+        calls = []
+
+        class Spy:
+            def __getattr__(self, name):
+                def call(*args, **kwargs):
+                    calls.append(name)
+                    return getattr(lapack, name)(*args, **kwargs)
+
+                return call
+
+        monkeypatch.setattr("qcradle.hubbard.lapack", Spy())
+        lam, got = _sector_modes(H, S, rows)
+        monkeypatch.undo()
+        assert {"dsytrd", "dstevd"} <= set(calls)
+        assert lam.shape == lam_ref.shape and got.shape == ref.shape
+        assert np.max(np.abs(lam - lam_ref)) <= 1e-12 * np.max(np.abs(lam_ref))
+        # each mode's sign is LAPACK's choice: compare what the time loop reads
+        assert np.max(np.abs(got * got[0] - ref * ref[0])) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 400])
+    def test_random_block_identity_sector(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n))
+        H = sp.csr_matrix(A + A.T)
+        rows = rng.permutation(n)[:7]
+        self._check(H, sp.identity(n, format="csr"), rows, monkeypatch)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 400])
+    def test_random_block_reflection_sectors(self, n, monkeypatch):
+        # 2n states reversed by R, no fixed point: an even and an odd block of n states each
+        rng = np.random.default_rng(n + 1)
+        A = rng.standard_normal((2 * n, 2 * n))
+        A += A.T
+        H = sp.csr_matrix(A + A[::-1, ::-1])
+        sectors = _sectors(np.arange(2 * n)[::-1])
+        assert [S.shape[1] for S in sectors] == [n, n]
+        rows = rng.permutation(2 * n)[:7]
+        for S in sectors:
+            self._check(H, S, rows, monkeypatch)
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 5, 6])
+    def test_every_cradle_sector(self, M, monkeypatch):
+        p = _uniform_params(M, 1.0, 50.0)
+        basis = enumerate_basis(M, M - 1, 1, 2)
+        H = build_hamiltonian(p, basis)
+        rows = np.array([basis.index(1 - e, e) for e in np.eye(M, dtype=int)])
+        sectors = _sectors(_reflection(basis))
+        assert len(sectors) == 2
+        for S in sectors:
+            self._check(H, S, rows, monkeypatch)
+
+
 class TestCompareEffective:
     def test_frozen_limit(self):
         p = HubbardParams(M=3, t0=[0.0, 0.0], t1=[0.0, 0.0], U=50.0, U0=50.0, U1=50.0)
@@ -352,6 +417,29 @@ class TestCompareEffective:
             tracemalloc.stop()
         assert rep.basis_dim == 2499 and len(rep.sector_dims) == 2 and sum(rep.sector_dims) == 2499
         assert peak < 64e6
+
+    def test_m7_peak_rss(self):
+        # tracemalloc does not see LAPACK's workspace; the process's peak RSS does.  A
+        # dense eigh of each 1256-state sector raised it by about 65 MB, the tridiagonal
+        # route with the few rows back-transformed by about 29 MB
+        script = """
+import resource
+import numpy as np
+from qcradle import HubbardParams, compare_effective
+
+def run(M, **kw):
+    t = np.ones(M - 1)
+    compare_effective(HubbardParams(M=M, t0=t, t1=t, U=50.0, U0=50.0, U1=50.0), np.linspace(0.0, 60.0, 13), **kw)
+
+run(3)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+run(7, max_dim=4096)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024.0)
+"""
+        src = str(Path(qcradle.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert float(run.stdout) < 45.0  # MB; ru_maxrss is in KiB on Linux
 
     def test_second_order_convention_matches(self):
         rep = compare_effective(_uniform_params(4, 1.0, 50.0), np.linspace(0.0, 60.0, 13))

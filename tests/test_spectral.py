@@ -206,12 +206,13 @@ class TestReflectionSectors:
     @staticmethod
     def _solve_sizes(spec, monkeypatch):
         sizes = []
+        solve = qcradle.spectral._stevd_eigvals
 
         def spy(d, e):
             sizes.append(len(d))
-            return eigvalsh_tridiagonal(d, e)
+            return solve(d, e)
 
-        monkeypatch.setattr(qcradle.spectral, "eigvalsh_tridiagonal", spy)
+        monkeypatch.setattr(qcradle.spectral, "_stevd_eigvals", spy)
         diagonalize(spec)._end_modes
         return sorted(sizes)
 
@@ -244,6 +245,18 @@ class TestReflectionSectors:
         full = eigvalsh_tridiagonal(spec.eps, -spec.tau)
         assert np.array_equal(omega, -omega[::-1]) and (omega[: M // 2] < 0.0).all()
         assert np.max(np.abs(omega[: M // 2] - full[: M // 2])) <= 1e-13 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 100, 101])
+    def test_stevd_is_eigvalsh_tridiagonal_bit_for_bit(self, M, monkeypatch):
+        # _eigvals calls LAPACK stevd itself, the driver eigvalsh_tridiagonal picks:
+        # one site, mirror chains with one sector or two, off-centre traps with none
+        specs = [uniform_chain(M, 1.0), gaussian_trap_chain(M, 1.0, (M + 1) / 2, M / 4.0)]
+        specs += [pst_chain(M, 1.0), gaussian_trap_chain(M, 1.0, 1.0, M / 4.0)] if M >= 2 else []
+        specs += [edge_modified_chain(M, 1.0, 0.4)] if M >= 3 else []
+        got = [_eigvals(spec) for spec in specs]
+        monkeypatch.setattr(qcradle.spectral, "_stevd_eigvals", eigvalsh_tridiagonal)
+        for spec, omega in zip(specs, got):
+            assert omega.tobytes() == _eigvals(spec).tobytes()
 
     def test_other_chains_take_the_full_solve(self):
         rng = np.random.default_rng(18)
