@@ -361,7 +361,7 @@ def cmd_oracle(cfg: dict, outdir: str, caps: dict) -> list[str]:
         raise ConfigError("[hubbard] keys 't_max'/'steps': need finite t_max > 0 and steps >= 2")
 
     try:
-        # lists, so that HubbardParams checks M before an array of M - 1 hoppings is made
+        # lists: for M <= 0 np.full(M - 1, t) raises "negative dimensions" before _count names the rule
         params = HubbardParams(M=M, t0=[t] * (M - 1), t1=[t] * (M - 1), U=U, U0=U, U1=U)
         report = compare_effective(
             params,

@@ -52,7 +52,7 @@ from scipy.linalg import blas, lapack
 from .chains import ChainSpec, kick_state, _count, _readonly
 from .dynamics import evolve
 from .errors import TooLargeError
-from .spectral import diagonalize
+from .spectral import _stevd, diagonalize
 
 BASIS_STATE_CAP = 200_000
 # compare_effective's default max_dim, on its full basis, checked before H is built
@@ -271,10 +271,11 @@ def _sector_modes(H, S, rows) -> tuple[np.ndarray, np.ndarray]:
 
     The block is reduced in place to tridiagonal form, S^T H S = Q T Q^T (LAPACK sytrd,
     lower storage, so Q = diag(1, Q~)); the reflectors of Q are applied to the few rows
-    X = S[rows] alone; the block is freed; and T = Z diag(lam) Z^T is solved by divide and
-    conquer (stevd), so (S V)[rows] = (X Q) Z.  This is syevd's algorithm without its
-    back-transform of all n eigenvectors.  Every dense step stays in scipy's LAPACK and
-    BLAS: numpy loads its own OpenBLAS thread pool, and switching pools stalls."""
+    X = S[rows] alone; the block is freed; and T = Z diag(lam) Z^T is solved by the package's
+    one tridiagonal eigensolver, ``spectral._stevd`` (LAPACK stevd, divide and conquer), so
+    (S V)[rows] = (X Q) Z: syevd's algorithm without its back-transform of all n
+    eigenvectors.  Every dense step stays in scipy's LAPACK and BLAS: numpy loads its own
+    OpenBLAS thread pool, and switching pools stalls."""
     n = S.shape[1]
     lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])  # the default lwork = n runs unblocked
     c, d, e, tau, _ = lapack.dsytrd((S.T @ H @ S).toarray(order="F"), lower=1, lwork=lwork, overwrite_a=1)
@@ -286,12 +287,8 @@ def _sector_modes(H, S, rows) -> tuple[np.ndarray, np.ndarray]:
         lwork = int(lapack.dormqr(b"R", b"N", V, tau, X[:, 1:], -1)[1][0])
         X[:, 1:] = lapack.dormqr(b"R", b"N", V, tau, X[:, 1:], lwork, overwrite_c=1)[0]
         del V
-    else:
-        e = np.zeros(1)  # one state has no reflectors, and stevd refuses an empty e
     del c
-    lam, Z, info = lapack.dstevd(d, e, overwrite_d=1)
-    if info:
-        raise np.linalg.LinAlgError(f"stevd did not converge (LAPACK info={info})")
+    lam, Z = _stevd(d, e)
     return lam, blas.dgemm(1.0, X, Z)
 
 

@@ -7,17 +7,18 @@ pseudo-wavevectors of an edge-weakened chain, and provides the
 spectrum/state diagnostics (equal-spacing deviation, mode overlaps) used by
 the transfer studies.
 
-A ``Spectrum`` solves on first use and keeps what it solved.  The eigenpairs
-(ascending eigenvalues, eigenvectors with LAPACK's signs) come from one
-LAPACK call, O(M^2) memory.  The end-to-end transfer reads only the
-eigenvalues, from the two reflection sectors of a mirror-symmetric chain at
-half the cost of one solve (``_eigvals``), and the end weights g_{n1} g_{nM},
-which follow from the eigenvalues alone (``_end_weights``) in O(M) memory,
-so a transfer never builds the eigenvectors.  A chain with eps = 0 is
-bipartite, so its spectrum and end weights come in mirror pairs: its
-transfer folds onto the (M + 1) // 2 lowest modes (``Spectrum._end_modes``),
-and for even M with mirror symmetry one reflection sector gives them.  No
-output depends on an eigenvector's sign: every quantity derived here or in
+A ``Spectrum`` solves on first use and keeps what it solved.  Every
+tridiagonal eigensolve in the package, of the chain or of an oracle sector,
+values or vectors, is one ``_stevd`` (LAPACK stevd) call; the eigenpairs,
+with LAPACK's signs, take O(M^2) memory.  The end-to-end transfer reads only
+the eigenvalues, from the two reflection sectors of a mirror-symmetric chain
+at half the cost of one solve (``_eigvals``), and the end weights
+g_{n1} g_{nM}, which follow from the eigenvalues alone (``_end_weights``) in O(M)
+memory, so a transfer never builds the eigenvectors.  A chain with eps = 0 is
+bipartite, so its spectrum and end weights come in mirror pairs: its transfer
+folds onto the (M + 1) // 2 lowest modes (``Spectrum._end_modes``), and for
+even M with mirror symmetry one reflection sector gives them.  No output
+depends on an eigenvector's sign: every quantity derived here or in
 ``dynamics`` holds each eigenvector an even number of times.
 """
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, lapack
+from scipy.linalg import lapack
 
 from .chains import ChainSpec, WaveState, _count, _readonly, mirror_symmetric
 from .errors import DegenerateSpectrumError
@@ -46,8 +47,8 @@ class Spectrum:
     """The eigenproblem of a chain, solved on first use.
 
     ``omega`` (ascending) and the row-wise eigenvectors ``g`` come from one
-    ``eigh_tridiagonal`` call, made when either is first read.  The transfer
-    path reads ``_end_modes`` instead, which needs no eigenvectors.
+    ``_stevd`` call, made when either is first read.  The transfer path
+    reads ``_end_modes`` instead, which needs no eigenvectors.
     """
 
     spec: ChainSpec
@@ -58,8 +59,8 @@ class Spectrum:
 
     @cached_property
     def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        w, v = eigh_tridiagonal(self.spec.eps, -self.spec.tau)
-        return _readonly(w), _readonly(np.ascontiguousarray(v.T))
+        w, v = _stevd(self.spec.eps, -self.spec.tau)
+        return _readonly(w), _readonly(v.T)  # stevd's v is Fortran-ordered, so v.T is C-ordered
 
     @property
     def omega(self) -> np.ndarray:
@@ -109,16 +110,17 @@ class Spectrum:
         return nu, None, _readonly(w)
 
 
-def _stevd_eigvals(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric tridiagonal (d, e) from LAPACK stevd, the
-    driver eigvalsh_tridiagonal picks, without its checks.  stevd refuses the empty e of
-    one site, whose eigenvalue is d."""
+def _stevd(d: np.ndarray, e: np.ndarray, vectors: bool = True):
+    """Ascending eigenvalues of the symmetric tridiagonal (d, e) and, with ``vectors``, its
+    eigenvectors as columns, from LAPACK stevd, the driver scipy's tridiagonal solvers pick
+    for a full spectrum, without their checks; info != 0 raises LinAlgError.  stevd
+    refuses the empty e of one site, whose eigenpair is (d, [[1]])."""
     if d.size == 1:
-        return d.copy()
-    w, _, info = lapack.dstevd(d, e, compute_v=0)
+        return (d.copy(), np.ones((1, 1))) if vectors else d.copy()
+    w, v, info = lapack.dstevd(d, e, compute_v=vectors)
     if info:
         raise np.linalg.LinAlgError(f"stevd did not converge (LAPACK info={info})")
-    return w
+    return (w, v) if vectors else w
 
 
 def _eigvals(spec: ChainSpec) -> np.ndarray:
@@ -134,7 +136,7 @@ def _eigvals(spec: ChainSpec) -> np.ndarray:
     d, e = spec.eps, -spec.tau
     m = spec.M // 2
     if m == 0 or not mirror_symmetric(spec):
-        return _stevd_eigvals(d, e)
+        return _stevd(d, e, vectors=False)
     if spec.M % 2:
         e[m - 1] *= np.sqrt(2.0)
         sectors = ((d[: m + 1], e[:m]), (d[:m], e[: m - 1]))
@@ -142,10 +144,10 @@ def _eigvals(spec: ChainSpec) -> np.ndarray:
         edge = np.zeros(m)
         edge[-1] = e[m - 1]
         if not d.any():
-            lower = np.sort(-np.abs(_stevd_eigvals(edge, e[: m - 1])))
+            lower = np.sort(-np.abs(_stevd(edge, e[: m - 1], vectors=False)))
             return np.concatenate([lower, -lower[::-1]])
         sectors = ((d[:m] + edge, e[: m - 1]), (d[:m] - edge, e[: m - 1]))
-    return np.sort(np.concatenate([_stevd_eigvals(*s) for s in sectors]))
+    return np.sort(np.concatenate([_stevd(*s, vectors=False) for s in sectors]))
 
 
 def _end_weights(omega: np.ndarray, tau: np.ndarray, rows: int) -> np.ndarray | None:

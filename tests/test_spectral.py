@@ -3,12 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
 
 import qcradle.spectral
 from qcradle import (
     ChainSpec,
     DegenerateSpectrumError,
+    HubbardParams,
+    compare_effective,
     diagonalize,
     edge_modified_chain,
     end_amplitude,
@@ -78,6 +80,14 @@ def _two_bond(M):
     if M < 3:
         return uniform_chain(M, 0.5)
     return edge_modified_chain(M, 1.0, 0.5, 0.8 if M >= 5 else None)
+
+
+def _reference_chains(M):
+    # uniform and centred trap; from M = 2 pst and an off-centre trap; from M = 3 edge
+    specs = [uniform_chain(M, 1.0), gaussian_trap_chain(M, 1.0, (M + 1) / 2, M / 4.0)]
+    specs += [pst_chain(M, 1.0), gaussian_trap_chain(M, 1.0, 1.0, M / 4.0)] if M >= 2 else []
+    specs += [edge_modified_chain(M, 1.0, 0.4)] if M >= 3 else []
+    return specs
 
 
 def _transfer_error(spec):
@@ -177,13 +187,18 @@ class TestEndWeights:
 
     def test_tune_double_fallback_count(self, monkeypatch):
         # the tuner's near-cut corner y = 0.02 splits end-state pairs by less
-        # than the first-order check allows; 3 of 2739 transfers took the
-        # eigenvectors with all M eigenvalues from two sectors, 5 with the
-        # symmetrised spectrum from one
+        # than the first-order check allows: of 2739 transfers, each with the
+        # symmetrised spectrum from one sector, 5 took the eigenvectors
         calls = []
-        weights, eigenpairs = qcradle.spectral._end_weights, qcradle.spectral.eigh_tridiagonal
+        weights, solve = qcradle.spectral._end_weights, qcradle.spectral._stevd
+
+        def stevd(d, e, vectors=True):
+            if vectors:
+                calls.append("g")
+            return solve(d, e, vectors)
+
         monkeypatch.setattr(qcradle.spectral, "_end_weights", lambda *a: calls.append("w") or weights(*a))
-        monkeypatch.setattr(qcradle.spectral, "eigh_tridiagonal", lambda *a: calls.append("g") or eigenpairs(*a))
+        monkeypatch.setattr(qcradle.spectral, "_stevd", stevd)
         tune_double(100, 1.0)
         assert (calls.count("w"), calls.count("g")) == (2739, 5)
 
@@ -205,14 +220,17 @@ class TestEndWeights:
 class TestReflectionSectors:
     @staticmethod
     def _solve_sizes(spec, monkeypatch):
+        # the eigenvalue solves only: a chain whose weights fail their checks
+        # also makes one full eigenvector solve
         sizes = []
-        solve = qcradle.spectral._stevd_eigvals
+        solve = qcradle.spectral._stevd
 
-        def spy(d, e):
-            sizes.append(len(d))
-            return solve(d, e)
+        def spy(d, e, vectors=True):
+            if not vectors:
+                sizes.append(len(d))
+            return solve(d, e, vectors)
 
-        monkeypatch.setattr(qcradle.spectral, "_stevd_eigvals", spy)
+        monkeypatch.setattr(qcradle.spectral, "_stevd", spy)
         diagonalize(spec)._end_modes
         return sorted(sizes)
 
@@ -248,13 +266,11 @@ class TestReflectionSectors:
 
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 100, 101])
     def test_stevd_is_eigvalsh_tridiagonal_bit_for_bit(self, M, monkeypatch):
-        # _eigvals calls LAPACK stevd itself, the driver eigvalsh_tridiagonal picks:
+        # _stevd calls LAPACK stevd itself, the driver eigvalsh_tridiagonal picks:
         # one site, mirror chains with one sector or two, off-centre traps with none
-        specs = [uniform_chain(M, 1.0), gaussian_trap_chain(M, 1.0, (M + 1) / 2, M / 4.0)]
-        specs += [pst_chain(M, 1.0), gaussian_trap_chain(M, 1.0, 1.0, M / 4.0)] if M >= 2 else []
-        specs += [edge_modified_chain(M, 1.0, 0.4)] if M >= 3 else []
+        specs = _reference_chains(M)
         got = [_eigvals(spec) for spec in specs]
-        monkeypatch.setattr(qcradle.spectral, "_stevd_eigvals", eigvalsh_tridiagonal)
+        monkeypatch.setattr(qcradle.spectral, "_stevd", lambda d, e, vectors: eigvalsh_tridiagonal(d, e))
         for spec, omega in zip(specs, got):
             assert omega.tobytes() == _eigvals(spec).tobytes()
 
@@ -275,6 +291,19 @@ class TestReflectionSectors:
         omega, w = unfold_modes(sp._end_modes, M)
         assert np.isfinite(omega).all() and np.isfinite(w).all()
         assert np.isfinite(peak_transfer(sp).peak_amplitude)
+
+
+def test_stevd_failure_raises_in_every_caller(monkeypatch):
+    # one info check serves the eigenpairs, the sector eigenvalues and the oracle's sectors
+    monkeypatch.setattr(lapack, "dstevd", lambda d, e, **kw: (d, np.eye(len(d)), 1))
+    p = HubbardParams(M=3, t0=[1.0, 1.0], t1=[1.0, 1.0], U=50.0, U0=50.0, U1=50.0)
+    for solve in (
+        lambda: diagonalize(uniform_chain(5, 1.0)).g,
+        lambda: peak_transfer(diagonalize(uniform_chain(6, 1.0))),
+        lambda: compare_effective(p, [0.0, 1.0]),
+    ):
+        with pytest.raises(np.linalg.LinAlgError, match=r"info=1\)"):
+            solve()
 
 
 class TestDiagonalize:
@@ -328,13 +357,18 @@ class TestDiagonalize:
             assert np.max(np.abs(sp.omega - w_ref)) < 1e-11 * max(1.0, np.max(np.abs(w_ref)))
 
     def test_sign_convention_and_determinism(self):
-        # the signs are LAPACK's, untouched, and the same on every call
-        spec = random_chain(np.random.default_rng(3), M=17)
-        a = diagonalize(spec)
-        b = diagonalize(spec)
-        assert np.array_equal(a.g, b.g) and np.array_equal(a.omega, b.omega)
-        _, v = eigh_tridiagonal(spec.eps, -spec.tau)
-        assert np.array_equal(a.g, v.T)
+        # the signs are LAPACK's, untouched, and the same on every call: omega
+        # and g are eigh_tridiagonal's bit for bit, through stevd's one-site,
+        # small (QL/QR) and divide-and-conquer paths, and g is C-ordered
+        specs = [random_chain(np.random.default_rng(3), M=17)]
+        specs += [spec for M in (1, 2, 3, 4, 5, 100, 101) for spec in _reference_chains(M)]
+        for spec in specs:
+            a = diagonalize(spec)
+            b = diagonalize(spec)
+            assert np.array_equal(a.g, b.g) and np.array_equal(a.omega, b.omega)
+            w, v = eigh_tridiagonal(spec.eps, -spec.tau)
+            assert a.omega.tobytes() == w.tobytes() and a.g.tobytes() == v.T.tobytes()
+            assert a.g.flags.c_contiguous
 
     @pytest.mark.parametrize(
         "spec",
