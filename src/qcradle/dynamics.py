@@ -21,10 +21,11 @@ A chain with eps = 0 folds onto (M + 1) // 2 modes and one of the two sums
 (q alone for even M, p alone for odd M); any other chain has nu = omega and
 p = q = g_{n1} g_{nM}.  ``Spectrum`` derives these from the eigenvalues
 without building the M^2 eigenvectors.  The grid is factored into two phase
-blocks so the whole scan is one real matrix product over the nonzero sums, in
-O(sqrt(n) M + n) = O(M^1.5) memory.  Each block holds powers of one step
-phase per mode, built by running products, so the scan carries an
-O(sqrt(n) eps) sum_n |w_n| round-off; it only picks the best coarse sample.
+blocks so the scan is a real matrix product over the nonzero sums, summed
+over chunks of at most K = 128 modes, in O(sqrt(n) K + n) memory.  Each block
+holds powers of one step phase per mode, built by running products, so the
+scan carries an O(sqrt(n) eps) sum_n |w_n| round-off; it only picks the best
+coarse sample.
 Golden-section search then refines that sample, and every reported amplitude
 is a direct sum over the modes at one time.
 
@@ -53,6 +54,10 @@ GRID_CELL_CAP = 100_000
 PEAK_WINDOW_FACTOR = 1.5
 PEAK_COARSE_STEP = 0.05
 PEAK_TIME_TOL = 1e-6
+
+# Modes per chunk of the coarse scan: its phase blocks stay ~0.5 MB each at
+# M = 2000, and every tuner chain (M = 100 folds to 50 modes) is one chunk.
+_SCAN_MODES = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,30 +130,40 @@ def _end_abs_scan(nu: np.ndarray, p, q, dt: float, n: int) -> np.ndarray:
     skipped.  Complex weights p e^{-i nu t0}, q e^{-i nu t0} scan the grid
     that starts at t0.  Each grid time is factored as (b*B + k)*dt with
     B = ceil(sqrt(n)), so C = Re sum p e^{-i nu t} and S = Re sum i q e^{-i nu t}
-    come from a ceil(n/B) x len(nu) outer-phase block and a B x len(nu)
-    inner-phase block: O(sqrt(n)*M + n) memory instead of O(n*M).  Re(a b)
-    is the real dot of conj(a) with b, both seen as (re, im) pairs, so the
-    scan is one real matrix product over the nonzero halves: for a folded
-    chain, a quarter of the flops of a complex product over all M modes.
-    Both blocks are running products of one step phase per mode.  No power
-    exceeds B, which bounds the round-off drift by O(sqrt(n)*eps) * sum|w|:
-    enough to pick the coarse argmax, which is all the scan is used for.
+    come from a ceil(n/B) x K outer-phase block and a B x K inner-phase block
+    per chunk of at most K = ``_SCAN_MODES`` modes, whose products are summed
+    into one ceil(n/B) x B accumulator per sum: O(sqrt(n)*K + n) memory
+    instead of O(n*M).  Re(a b) is the real dot of conj(a) with b, both seen
+    as (re, im) pairs, so each chunk is one real matrix product over the
+    nonzero halves: for a folded chain, a quarter of the flops of a complex
+    product over all M modes.  Both blocks are running products of one step
+    phase per mode.  No power exceeds B, which bounds the round-off drift by
+    O(sqrt(n)*eps) * sum|w|: enough to pick the coarse argmax, which is all
+    the scan is used for.
     """
     B = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     nb = -(-n // B)
-    inner = _phase_powers(nu, dt, B)
-    outer = _phase_powers(nu, B * dt, nb)
     weights = []
     if p is not None:
         weights.append(p)
     if q is not None:
         weights.append(1j * q)
-    lhs = np.empty((len(weights), nb, nu.size), dtype=complex)
-    for block, c in zip(lhs, weights):
-        np.multiply(outer, c, out=block)
-    del outer
-    np.conj(lhs, out=lhs)
-    parts = lhs.view(float).reshape(-1, 2 * nu.size) @ inner.view(float).T
+    parts = None
+    for lo in range(0, nu.size, _SCAN_MODES):
+        chunk = slice(lo, lo + _SCAN_MODES)
+        modes = nu[chunk]
+        inner = _phase_powers(modes, dt, B)
+        outer = _phase_powers(modes, B * dt, nb)
+        lhs = np.empty((len(weights), nb, modes.size), dtype=complex)
+        for block, c in zip(lhs, weights):
+            np.multiply(outer, c[chunk], out=block)
+        del outer
+        np.conj(lhs, out=lhs)
+        part = lhs.view(float).reshape(-1, 2 * modes.size) @ inner.view(float).T
+        if parts is None:
+            parts = part  # no 0 + x: one chunk is the same operations as one product
+        else:
+            parts += part
     parts = parts.reshape(len(weights), -1)[:, :n]
     return np.hypot(*parts) if len(weights) == 2 else np.abs(parts[0])
 
@@ -187,11 +202,11 @@ def peak_transfer(spectrum: Spectrum) -> TransferReport:
     """Largest |A_M(t)| over ``default_window`` for the kick-at-1 state.
 
     The window (0, 1.5 M/tau_max) is fixed by the chain.  A coarse uniform
-    scan of step 0.05/tau_max, 30M + 1 or 30M + 2 samples in O(M^1.5)
-    memory, picks the best sample; golden-section search refines it to time
-    tolerance 1e-6.  Deterministic: ties on the coarse grid resolve to the
-    earliest time.  A window end that overflows (a subnormal tau_max) raises
-    ValueError.
+    scan of step 0.05/tau_max, n = 30M + 1 or 30M + 2 samples in
+    O(sqrt(n) K + n) memory (K = 128 modes per chunk), picks the best sample;
+    golden-section search refines it to time tolerance 1e-6.  Deterministic:
+    ties on the coarse grid resolve to the earliest time.  A window end that
+    overflows (a subnormal tau_max) raises ValueError.
     """
     window = default_window(spectrum)
     T, tau = window[1], _tau_max(spectrum)

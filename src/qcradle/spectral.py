@@ -34,8 +34,9 @@ from scipy.linalg import lapack
 from .chains import ChainSpec, WaveState, _count, _readonly, mirror_symmetric
 from .errors import DegenerateSpectrumError
 
-# Gap-matrix entries per chunk of rows in _end_weights: 8 MB of float64.
-_GAP_CHUNK = 2**20
+# Gap-matrix entries per chunk of rows in _end_weights: 256 KB of float64,
+# so a chunk and its log and inverse stay in cache.
+_GAP_CHUNK = 2**15
 
 # End weights below this are set to 0: the scan's GEMM would make subnormal
 # products of them, which are slow and add nothing at double precision.

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcradle
 from qcradle import (
     TooLargeError,
     ChainSpec,
@@ -23,7 +28,7 @@ from qcradle import (
     revival_fidelity,
     uniform_chain,
 )
-from qcradle.dynamics import _end_abs_scan, _end_sum, default_window
+from qcradle.dynamics import _SCAN_MODES, _end_abs_scan, _end_sum, default_window
 from util import dense_propagate, random_chain, seeded_spectrum, unfold_modes
 
 
@@ -374,24 +379,31 @@ def _shifted(modes, t0):
     return nu, None if p is None else p * phase, None if q is None else q * phase
 
 
+# modes per scan chunk: the default (every case below is one chunk), one mode
+# per chunk, and 7, which leaves a partial last chunk for M = 100 and 101
+SCAN_CHUNKS = (_SCAN_MODES, 1, 7)
+
+
 class TestEndAbsScan:
     # n = 11 is not a multiple of its block size 4; n = 49 is a perfect square.
     # The scan starts at t = 0; a grid that starts at t0 is the scan of the
     # phase-shifted weights p e^{-i nu t0}, q e^{-i nu t0}
     @pytest.mark.parametrize("M", [1, 2, 100])
     @pytest.mark.parametrize("n, t0", [(1, 2.0), (10, 0.0), (11, 0.0), (49, 0.0), (50, 3.7)])
-    def test_matches_dense_scan(self, M, n, t0):
+    def test_matches_dense_scan(self, M, n, t0, monkeypatch):
         modes, omega, w = _scan_modes(random_chain(np.random.default_rng(M), M=M))
         dt = 0.3
         t = t0 + dt * np.arange(n)
         dense = np.abs(np.exp(-1j * np.outer(t, omega)) @ w)
-        vals = _end_abs_scan(*_shifted(modes, t0), dt, n)
-        assert vals.shape == (n,)
-        assert np.max(np.abs(vals - dense)) < 1e-12
+        for chunk in SCAN_CHUNKS:
+            monkeypatch.setattr(qcradle.dynamics, "_SCAN_MODES", chunk)
+            vals = _end_abs_scan(*_shifted(modes, t0), dt, n)
+            assert vals.shape == (n,)
+            assert np.max(np.abs(vals - dense)) < 1e-12
 
     @pytest.mark.parametrize("M", [1, 2, 3, 100, 101])
     @pytest.mark.parametrize("n, t0", [(1, 2.0), (11, 0.0), (50, 3.7)])
-    def test_folded_modes_match_dense_scan(self, M, n, t0):
+    def test_folded_modes_match_dense_scan(self, M, n, t0, monkeypatch):
         # eps = 0 chains scan one half: the sine sum (even M) or the cosine sum (odd M)
         spec = random_chain(np.random.default_rng(M), M=M)
         modes, omega, w = _scan_modes(ChainSpec(M=M, tau=spec.tau, eps=np.zeros(M)))
@@ -399,7 +411,9 @@ class TestEndAbsScan:
         dt = 0.3
         t = t0 + dt * np.arange(n)
         dense = np.abs(np.exp(-1j * np.outer(t, omega)) @ w)
-        assert np.max(np.abs(_end_abs_scan(*_shifted(modes, t0), dt, n) - dense)) < 1e-12
+        for chunk in SCAN_CHUNKS:
+            monkeypatch.setattr(qcradle.dynamics, "_SCAN_MODES", chunk)
+            assert np.max(np.abs(_end_abs_scan(*_shifted(modes, t0), dt, n) - dense)) < 1e-12
 
     def test_realistic_grid_matches_direct_sum(self, spectrum2000):
         # default grid of a uniform M = 2000 chain: n = 60001, block size 245;
@@ -418,17 +432,41 @@ class TestEndAbsScan:
         direct = np.abs(np.exp(-1j * np.outer(idx * dt, omega)) @ w)
         assert np.max(np.abs(vals[idx] - direct)) < 1e-12
 
-    def test_peak_transfer_memory_is_bounded(self, spectrum2000):
-        # a full n x M scan at M = 2000 (n = 60001) would need 1.9 GB; the
-        # two running-product phase blocks peak near 16 MB
-        sp = spectrum2000
-        tracemalloc.start()
-        try:
-            peak_transfer(sp)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+    def test_peak_transfer_memory_is_bounded(self):
+        # a fresh solve, so the end weights fall inside the window too.  At
+        # M = 5000 (n = 150001) the phase blocks over all modes peaked at 44.5 MB
+        # (two-bond) and 118 MB (trap); in chunks of 128 modes they and the
+        # 256 KB gap chunks peak near 6 and 9 MB
+        for spec in (edge_modified_chain(5000, 1.0, 0.5, 0.8), gaussian_trap_chain(5000, 1.0, 2500.0, 5500.0)):
+            tracemalloc.start()
+            try:
+                peak_transfer(diagonalize(spec))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
+
+    def test_workload_transfers_peak_rss(self):
+        # the peak RSS of a fresh process, which also counts BLAS buffers: the
+        # three M = 2000 transfers of the benchmark raised it by about 24.5 MB
+        # with phase blocks over all modes, and by about 4 MB in chunks
+        script = """
+import resource
+from qcradle import diagonalize, edge_modified_chain, peak_transfer, pst_chain, uniform_chain
+
+def run(M):
+    for spec in (uniform_chain(M, 1.0), pst_chain(M, 1.0), edge_modified_chain(M, 1.0, 0.5, 0.8)):
+        peak_transfer(diagonalize(spec))
+
+run(500)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+run(2000)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024.0)
+"""
+        src = str(Path(qcradle.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert float(run.stdout) < 12.0  # MB; ru_maxrss is in KiB on Linux
 
 
 class TestRevivalFidelity:

@@ -216,6 +216,26 @@ class TestEndWeights:
         dt = T / (n - 1)
         assert np.array_equal(_end_abs_scan(nu, None, q, dt, n), _end_abs_scan(nu, None, raw, dt, n))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [_two_bond(100), uniform_chain(2000, 1.0), gaussian_trap_chain(257, 1.0, 128.5, 282.7)],
+        ids=["two-bond100", "uniform2000", "trap257"],
+    )
+    def test_chunk_size_leaves_the_bits(self, spec, monkeypatch):
+        # each row's sums are taken over that row alone, whatever the chunk
+        # of rows: one row per chunk (M entries), three rows with a partial
+        # last chunk (3M + 1), and the default
+        args = []
+        monkeypatch.setattr(qcradle.spectral, "_end_weights", lambda *a: args.append(a))
+        diagonalize(spec)._end_modes
+        monkeypatch.undo()
+        (omega, tau, rows), M = args[0], spec.M
+        default = _end_weights(omega, tau, rows)
+        assert default is not None and rows % 3
+        for chunk in (M, 3 * M + 1):
+            monkeypatch.setattr(qcradle.spectral, "_GAP_CHUNK", chunk)
+            assert np.array_equal(_end_weights(omega, tau, rows), default)
+
 
 class TestReflectionSectors:
     @staticmethod
