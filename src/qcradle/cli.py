@@ -15,13 +15,16 @@ config is a flat sectioned key-value file ([chain], [state], [evolve],
 schema; [chain] and [state] pick theirs by ``kind`` from
 ``_CHAIN_KINDS``/``_STATE_KINDS``, which also hold each kind's builder.
 Missing and unknown keys are reported by name, in declaration order.
-``--out`` defaults to the working directory.  One writer, ``_write_csv``,
-formats every CSV a block of rows at a time, integers as they are and floats
-with 17 significant digits, and replaces the file atomically with permissions
-that follow the umask.  Every CSV starts with a single '#' metadata line
-recording the tool version, a hash of the resolved config, and the defaults
-in effect, so output files are self-describing and byte-identical across
-reruns.  Exit codes: 0 success, 2 config validation, 3 compute cap, 4 I/O.
+``--out`` defaults to the working directory.  Two writers format a block of
+rows at a time, integers as they are and floats with 17 significant digits:
+``_write_grid`` writes evolve's grid pair in one pass, formatting each value
+once, and ``_write_csv`` every other CSV.  Both go through
+``_replace_atomically``, which moves finished temp files onto their targets
+with permissions that follow the umask.  Every CSV starts with a single '#'
+metadata line recording the tool version, a hash of the resolved config, and
+the defaults in effect, so output files are self-describing and
+byte-identical across reruns.  Exit codes: 0 success, 2 config validation,
+3 compute cap, 4 I/O.
 
 One table, ``_CAPS``, holds the size caps by their ``# caps=`` header names:
 ``grid`` (evolve grid cells), ``basis``, ``dim`` (the oracle's basis
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import hashlib
 import math
 import os
@@ -235,8 +239,39 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
-# values per `%` operation of _write_csv; a block holds at least one row
+# values per `%` operation of _write_csv and _write_grid; a block holds at least one row
 _CHUNK_VALUES = 1 << 11
+
+
+def _replace_atomically(outdir: str, names: list[str], write) -> list[str]:
+    """Call ``write`` with one open text file per name, each a temp file in
+    ``outdir``; once it returns, give each file the umask's mode and move it
+    onto ``outdir/name``.  If anything fails first, the temp files go and no
+    target is touched."""
+    os.makedirs(outdir, exist_ok=True)
+    tmps = []
+    try:
+        with contextlib.ExitStack() as stack:
+            files = []
+            for name in names:
+                fd, tmp = tempfile.mkstemp(prefix=name + ".", dir=outdir, text=True)
+                tmps.append(tmp)
+                fh = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
+                files.append(stack.enter_context(fh))
+            write(*files)
+        umask = os.umask(0)
+        os.umask(umask)
+        for tmp in tmps:
+            os.chmod(tmp, 0o666 & ~umask)
+        paths = [os.path.join(outdir, name) for name in names]
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
+    return paths
 
 
 def _write_csv(outdir: str, name: str, meta: str, header: list[str] | None, columns) -> str:
@@ -246,27 +281,45 @@ def _write_csv(outdir: str, name: str, meta: str, header: list[str] | None, colu
     row_fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
     width, n = len(columns), len(columns[0])
     rows = max(1, _CHUNK_VALUES // width)
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, name)
-    fd, tmp = tempfile.mkstemp(prefix=name + ".", dir=outdir, text=True)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(meta + "\n" + ("" if header is None else ",".join(header) + "\n"))
-            for start in range(0, n, rows):
-                stop = min(start + rows, n)
-                values = [None] * (width * (stop - start))
-                for k, c in enumerate(columns):
-                    values[k::width] = c[start:stop].tolist()
-                fh.write(row_fmt * (stop - start) % tuple(values))
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
+
+    def write(fh):
+        fh.write(meta + "\n" + ("" if header is None else ",".join(header) + "\n"))
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            values = [None] * (width * (stop - start))
+            for k, c in enumerate(columns):
+                values[k::width] = c[start:stop].tolist()
+            fh.write(row_fmt * (stop - start) % tuple(values))
+
+    return _replace_atomically(outdir, [name], write)[0]
+
+
+def _write_grid(outdir: str, meta: str, times, prob) -> list[str]:
+    """Atomically write the (T, M) site probabilities ``prob`` at ``times`` as
+    ``grid.csv`` (rows t,j,prob) and ``grid_matrix.csv`` (row k is prob[k]),
+    the bytes ``_write_csv`` gives for them, formatting each value once."""
+    T, M = prob.shape
+    rows = max(1, _CHUNK_VALUES // M)
+    row_fmt = ",".join(["%.17g"] * M) + "\n"
+    # joined by a time string, these are that time's grid.csv rows
+    pieces = [""] + [f",{j},%s\n" for j in range(1, M + 1)]
+
+    def write(grid, matrix):
+        grid.write(meta + "\nt,j,prob\n")
+        matrix.write(meta + "\n")
+        for start in range(0, T, rows):
+            block = prob[start : start + rows]
+            text = row_fmt * len(block) % tuple(block.ravel().tolist())
+            matrix.write(text)
+            values = text.replace("\n", ",").split(",")
+            lines = [
+                ("%.17g" % t).join(pieces) % tuple(values[k * M : (k + 1) * M])
+                for k, t in enumerate(times[start : start + rows].tolist())
+            ]
+            grid.write("".join(lines))
+            del text, values, lines  # free this block's strings before the next block's
+
+    return _replace_atomically(outdir, ["grid.csv", "grid_matrix.csv"], write)
 
 
 def _meta(command: str, cfg: dict, caps: dict, extra: dict) -> str:
@@ -277,7 +330,7 @@ def _meta(command: str, cfg: dict, caps: dict, extra: dict) -> str:
         "caps": ",".join(f"{name}:{cap}" for name, cap in caps.items()),
     }
     fields.update(extra)
-    fields["precision"] = 17  # the digits of every float value _write_csv writes
+    fields["precision"] = 17  # the digits of every float value the writers write
     return "# " + " ".join(f"{k}={v}" for k, v in fields.items())
 
 
@@ -309,11 +362,7 @@ def cmd_evolve(cfg: dict, outdir: str, caps: dict) -> list[str]:
 
     meta_extra["row_sum_tol"] = "1e-09"
     meta = _meta("evolve", cfg, caps, meta_extra)
-    T, M = grid.prob.shape
-    long_columns = [np.repeat(grid.times, M), np.tile(np.arange(1, M + 1), T), grid.prob.ravel()]
-    paths = [_write_csv(outdir, "grid.csv", meta, ["t", "j", "prob"], long_columns)]
-    paths.append(_write_csv(outdir, "grid_matrix.csv", meta, None, grid.prob.T))
-    return paths
+    return _write_grid(outdir, meta, grid.times, grid.prob)
 
 
 def cmd_tune(cfg: dict, outdir: str, caps: dict) -> list[str]:

@@ -256,12 +256,67 @@ def _csv_cases():
     }
 
 
+def _grid_cases():
+    rng = np.random.default_rng(23)
+    T = 2 * (cli._CHUNK_VALUES // 100) + 7  # two full blocks of a 100-site grid and a partial third
+    special = np.array([0.0, 1.0, 5e-324, 1e-310, 1 / 3])
+    return {
+        "partial_last_block": (np.linspace(0.0, 3.2, T), rng.random((T, 100))),
+        "wider_than_a_block": (np.array([0.0, 0.1, 1 / 3]), rng.random((3, 2100))),
+        "special_values": (special, np.array([np.roll(special, k) for k in range(5)])),
+        "one_site": (np.array([0.0, 2.5]), np.ones((2, 1))),
+    }
+
+
+_OLD_GRID = {"grid.csv": b"old grid\n", "grid_matrix.csv": b"old matrix\n"}
+
+
+def _fail_second_chunk(monkeypatch, fail=0):
+    """Make the ``fail``-th text file the writers open raise on its second
+    write of data rows; returns that file's data writes."""
+    real_fdopen = os.fdopen
+    opened, chunks = [], []
+
+    class FailingFile:
+        def __init__(self, *args, **kwargs):
+            self.fh = real_fdopen(*args, **kwargs)
+            self.index = len(opened)
+            opened.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            if self.index == fail and not text.startswith("#"):
+                chunks.append(text)
+                if len(chunks) == 2:
+                    raise OSError("no space left on device")
+            return self.fh.write(text)
+
+    monkeypatch.setattr(cli.os, "fdopen", FailingFile)
+    return chunks
+
+
 class TestCsvWriter:
     @pytest.mark.parametrize("case", list(_csv_cases()))
     def test_bytes_equal_per_value_formatter(self, case, tmp_path):
         header, columns = _csv_cases()[case]
         path = cli._write_csv(str(tmp_path), "t.csv", "# meta", header, columns)
         assert Path(path).read_bytes() == reference_csv("# meta", header, columns)
+
+    @pytest.mark.parametrize("case", list(_grid_cases()))
+    def test_grid_pair_bytes_equal_per_value_formatter(self, case, tmp_path):
+        times, prob = _grid_cases()[case]
+        T, M = prob.shape
+        paths = cli._write_grid(str(tmp_path), "# meta", times, prob)
+        assert paths == [str(tmp_path / "grid.csv"), str(tmp_path / "grid_matrix.csv")]
+        long_columns = [np.repeat(times, M), np.tile(np.arange(1, M + 1), T), prob.ravel()]
+        want = reference_csv("# meta", ["t", "j", "prob"], long_columns)
+        assert Path(paths[0]).read_bytes() == want
+        assert Path(paths[1]).read_bytes() == reference_csv("# meta", None, prob.T)
 
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
     def test_permissions_follow_umask(self, umask, tmp_path):
@@ -283,29 +338,7 @@ class TestCsvWriter:
 
     def test_failed_chunk_keeps_old_file(self, tmp_path, monkeypatch):
         (tmp_path / "t.csv").write_bytes(b"old bytes\n")
-        real_fdopen = os.fdopen
-        chunks = []
-
-        class FailingFile:
-            """Text file whose second chunk of data rows fails to write."""
-
-            def __init__(self, *args, **kwargs):
-                self.fh = real_fdopen(*args, **kwargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, text):
-                if not text.startswith("#"):
-                    chunks.append(text)
-                    if len(chunks) == 2:
-                        raise OSError("no space left on device")
-                return self.fh.write(text)
-
-        monkeypatch.setattr(cli.os, "fdopen", FailingFile)
+        chunks = _fail_second_chunk(monkeypatch)
         columns = [_RNG_VALUES, _RNG_VALUES, _RNG_VALUES]
         with pytest.raises(OSError, match="no space"):
             cli._write_csv(str(tmp_path), "t.csv", "# meta", ["a", "b", "c"], columns)
@@ -313,14 +346,44 @@ class TestCsvWriter:
         assert (tmp_path / "t.csv").read_bytes() == b"old bytes\n"
         assert os.listdir(tmp_path) == ["t.csv"]
 
+    @pytest.mark.parametrize("fail", list(_OLD_GRID))
+    def test_failed_grid_chunk_keeps_both_old_files(self, fail, tmp_path, monkeypatch):
+        for name, data in _OLD_GRID.items():
+            (tmp_path / name).write_bytes(data)
+        chunks = _fail_second_chunk(monkeypatch, list(_OLD_GRID).index(fail))
+        rows = cli._CHUNK_VALUES // 100
+        prob = np.random.default_rng(24).random((3 * rows, 100))
+        with pytest.raises(OSError, match="no space"):
+            cli._write_grid(str(tmp_path), "# meta", np.linspace(0.0, 1.0, 3 * rows), prob)
+        lines = rows * (100 if fail == "grid.csv" else 1)
+        assert len(chunks) == 2 and chunks[0].count("\n") == lines
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == _OLD_GRID
+
+    def test_failed_second_mkstemp_keeps_both_old_files(self, tmp_path, monkeypatch):
+        for name, data in _OLD_GRID.items():
+            (tmp_path / name).write_bytes(data)
+        real_mkstemp = cli.tempfile.mkstemp
+        prefixes = []
+
+        def mkstemp(*args, **kwargs):
+            prefixes.append(kwargs["prefix"])
+            if len(prefixes) == 2:
+                raise OSError("too many open files")
+            return real_mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr(cli.tempfile, "mkstemp", mkstemp)
+        with pytest.raises(OSError, match="too many open files"):
+            cli._write_grid(str(tmp_path), "# meta", np.zeros(2), np.ones((2, 3)))
+        assert prefixes == ["grid.csv.", "grid_matrix.csv."]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == _OLD_GRID
+
     def test_memory_bounded_on_a_cap_sized_grid(self, tmp_path):
         T, M = GRID_CELL_CAP // 100, 100
         prob = np.random.default_rng(22).random((T, M))
-        t = np.repeat(np.linspace(0.0, 1.0, T), M)
-        columns = [t, np.tile(np.arange(1, M + 1), T), prob.ravel()]
+        times = np.linspace(0.0, 1.0, T)
         tracemalloc.start()
         try:
-            cli._write_csv(str(tmp_path), "grid.csv", "# meta", ["t", "j", "prob"], columns)
+            cli._write_grid(str(tmp_path), "# meta", times, prob)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
