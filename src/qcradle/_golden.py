@@ -14,33 +14,30 @@ def golden_max(f, a: float, b: float, xtol: float) -> tuple[float, float, int]:
     or until a probe rounds onto a bracket end (an interval of a few ulps
     wider than ``xtol`` cannot shrink further), and also returns the best
     endpoint/probe seen, so a maximum at the bracket edge is not lost.
+    ``evaluations`` counts the calls of ``f``: the two ends, two interior
+    probes, then one probe per shrink.
     """
     if not b >= a:
         raise ValueError("need b >= a")
-    evals = 0
-
-    def ev(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        return f(x)
-
-    best_x, best_f = a, ev(a)
-    fb = ev(b)
+    best_x, best_f = a, f(a)
+    fb = f(b)
     if fb > best_f:
         best_x, best_f = b, fb
 
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = ev(c), ev(d)
+    fc, fd = f(c), f(d)
+    evals = 4
     while b - a > xtol and a < c <= d < b:
+        evals += 1
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = ev(c)
+            fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = ev(d)
+            fd = f(d)
     for x, fx in ((c, fc), (d, fd)):
         if fx > best_f:
             best_x, best_f = x, fx

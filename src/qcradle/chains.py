@@ -63,9 +63,9 @@ class ChainSpec:
             raise ValueError(f"tau must have length M-1 = {self.M - 1}, got {tau.shape}")
         if eps.shape != (self.M,):
             raise ValueError(f"eps must have length M = {self.M}, got {eps.shape}")
-        if self.M > 1 and not np.all(tau > 0.0):
+        if self.M > 1 and not tau.min() > 0.0:  # also refuses NaN
             raise ValueError("all hopping amplitudes tau_j must be > 0")
-        if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(eps))):
+        if not (np.isfinite(tau).all() and np.isfinite(eps).all()):
             raise ValueError("tau and eps must be finite")
         object.__setattr__(self, "tau", _readonly(tau))
         object.__setattr__(self, "eps", _readonly(eps))
@@ -73,10 +73,8 @@ class ChainSpec:
 
 def mirror_symmetric(spec: ChainSpec) -> bool:
     """True iff tau_j = tau_{M-j} and eps_j = eps_{M+1-j} exactly."""
-    return bool(
-        np.array_equal(spec.tau, spec.tau[::-1])
-        and np.array_equal(spec.eps, spec.eps[::-1])
-    )
+    tau, eps = spec.tau, spec.eps
+    return bool((tau == tau[::-1]).all() and (eps == eps[::-1]).all())
 
 
 @dataclass(frozen=True, eq=False)

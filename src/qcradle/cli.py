@@ -15,16 +15,17 @@ config is a flat sectioned key-value file ([chain], [state], [evolve],
 schema; [chain] and [state] pick theirs by ``kind`` from
 ``_CHAIN_KINDS``/``_STATE_KINDS``, which also hold each kind's builder.
 Missing and unknown keys are reported by name, in declaration order.
-``--out`` defaults to the working directory.  Two writers format a block of
-rows at a time, integers as they are and floats with 17 significant digits:
-``_write_grid`` writes evolve's grid pair in one pass, formatting each value
-once, and ``_write_csv`` every other CSV.  Both go through
-``_replace_atomically``, which moves finished temp files onto their targets
-with permissions that follow the umask.  Every CSV starts with a single '#'
-metadata line recording the tool version, a hash of the resolved config, and
-the defaults in effect, so output files are self-describing and
-byte-identical across reruns.  Exit codes: 0 success, 2 config validation,
-3 compute cap, 4 I/O.
+``--out`` defaults to the working directory.  Two formatters write a block
+of rows at a time, integers as they are and floats with 17 significant
+digits: ``_write_grid`` writes evolve's grid pair in one pass, formatting
+each value once, and ``_csv_writer`` every other CSV.  Every file goes
+through ``_replace_atomically``, which moves finished temp files onto their
+targets with permissions that follow the umask; each command's files go
+through one call, so a write that fails replaces none of them.  Every CSV
+starts with a single '#' metadata line recording the tool version, a hash of
+the resolved config, and the defaults in effect, so output files are
+self-describing and byte-identical across reruns.  Exit codes: 0 success,
+2 config validation, 3 compute cap, 4 I/O.
 
 One table, ``_CAPS``, holds the size caps by their ``# caps=`` header names:
 ``grid`` (evolve grid cells), ``basis``, ``dim`` (the oracle's basis
@@ -274,9 +275,10 @@ def _replace_atomically(outdir: str, names: list[str], write) -> list[str]:
     return paths
 
 
-def _write_csv(outdir: str, name: str, meta: str, header: list[str] | None, columns) -> str:
-    """Atomically write equal-length 1-D ``columns`` as the CSV rows of
-    ``outdir/name``: ``%d`` for integer columns, ``%.17g`` for the rest."""
+def _csv_writer(meta: str, header: list[str] | None, columns):
+    """A function that writes equal-length 1-D ``columns`` as CSV rows to an
+    open text file, a block of rows per ``%`` operation: ``%d`` for integer
+    columns, ``%.17g`` for the rest."""
     columns = [np.asarray(c) for c in columns]
     row_fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
     width, n = len(columns), len(columns[0])
@@ -291,7 +293,12 @@ def _write_csv(outdir: str, name: str, meta: str, header: list[str] | None, colu
                 values[k::width] = c[start:stop].tolist()
             fh.write(row_fmt * (stop - start) % tuple(values))
 
-    return _replace_atomically(outdir, [name], write)[0]
+    return write
+
+
+def _write_csv(outdir: str, name: str, meta: str, header: list[str] | None, columns) -> str:
+    """Atomically write ``columns`` as the CSV ``outdir/name`` (``_csv_writer``)."""
+    return _replace_atomically(outdir, [name], _csv_writer(meta, header, columns))[0]
 
 
 def _write_grid(outdir: str, meta: str, times, prob) -> list[str]:
@@ -392,12 +399,17 @@ def cmd_tune(cfg: dict, outdir: str, caps: dict) -> list[str]:
     }
     meta = _meta("tune", cfg, caps, extra)
     params, amps = zip(*result.trace)
-    trace_columns = [*zip(*params), amps]
-    paths = [_write_csv(outdir, "tune.csv", meta, param_names + ["amplitude"], trace_columns)]
-    best = result.best_params + (result.best_amplitude, result.best_time, result.evaluations)
+    trace = _csv_writer(meta, param_names + ["amplitude"], [*zip(*params), amps])
+    best_row = result.best_params + (result.best_amplitude, result.best_time, result.evaluations)
     best_header = param_names + ["amplitude", "time", "evaluations"]
-    paths.append(_write_csv(outdir, "tune_best.csv", meta, best_header, [[v] for v in best]))
-    return paths
+    best = _csv_writer(meta, best_header, [[v] for v in best_row])
+
+    def write(trace_fh, best_fh):
+        trace(trace_fh)
+        best(best_fh)
+
+    # one call for the pair: a write that fails replaces neither file
+    return _replace_atomically(outdir, ["tune.csv", "tune_best.csv"], write)
 
 
 def cmd_oracle(cfg: dict, outdir: str, caps: dict) -> list[str]:

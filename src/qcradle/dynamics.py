@@ -21,13 +21,15 @@ A chain with eps = 0 folds onto (M + 1) // 2 modes and one of the two sums
 (q alone for even M, p alone for odd M); any other chain has nu = omega and
 p = q = g_{n1} g_{nM}.  ``Spectrum`` derives these from the eigenvalues
 without building the M^2 eigenvectors.  The grid is factored into two phase
-blocks so the scan is a real matrix product over the nonzero sums, summed
-over chunks of at most K = 128 modes, in O(sqrt(n) K + n) memory.  Each block
-holds powers of one step phase per mode, built by running products, so the
-scan carries an O(sqrt(n) eps) sum_n |w_n| round-off; it only picks the best
-coarse sample.
-Golden-section search then refines that sample, and every reported amplitude
-is a direct sum over the modes at one time.
+blocks so the scan is a real matrix product over the nonzero sums, added in
+place into one accumulator over chunks of at most K = 128 modes, in
+O(sqrt(n) K + n) memory.  Each block holds powers of one step phase per mode,
+built by doubling, so the scan carries an O(sqrt(n) eps) sum_n |w_n|
+round-off; it only picks the best coarse sample.
+Golden-section search then refines that sample through the point kernel
+``_end_kernel``, bound once per transfer to the modes, their nonzero halves
+and a work buffer.  ``end_amplitude`` calls the same kernel, so every
+reported amplitude is the same direct sum over the modes at one time.
 
 Times are in units of inverse energy (hbar = 1).
 """
@@ -39,6 +41,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from ._golden import golden_max
 from .chains import WaveState, _count, _readonly
@@ -115,12 +118,16 @@ def evolution_grid(
     return EvolutionGrid(times=times, prob=np.abs(amps) ** 2)
 
 
-def _phase_powers(nu: np.ndarray, step: float, count: int) -> np.ndarray:
-    # rows e^{-i nu k step}, k < count, as running products of one step phase
-    powers = np.empty((count, nu.size), dtype=complex)
-    powers[0] = 1.0
-    powers[1:] = np.exp(-1j * step * nu)
-    return np.cumprod(powers, axis=0, out=powers)
+def _fill_powers(table: np.ndarray, phase: np.ndarray) -> None:
+    # table[..., k, :] = table[..., 0, :] * phase^k for every row k, by
+    # doubling: rows [k, 2k) are rows [0, k) times phase^k, squared in place
+    count = table.shape[-2]
+    k = 1
+    while k < count:
+        np.multiply(table[..., : min(k, count - k), :], phase, table[..., k : 2 * k, :])
+        k *= 2
+        if k < count:
+            np.multiply(phase, phase, phase)
 
 
 def _end_abs_scan(nu: np.ndarray, p, q, dt: float, n: int) -> np.ndarray:
@@ -132,12 +139,14 @@ def _end_abs_scan(nu: np.ndarray, p, q, dt: float, n: int) -> np.ndarray:
     B = ceil(sqrt(n)), so C = Re sum p e^{-i nu t} and S = Re sum i q e^{-i nu t}
     come from a ceil(n/B) x K outer-phase block and a B x K inner-phase block
     per chunk of at most K = ``_SCAN_MODES`` modes, whose products are summed
-    into one ceil(n/B) x B accumulator per sum: O(sqrt(n)*K + n) memory
-    instead of O(n*M).  Re(a b) is the real dot of conj(a) with b, both seen
-    as (re, im) pairs, so each chunk is one real matrix product over the
-    nonzero halves: for a folded chain, a quarter of the flops of a complex
-    product over all M modes.  Both blocks are running products of one step
-    phase per mode.  No power exceeds B, which bounds the round-off drift by
+    in place into one ceil(n/B) x B accumulator per sum: O(sqrt(n)*K + n)
+    memory instead of O(n*M).  Re(a b) is the real dot of conj(a) with b,
+    both seen as (re, im) pairs, so each chunk is one real matrix product over
+    the nonzero halves: for a folded chain, a quarter of the flops of a
+    complex product over all M modes.  Both blocks are powers of one step
+    phase per mode, built by doubling (``_fill_powers``); the outer block
+    starts from the conjugated weights, so it is the left factor as built.
+    No power exceeds B, which bounds the round-off drift by
     O(sqrt(n)*eps) * sum|w|: enough to pick the coarse argmax, which is all
     the scan is used for.
     """
@@ -148,32 +157,55 @@ def _end_abs_scan(nu: np.ndarray, p, q, dt: float, n: int) -> np.ndarray:
         weights.append(p)
     if q is not None:
         weights.append(1j * q)
-    parts = None
+    parts = np.zeros((len(weights) * nb, B))
     for lo in range(0, nu.size, _SCAN_MODES):
         chunk = slice(lo, lo + _SCAN_MODES)
         modes = nu[chunk]
-        inner = _phase_powers(modes, dt, B)
-        outer = _phase_powers(modes, B * dt, nb)
+        # conj(w e^{-i nu b B dt}), b < nb, and e^{-i nu k dt}, k < B
         lhs = np.empty((len(weights), nb, modes.size), dtype=complex)
-        for block, c in zip(lhs, weights):
-            np.multiply(outer, c[chunk], out=block)
-        del outer
-        np.conj(lhs, out=lhs)
-        part = lhs.view(float).reshape(-1, 2 * modes.size) @ inner.view(float).T
-        if parts is None:
-            parts = part  # no 0 + x: one chunk is the same operations as one product
-        else:
-            parts += part
+        for i, c in enumerate(weights):
+            np.conj(c[chunk], lhs[i, 0])
+        _fill_powers(lhs, np.exp(1j * (B * dt) * modes))
+        inner = np.empty((B, modes.size), dtype=complex)
+        inner[0] = 1.0
+        _fill_powers(inner, np.exp(-1j * dt * modes))
+        lhs = lhs.view(float).reshape(-1, 2 * modes.size)
+        inner = inner.view(float)
+        # parts += lhs @ inner.T in place: the transposed views are
+        # Fortran-ordered, so BLAS reads and writes them without a copy
+        blas.dgemm(1.0, inner.T, lhs.T, beta=1.0, c=parts.T, trans_a=1, overwrite_c=1)
+        del lhs, inner  # before the next chunk's blocks are built
     parts = parts.reshape(len(weights), -1)[:, :n]
     return np.hypot(*parts) if len(weights) == 2 else np.abs(parts[0])
 
 
-def _end_sum(nu: np.ndarray, p, q, t: float) -> complex:
-    # A_M(t) = C - iS with C = p . cos(nu t) and S = q . sin(nu t); a None half is 0
-    x = nu * t
-    c = 0.0 if p is None else p @ np.cos(x)
-    s = 0.0 if q is None else q @ np.sin(x, out=x)
-    return complex(c, -s)
+def _end_kernel(nu: np.ndarray, p, q):
+    """The point kernel t -> A_M(t) = p . cos(nu t) - i q . sin(nu t), bound once.
+
+    ``(nu, p, q)`` are the modes of ``Spectrum._end_modes``.  Which halves are
+    nonzero (a None half is 0) is settled here, not per call, and every call
+    reuses the work buffers made here.  The golden refine and
+    ``end_amplitude`` both call it, so A_M(t) has one definition.
+    """
+    x = np.empty(nu.size)
+    if q is None:
+
+        def amp(t: float) -> complex:  # C - i 0
+            return complex(p.dot(np.cos(np.multiply(nu, t, x), x)), -0.0)
+
+    elif p is None:
+
+        def amp(t: float) -> complex:
+            return complex(0.0, -q.dot(np.sin(np.multiply(nu, t, x), x)))
+
+    else:
+        y = np.empty(nu.size)
+
+        def amp(t: float) -> complex:
+            np.multiply(nu, t, x)
+            return complex(p.dot(np.cos(x, y)), -q.dot(np.sin(x, x)))
+
+    return amp
 
 
 def end_amplitude(spectrum: Spectrum, t: float) -> complex:
@@ -186,12 +218,13 @@ def end_amplitude(spectrum: Spectrum, t: float) -> complex:
     """
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    return _end_sum(*spectrum._end_modes, t)
+    return _end_kernel(*spectrum._end_modes)(t)
 
 
 def _tau_max(spectrum: Spectrum) -> float:
     # the largest hopping sets the default window and scan step
-    return float(np.max(spectrum.spec.tau)) if spectrum.M > 1 else 1.0
+    tau = spectrum.spec.tau
+    return float(tau.max()) if tau.size else 1.0
 
 
 def default_window(spectrum: Spectrum) -> tuple[float, float]:
@@ -208,26 +241,26 @@ def peak_transfer(spectrum: Spectrum) -> TransferReport:
     ties on the coarse grid resolve to the earliest time.  A window end that
     overflows (a subnormal tau_max) raises ValueError.
     """
-    window = default_window(spectrum)
-    T, tau = window[1], _tau_max(spectrum)
+    tau = _tau_max(spectrum)
+    T = PEAK_WINDOW_FACTOR * spectrum.M / tau  # default_window's end, tau_max read once
     if T == math.inf:
         raise ValueError(f"peak-search window 1.5 M/tau_max overflows at tau_max = {tau!r}")
-    n = int(np.ceil(T * tau / PEAK_COARSE_STEP)) + 1
+    n = math.ceil(T * tau / PEAK_COARSE_STEP) + 1
     dt = T / (n - 1)
     modes = spectrum._end_modes
-    vals = _end_abs_scan(*modes, dt, n)
-    t_best = int(np.argmax(vals)) * dt
-    f_best = abs(_end_sum(*modes, t_best))
+    t_best = int(_end_abs_scan(*modes, dt, n).argmax()) * dt
+    amp = _end_kernel(*modes)
+    f_best = abs(amp(t_best))
 
     a = max(0.0, t_best - dt)
     b = min(T, t_best + dt)
-    t_ref, f_ref, evals = golden_max(lambda t: abs(_end_sum(*modes, t)), a, b, PEAK_TIME_TOL)
+    t_ref, f_ref, evals = golden_max(lambda t: abs(amp(t)), a, b, PEAK_TIME_TOL)
     if f_ref > f_best:
         t_best, f_best = t_ref, f_ref
     return TransferReport(
         peak_time=float(t_best),
         peak_amplitude=float(f_best),
-        window=window,
+        window=(0.0, T),
         samples=n + evals + 1,
     )
 

@@ -35,7 +35,7 @@ from .chains import ChainSpec, WaveState, _count, _readonly, mirror_symmetric
 from .errors import DegenerateSpectrumError
 
 # Gap-matrix entries per chunk of rows in _end_weights: 256 KB of float64,
-# so a chunk and its log and inverse stay in cache.
+# so a chunk and its work buffer (its logs, then its reciprocals) stay in cache.
 _GAP_CHUNK = 2**15
 
 # End weights below this are set to 0: the scan's GEMM would make subnormal
@@ -163,7 +163,8 @@ def _end_weights(omega: np.ndarray, tau: np.ndarray, rows: int) -> np.ndarray | 
 
     so with tau > 0 and ascending omega the sign is (-1)^(n-1) for 1-based n.
     The magnitude is a sum of logs taken over chunks of rows of the gap
-    matrix, so memory stays O(M) for large M.  The weights are certified, and
+    matrix, each built, with its logs and then its reciprocals, in two
+    buffers made once per call, so memory stays O(M) for large M.  The weights are certified, and
     returned, only when every gap is > 0, sum_n |w_n| over all M modes is
     <= 1 + 64 M eps (the exact weights meet it by Cauchy-Schwarz), and every
     weight's first-order error under eigenvalue errors of eps ||T||,
@@ -171,25 +172,28 @@ def _end_weights(omega: np.ndarray, tau: np.ndarray, rows: int) -> np.ndarray | 
     Computed eigenvalues that tie fail it, and so do near ties.
     """
     M = omega.size
-    if not (np.diff(omega) > 0.0).all():
+    if not (omega[1:] > omega[:-1]).all():
         return None
     log_gaps, inv_gaps = np.empty(rows), np.empty(rows)
-    chunk = max(1, _GAP_CHUNK // M)
-    with np.errstate(over="ignore"):
+    chunk = min(rows, max(1, _GAP_CHUNK // M))
+    gaps, work = np.empty((2, chunk, M))
+    with np.errstate(over="ignore"):  # 1/gap overflows for subnormal gaps, exp for huge weights
         for lo in range(0, rows, chunk):
             hi = min(rows, lo + chunk)
-            gaps = np.abs(omega[lo:hi, None] - omega)
-            gaps[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
-            log_gaps[lo:hi] = np.log(gaps).sum(axis=1)
-            inv_gaps[lo:hi] = (1.0 / gaps).sum(axis=1) - 1.0  # less the diagonal's 1
+            g, f = gaps[: hi - lo], work[: hi - lo]
+            np.abs(np.subtract(omega[lo:hi, None], omega, g), g)
+            g.reshape(-1)[lo :: M + 1] = 1.0  # each row's own entry, (r, lo + r)
+            np.log(g, f).sum(axis=1, out=log_gaps[lo:hi])
+            np.divide(1.0, g, f).sum(axis=1, out=inv_gaps[lo:hi])
         w = np.exp(np.log(tau).sum() - log_gaps)
-    w[1::2] = -w[1::2]
+    inv_gaps -= 1.0  # less the diagonal's 1
+    w[1::2] *= -1.0
     total = np.abs(w).sum()
     if rows < M:  # each weight stands for its mirror mode too, bar an odd chain's zero mode
         total = 2.0 * total - (abs(w[-1]) if M % 2 else 0.0)
     eps = np.finfo(float).eps
     first_order = 2.0 * eps * max(-omega[0], omega[-1]) * np.abs(w) * inv_gaps
-    if not (total <= 1.0 + 64 * M * eps and np.max(first_order) <= 64 * M * eps):
+    if not (total <= 1.0 + 64 * M * eps and first_order.max() <= 64 * M * eps):
         return None
     return w
 

@@ -271,8 +271,8 @@ def _grid_cases():
 _OLD_GRID = {"grid.csv": b"old grid\n", "grid_matrix.csv": b"old matrix\n"}
 
 
-def _fail_second_chunk(monkeypatch, fail=0):
-    """Make the ``fail``-th text file the writers open raise on its second
+def _fail_data_write(monkeypatch, fail=0, at=2):
+    """Make the ``fail``-th text file the writers open raise on its ``at``-th
     write of data rows; returns that file's data writes."""
     real_fdopen = os.fdopen
     opened, chunks = [], []
@@ -292,7 +292,7 @@ def _fail_second_chunk(monkeypatch, fail=0):
         def write(self, text):
             if self.index == fail and not text.startswith("#"):
                 chunks.append(text)
-                if len(chunks) == 2:
+                if len(chunks) == at:
                     raise OSError("no space left on device")
             return self.fh.write(text)
 
@@ -338,7 +338,7 @@ class TestCsvWriter:
 
     def test_failed_chunk_keeps_old_file(self, tmp_path, monkeypatch):
         (tmp_path / "t.csv").write_bytes(b"old bytes\n")
-        chunks = _fail_second_chunk(monkeypatch)
+        chunks = _fail_data_write(monkeypatch)
         columns = [_RNG_VALUES, _RNG_VALUES, _RNG_VALUES]
         with pytest.raises(OSError, match="no space"):
             cli._write_csv(str(tmp_path), "t.csv", "# meta", ["a", "b", "c"], columns)
@@ -350,7 +350,7 @@ class TestCsvWriter:
     def test_failed_grid_chunk_keeps_both_old_files(self, fail, tmp_path, monkeypatch):
         for name, data in _OLD_GRID.items():
             (tmp_path / name).write_bytes(data)
-        chunks = _fail_second_chunk(monkeypatch, list(_OLD_GRID).index(fail))
+        chunks = _fail_data_write(monkeypatch, list(_OLD_GRID).index(fail))
         rows = cli._CHUNK_VALUES // 100
         prob = np.random.default_rng(24).random((3 * rows, 100))
         with pytest.raises(OSError, match="no space"):
@@ -391,6 +391,19 @@ class TestCsvWriter:
 
 
 class TestTuneCommand:
+    def test_failed_best_write_keeps_the_old_pair(self, tmp_path, monkeypatch):
+        # tune.csv is written in full, then tune_best.csv's first row fails:
+        # neither file is replaced and no temp file is left
+        old = {"tune.csv": b"old trace\n", "tune_best.csv": b"old best\n"}
+        for name, data in old.items():
+            (tmp_path / name).write_bytes(data)
+        cfg = write(tmp_path / "run.ini", TUNE_ONE_POINT)
+        chunks = _fail_data_write(monkeypatch, fail=1, at=1)
+        assert main(["tune", "--config", cfg, "--out", str(tmp_path)]) == EXIT_IO
+        assert len(chunks) == 1
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.suffix != ".ini"} == old
+        assert sorted(os.listdir(tmp_path)) == ["run.ini", "tune.csv", "tune_best.csv"]
+
     def test_single_point_grid(self, tmp_path):
         cfg = write(tmp_path / "run.ini", TUNE_ONE_POINT)
         assert main(["tune", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK

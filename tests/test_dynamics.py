@@ -28,7 +28,7 @@ from qcradle import (
     revival_fidelity,
     uniform_chain,
 )
-from qcradle.dynamics import _SCAN_MODES, _end_abs_scan, _end_sum, default_window
+from qcradle.dynamics import _SCAN_MODES, _end_abs_scan, _end_kernel, default_window
 from util import dense_propagate, random_chain, seeded_spectrum, unfold_modes
 
 
@@ -200,6 +200,34 @@ class TestEndAmplitude:
         rep = peak_transfer(sp)
         assert abs(end_amplitude(sp, rep.peak_time)) == rep.peak_amplitude
 
+    @pytest.mark.parametrize(
+        "spec, p_none, q_none, fallback",
+        [
+            (edge_modified_chain(100, 1.0, 0.36, 0.68), True, False, False),
+            (edge_modified_chain(101, 1.0, 0.36, 0.68), False, True, False),
+            (gaussian_trap_chain(100, 1.0, 40.0, 50.0), False, False, False),
+            (edge_modified_chain(100, 1.0, 1.0, 0.02), False, False, True),
+        ],
+        ids=["even-fold", "odd-fold", "both-halves", "eigenvector-fallback"],
+    )
+    def test_refine_modulus_equals_end_amplitude(self, spec, p_none, q_none, fallback, monkeypatch):
+        # the refine's objective and end_amplitude are one point kernel away
+        # from the peak too, for each shape of the modes (nu, p, q)
+        sp = diagonalize(spec)
+        objectives = []
+
+        def golden_max(f, *args):
+            objectives.append(f)
+            return qcradle._golden.golden_max(f, *args)
+
+        monkeypatch.setattr(qcradle.dynamics, "golden_max", golden_max)
+        peak_transfer(sp)
+        _, p, q = sp._end_modes
+        assert (p is None, q is None, "_eigenpairs" in vars(sp)) == (p_none, q_none, fallback)
+        (refine,) = objectives
+        for t in np.random.default_rng(spec.M).uniform(0.0, 1.5 * spec.M, 50).tolist():
+            assert refine(t) == abs(end_amplitude(sp, t))
+
     def test_asymmetric_chain(self):
         # the mode sum needs no mirror symmetry: it matches the dense
         # propagator, and the peak search, on chains without it
@@ -362,8 +390,9 @@ class TestEndSum:
         # over all M modes with the same eigenvalues and end weights
         modes = diagonalize(spec)._end_modes
         omega, w = unfold_modes(modes, spec.M)
+        amp = _end_kernel(*modes)
         for t in np.random.default_rng(7).uniform(0.0, 150.0, 1000):
-            assert abs(_end_sum(*modes, t) - np.sum(w * np.exp(-1j * omega * t))) <= 1e-14
+            assert abs(amp(t) - np.sum(w * np.exp(-1j * omega * t))) <= 1e-14
 
 
 def _scan_modes(spec):
@@ -417,7 +446,7 @@ class TestEndAbsScan:
 
     def test_realistic_grid_matches_direct_sum(self, spectrum2000):
         # default grid of a uniform M = 2000 chain: n = 60001, block size 245;
-        # the running-product phases drift most at the end of each block
+        # the doubled phases drift most at the end of each block
         sp = spectrum2000
         n = 60001
         dt = default_window(sp)[1] / (n - 1)
@@ -445,6 +474,29 @@ class TestEndAbsScan:
             finally:
                 tracemalloc.stop()
             assert peak < 16 * 2**20
+
+    def test_scan_holds_one_accumulator(self):
+        # the off-centre trap at M = 5000 scans both halves over 40 chunks into
+        # a 774 x 388 accumulator (2.4 MB); each chunk adds its product into it
+        # in place, so the scan peaks near the accumulator plus one chunk's
+        # weighted outer and inner blocks (2.4 MB).  A second accumulator-sized
+        # product, or one chunk's blocks kept alive into the next, adds 2.4 MB
+        sp = diagonalize(gaussian_trap_chain(5000, 1.0, 2500.0, 5500.0))
+        nu, p, q = sp._end_modes
+        n = 30 * sp.M + 1
+        dt = default_window(sp)[1] / (n - 1)
+        B = math.isqrt(n - 1) + 1
+        nb = -(-n // B)
+        accumulator = 2 * nb * B * 8
+        blocks = (2 * nb + B) * _SCAN_MODES * 16
+        assert nu.size > _SCAN_MODES and p is not None and q is not None
+        tracemalloc.start()
+        try:
+            _end_abs_scan(nu, p, q, dt, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < accumulator + blocks + 2**19
 
     def test_workload_transfers_peak_rss(self):
         # the peak RSS of a fresh process, which also counts BLAS buffers: the
