@@ -15,17 +15,17 @@ config is a flat sectioned key-value file ([chain], [state], [evolve],
 schema; [chain] and [state] pick theirs by ``kind`` from
 ``_CHAIN_KINDS``/``_STATE_KINDS``, which also hold each kind's builder.
 Missing and unknown keys are reported by name, in declaration order.
-``--out`` defaults to the working directory.  Two formatters write a block
+``--out`` defaults to the working directory.  Two writers format a block
 of rows at a time, integers as they are and floats with 17 significant
 digits: ``_write_grid`` writes evolve's grid pair in one pass, formatting
-each value once, and ``_csv_writer`` every other CSV.  Every file goes
-through ``_replace_atomically``, which moves finished temp files onto their
-targets with permissions that follow the umask; each command's files go
-through one call, so a write that fails replaces none of them.  Every CSV
-starts with a single '#' metadata line recording the tool version, a hash of
-the resolved config, and the defaults in effect, so output files are
-self-describing and byte-identical across reruns.  Exit codes: 0 success,
-2 config validation, 3 compute cap, 4 I/O.
+each value once, and ``_write_csvs`` the tables of every other command.
+Each command makes one writer call, and each writer one call of
+``_replace_atomically``, which moves finished temp files onto their targets
+with permissions that follow the umask, so a write that fails replaces none
+of the command's files.  Every CSV starts with a single '#' metadata line
+recording the tool version, a hash of the resolved config, and the defaults
+in effect, so output files are self-describing and byte-identical across
+reruns.  Exit codes: 0 success, 2 config validation, 3 compute cap, 4 I/O.
 
 One table, ``_CAPS``, holds the size caps by their ``# caps=`` header names:
 ``grid`` (evolve grid cells), ``basis``, ``dim`` (the oracle's basis
@@ -240,7 +240,7 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
-# values per `%` operation of _write_csv and _write_grid; a block holds at least one row
+# values per `%` operation of _write_csvs and _write_grid; a block holds at least one row
 _CHUNK_VALUES = 1 << 11
 
 
@@ -275,36 +275,33 @@ def _replace_atomically(outdir: str, names: list[str], write) -> list[str]:
     return paths
 
 
-def _csv_writer(meta: str, header: list[str] | None, columns):
-    """A function that writes equal-length 1-D ``columns`` as CSV rows to an
-    open text file, a block of rows per ``%`` operation: ``%d`` for integer
-    columns, ``%.17g`` for the rest."""
-    columns = [np.asarray(c) for c in columns]
-    row_fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
-    width, n = len(columns), len(columns[0])
-    rows = max(1, _CHUNK_VALUES // width)
+def _write_csvs(outdir: str, meta: str, tables: dict) -> list[str]:
+    """Atomically write each ``{name: (header, columns)}`` table as the CSV
+    ``outdir/name``, all through one ``_replace_atomically`` call.  Equal-length
+    1-D ``columns`` become rows, a block of rows per ``%`` operation: ``%d``
+    for integer columns, ``%.17g`` for the rest."""
 
-    def write(fh):
-        fh.write(meta + "\n" + ("" if header is None else ",".join(header) + "\n"))
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            values = [None] * (width * (stop - start))
-            for k, c in enumerate(columns):
-                values[k::width] = c[start:stop].tolist()
-            fh.write(row_fmt * (stop - start) % tuple(values))
+    def write(*files):
+        for fh, (header, columns) in zip(files, tables.values()):
+            columns = [np.asarray(c) for c in columns]
+            row_fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+            width, n = len(columns), len(columns[0])
+            rows = max(1, _CHUNK_VALUES // width)
+            fh.write(meta + "\n" + ("" if header is None else ",".join(header) + "\n"))
+            for start in range(0, n, rows):
+                stop = min(start + rows, n)
+                values = [None] * (width * (stop - start))
+                for k, c in enumerate(columns):
+                    values[k::width] = c[start:stop].tolist()
+                fh.write(row_fmt * (stop - start) % tuple(values))
 
-    return write
-
-
-def _write_csv(outdir: str, name: str, meta: str, header: list[str] | None, columns) -> str:
-    """Atomically write ``columns`` as the CSV ``outdir/name`` (``_csv_writer``)."""
-    return _replace_atomically(outdir, [name], _csv_writer(meta, header, columns))[0]
+    return _replace_atomically(outdir, list(tables), write)
 
 
 def _write_grid(outdir: str, meta: str, times, prob) -> list[str]:
     """Atomically write the (T, M) site probabilities ``prob`` at ``times`` as
     ``grid.csv`` (rows t,j,prob) and ``grid_matrix.csv`` (row k is prob[k]),
-    the bytes ``_write_csv`` gives for them, formatting each value once."""
+    the bytes ``_write_csvs`` gives for them, formatting each value once."""
     T, M = prob.shape
     rows = max(1, _CHUNK_VALUES // M)
     row_fmt = ",".join(["%.17g"] * M) + "\n"
@@ -352,7 +349,7 @@ def cmd_spectrum(cfg: dict, outdir: str, caps: dict) -> list[str]:
         header.append("overlap")
         columns.append(mode_overlaps(spectrum, state))
     meta = _meta("spectrum", cfg, caps, meta_extra)
-    return [_write_csv(outdir, "spectrum.csv", meta, header, columns)]
+    return _write_csvs(outdir, meta, {"spectrum.csv": (header, columns)})
 
 
 def cmd_evolve(cfg: dict, outdir: str, caps: dict) -> list[str]:
@@ -399,17 +396,12 @@ def cmd_tune(cfg: dict, outdir: str, caps: dict) -> list[str]:
     }
     meta = _meta("tune", cfg, caps, extra)
     params, amps = zip(*result.trace)
-    trace = _csv_writer(meta, param_names + ["amplitude"], [*zip(*params), amps])
     best_row = result.best_params + (result.best_amplitude, result.best_time, result.evaluations)
-    best_header = param_names + ["amplitude", "time", "evaluations"]
-    best = _csv_writer(meta, best_header, [[v] for v in best_row])
-
-    def write(trace_fh, best_fh):
-        trace(trace_fh)
-        best(best_fh)
-
-    # one call for the pair: a write that fails replaces neither file
-    return _replace_atomically(outdir, ["tune.csv", "tune_best.csv"], write)
+    tables = {
+        "tune.csv": (param_names + ["amplitude"], [*zip(*params), amps]),
+        "tune_best.csv": (param_names + ["amplitude", "time", "evaluations"], [[v] for v in best_row]),
+    }
+    return _write_csvs(outdir, meta, tables)
 
 
 def cmd_oracle(cfg: dict, outdir: str, caps: dict) -> list[str]:
@@ -440,7 +432,7 @@ def cmd_oracle(cfg: dict, outdir: str, caps: dict) -> list[str]:
     }
     meta = _meta("oracle", cfg, caps, extra)
     columns = [report.times, report.leakage, report.deviation]
-    return [_write_csv(outdir, "oracle.csv", meta, ["t", "leakage", "max_deviation"], columns)]
+    return _write_csvs(outdir, meta, {"oracle.csv": (["t", "leakage", "max_deviation"], columns)})
 
 
 _COMMANDS = {

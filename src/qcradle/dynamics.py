@@ -25,11 +25,11 @@ blocks so the scan is a real matrix product over the nonzero sums, added in
 place into one accumulator over chunks of at most K = 128 modes, in
 O(sqrt(n) K + n) memory.  Each block holds powers of one step phase per mode,
 built by doubling, so the scan carries an O(sqrt(n) eps) sum_n |w_n|
-round-off; it only picks the best coarse sample.
+round-off; it only picks the sample to refine, the scan's first maximum.
 Golden-section search then refines that sample through the point kernel
-``_end_kernel``, bound once per transfer to the modes, their nonzero halves
-and a work buffer.  ``end_amplitude`` calls the same kernel, so every
-reported amplitude is the same direct sum over the modes at one time.
+``_end_kernel``, bound once per transfer to the modes and its work buffers.
+``end_amplitude`` calls the same kernel, so every reported amplitude is the
+same direct sum over the modes at one time.
 
 Times are in units of inverse energy (hbar = 1).
 """
@@ -182,28 +182,20 @@ def _end_abs_scan(nu: np.ndarray, p, q, dt: float, n: int) -> np.ndarray:
 def _end_kernel(nu: np.ndarray, p, q):
     """The point kernel t -> A_M(t) = p . cos(nu t) - i q . sin(nu t), bound once.
 
-    ``(nu, p, q)`` are the modes of ``Spectrum._end_modes``.  Which halves are
-    nonzero (a None half is 0) is settled here, not per call, and every call
-    reuses the work buffers made here.  The golden refine and
-    ``end_amplitude`` both call it, so A_M(t) has one definition.
+    ``(nu, p, q)`` are the modes of ``Spectrum._end_modes``; a None half is
+    0 and is skipped.  Every call reuses the work buffers made here.  The
+    golden refine and ``end_amplitude`` both call it, so A_M(t) has one
+    definition.
     """
-    x = np.empty(nu.size)
-    if q is None:
+    x, y = np.empty(nu.size), np.empty(nu.size)
 
-        def amp(t: float) -> complex:  # C - i 0
-            return complex(p.dot(np.cos(np.multiply(nu, t, x), x)), -0.0)
-
-    elif p is None:
-
-        def amp(t: float) -> complex:
-            return complex(0.0, -q.dot(np.sin(np.multiply(nu, t, x), x)))
-
-    else:
-        y = np.empty(nu.size)
-
-        def amp(t: float) -> complex:
-            np.multiply(nu, t, x)
-            return complex(p.dot(np.cos(x, y)), -q.dot(np.sin(x, x)))
+    def amp(t: float) -> complex:
+        np.multiply(nu, t, x)
+        if q is None:  # C - i 0
+            return complex(p.dot(np.cos(x, x)), -0.0)
+        if p is None:
+            return complex(0.0, -q.dot(np.sin(x, x)))
+        return complex(p.dot(np.cos(x, y)), -q.dot(np.sin(x, x)))
 
     return amp
 
@@ -221,28 +213,21 @@ def end_amplitude(spectrum: Spectrum, t: float) -> complex:
     return _end_kernel(*spectrum._end_modes)(t)
 
 
-def _tau_max(spectrum: Spectrum) -> float:
-    # the largest hopping sets the default window and scan step
-    tau = spectrum.spec.tau
-    return float(tau.max()) if tau.size else 1.0
-
-
-def default_window(spectrum: Spectrum) -> tuple[float, float]:
-    return (0.0, PEAK_WINDOW_FACTOR * spectrum.M / _tau_max(spectrum))
-
-
 def peak_transfer(spectrum: Spectrum) -> TransferReport:
-    """Largest |A_M(t)| over ``default_window`` for the kick-at-1 state.
+    """Largest |A_M(t)| over the window (0, 1.5 M/tau_max) for the kick-at-1 state.
 
-    The window (0, 1.5 M/tau_max) is fixed by the chain.  A coarse uniform
-    scan of step 0.05/tau_max, n = 30M + 1 or 30M + 2 samples in
-    O(sqrt(n) K + n) memory (K = 128 modes per chunk), picks the best sample;
-    golden-section search refines it to time tolerance 1e-6.  Deterministic:
-    ties on the coarse grid resolve to the earliest time.  A window end that
-    overflows (a subnormal tau_max) raises ValueError.
+    The window is fixed by the chain (tau_max = 1 for one site) and is
+    reported as ``TransferReport.window``.  A coarse uniform scan of step
+    0.05/tau_max, n = 30M + 1 or 30M + 2 samples in O(sqrt(n) K + n) memory
+    (K = 128 modes per chunk), picks the first maximum of the computed scan;
+    golden-section search refines it to time tolerance 1e-6.  Deterministic,
+    but on a profile flat to round-off the scan's round-off, not the
+    earliest time, picks that sample.  A window end that overflows (a
+    subnormal tau_max) raises ValueError.
     """
-    tau = _tau_max(spectrum)
-    T = PEAK_WINDOW_FACTOR * spectrum.M / tau  # default_window's end, tau_max read once
+    tau = spectrum.spec.tau
+    tau = float(tau.max()) if tau.size else 1.0
+    T = PEAK_WINDOW_FACTOR * spectrum.M / tau
     if T == math.inf:
         raise ValueError(f"peak-search window 1.5 M/tau_max overflows at tau_max = {tau!r}")
     n = math.ceil(T * tau / PEAK_COARSE_STEP) + 1

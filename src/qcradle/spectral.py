@@ -192,7 +192,8 @@ def _end_weights(omega: np.ndarray, tau: np.ndarray, rows: int) -> np.ndarray | 
     if rows < M:  # each weight stands for its mirror mode too, bar an odd chain's zero mode
         total = 2.0 * total - (abs(w[-1]) if M % 2 else 0.0)
     eps = np.finfo(float).eps
-    first_order = 2.0 * eps * max(-omega[0], omega[-1]) * np.abs(w) * inv_gaps
+    with np.errstate(invalid="ignore"):  # 0 * inf at subnormal hoppings: a NaN, refused below
+        first_order = 2.0 * eps * max(-omega[0], omega[-1]) * np.abs(w) * inv_gaps
     if not (total <= 1.0 + 64 * M * eps and first_order.max() <= 64 * M * eps):
         return None
     return w

@@ -194,3 +194,21 @@ class TestInvariants:
         state = kick_state(4, 1)
         with pytest.raises(ValueError):
             state.z[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ChainSpec(M=2, tau=[np.inf], eps=[0.0, 0.0]), "tau and eps must be finite"),
+        (lambda: ChainSpec(M=2, tau=[1.0], eps=[0.0, np.nan]), "tau and eps must be finite"),
+        (lambda: WaveState(z=np.array([])), "z must be a nonempty 1-d amplitude vector"),
+        (lambda: WaveState(z=np.eye(2)), "z must be a nonempty 1-d amplitude vector"),
+        (lambda: edge_modified_chain(5, 0.0, 0.5), "tau must be > 0"),
+        (lambda: gaussian_trap_chain(5, -1.0, 2.0, 3.0), "tau must be > 0"),
+    ],
+    ids=["inf-tau", "nan-eps", "empty-z", "2d-z", "edge-tau", "trap-tau"],
+)
+def test_refusals(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert info.type is ValueError and str(info.value) == message

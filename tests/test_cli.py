@@ -304,7 +304,7 @@ class TestCsvWriter:
     @pytest.mark.parametrize("case", list(_csv_cases()))
     def test_bytes_equal_per_value_formatter(self, case, tmp_path):
         header, columns = _csv_cases()[case]
-        path = cli._write_csv(str(tmp_path), "t.csv", "# meta", header, columns)
+        (path,) = cli._write_csvs(str(tmp_path), "# meta", {"t.csv": (header, columns)})
         assert Path(path).read_bytes() == reference_csv("# meta", header, columns)
 
     @pytest.mark.parametrize("case", list(_grid_cases()))
@@ -341,7 +341,7 @@ class TestCsvWriter:
         chunks = _fail_data_write(monkeypatch)
         columns = [_RNG_VALUES, _RNG_VALUES, _RNG_VALUES]
         with pytest.raises(OSError, match="no space"):
-            cli._write_csv(str(tmp_path), "t.csv", "# meta", ["a", "b", "c"], columns)
+            cli._write_csvs(str(tmp_path), "# meta", {"t.csv": (["a", "b", "c"], columns)})
         assert len(chunks) == 2 and chunks[0].count("\n") == _ROWS_PER_CHUNK3
         assert (tmp_path / "t.csv").read_bytes() == b"old bytes\n"
         assert os.listdir(tmp_path) == ["t.csv"]
@@ -606,6 +606,35 @@ class TestValidation:
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    # the config refusals that name no count: each exits 2 with its message
+    @pytest.mark.parametrize(
+        "command, body, argv, cap, message",
+        [
+            ("spectrum", UNIFORM3, [], "lots", f"{cli.ENV_CAP} must be a number, got 'lots'"),
+            ("spectrum", "m = 3\n", [], None, "cannot parse config: "),
+            ("spectrum", UNIFORM3, ["--override", "chain.m"], None, "override must look like section.key=value"),
+            ("spectrum", "[state]\nkind = kick\nsite = 1\n", [], None, "missing required section [chain]"),
+            ("spectrum", UNIFORM3, ["--override", "chain.kind=ring"], None, "[chain] key 'kind': unknown kind 'ring'"),
+            (
+                "tune", TUNE_ONE_POINT, ["--override", "tune.mode=triple"], None,
+                "[tune] key 'mode': must be 'single' or 'double', got 'triple'",
+            ),
+            (
+                "tune", TUNE_ONE_POINT, ["--override", "chain.kind=pst"], None,
+                "[chain] key 'kind': tune requires the uniform bulk chain",
+            ),
+        ],
+        ids=["cap-factor", "unparsable", "override", "missing-section", "unknown-kind", "tune-mode", "tune-chain"],
+    )
+    def test_refusals(self, command, body, argv, cap, message, tmp_path, monkeypatch, capsys):
+        if cap is not None:
+            monkeypatch.setenv(cli.ENV_CAP, cap)
+        cfg = write(tmp_path / "run.ini", body)
+        assert main([command, "--config", cfg, "--out", str(tmp_path), *argv]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and "Traceback" not in err
         assert not list(tmp_path.rglob("*.csv"))
 
     @pytest.mark.parametrize("entry", ["dir = results", "precision = 17"])

@@ -12,12 +12,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_runs(demo, tmp_path):
-    # the same warnings-as-errors filters that pyproject.toml sets for the suite
+def test_demo_runs(demo, tmp_path, request):
+    # the suite's own warning filters (pyproject.toml), passed on to the demo
     env = dict(
         os.environ,
         OPENBLAS_NUM_THREADS="1",
-        PYTHONWARNINGS="error::RuntimeWarning,error::DeprecationWarning,error::FutureWarning",
+        PYTHONWARNINGS=",".join(request.config.getini("filterwarnings")),
     )
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -28,7 +28,7 @@ from qcradle import (
     revival_fidelity,
     uniform_chain,
 )
-from qcradle.dynamics import _SCAN_MODES, _end_abs_scan, _end_kernel, default_window
+from qcradle.dynamics import _SCAN_MODES, _end_abs_scan, _end_kernel
 from util import dense_propagate, random_chain, seeded_spectrum, unfold_modes
 
 
@@ -335,6 +335,14 @@ class TestPeakTransfer:
         assert rep.window == (0.0, 1.5 * spec.M / tau_max)
         assert 30 * spec.M + 1 < rep.samples < 30 * spec.M + 64
 
+    def test_flat_one_site_profile(self):
+        # |A_1(t)| = 1 at every time: the scan's round-off, not the earliest
+        # time, picks the sample to refine (t = 0.55), on every fresh solve
+        spec = gaussian_trap_chain(1, 1.0, 0.5, 1.1)
+        rep = peak_transfer(diagonalize(spec))
+        assert abs(rep.peak_amplitude - 1.0) <= 1e-15
+        assert peak_transfer(diagonalize(spec)) == rep
+
     @pytest.mark.parametrize("tau", [1e-12, 1e-10])
     def test_tiny_hopping_returns(self, tau):
         # the peak time ~ 2e12 has an ulp above the 1e-6 time tolerance, so
@@ -449,7 +457,7 @@ class TestEndAbsScan:
         # the doubled phases drift most at the end of each block
         sp = spectrum2000
         n = 60001
-        dt = default_window(sp)[1] / (n - 1)
+        dt = peak_transfer(sp).window[1] / (n - 1)
         B = math.isqrt(n - 1) + 1
         assert B == 245
         vals = _end_abs_scan(*sp._end_modes, dt, n)
@@ -484,7 +492,7 @@ class TestEndAbsScan:
         sp = diagonalize(gaussian_trap_chain(5000, 1.0, 2500.0, 5500.0))
         nu, p, q = sp._end_modes
         n = 30 * sp.M + 1
-        dt = default_window(sp)[1] / (n - 1)
+        dt = peak_transfer(sp).window[1] / (n - 1)
         B = math.isqrt(n - 1) + 1
         nb = -(-n // B)
         accumulator = 2 * nb * B * 8
@@ -609,3 +617,17 @@ def test_outputs_ignore_eigenvector_signs(spec):
         )
         assert revival_fidelity(flipped, state, t) == revival_fidelity(sp, state, t)
         assert np.array_equal(mode_overlaps(flipped, state), mode_overlaps(sp, state))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sp, state: evolution_grid(sp, state, 1.0, 2),
+        lambda sp, state: evolve(sp, state, 1.0),
+    ],
+    ids=["evolution_grid", "evolve"],
+)
+def test_refuses_a_state_of_another_size(call):
+    with pytest.raises(ValueError) as info:
+        call(_spectrum(3), kick_state(4, 1))
+    assert info.type is ValueError and str(info.value) == "state has 4 sites, spectrum has 3"

@@ -62,3 +62,10 @@ def test_a_bracket_that_cannot_shrink_returns(a, b, xtol):
     assert a <= x <= b
     assert evals == len(calls) < 100
     assert fx == max(f(c) for c in calls)
+
+
+@pytest.mark.parametrize("b", [0.5, math.nan], ids=["b-below-a", "nan-b"])
+def test_refuses_a_reversed_bracket(b):
+    with pytest.raises(ValueError) as info:
+        golden_max(abs, 1.0, b, 1e-6)
+    assert info.type is ValueError and str(info.value) == "need b >= a"

@@ -489,3 +489,25 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024.0)
         p = HubbardParams(M=3, t0=[1.0, 1.0], t1=[1.0, 0.9], U=50.0, U0=50.0, U1=50.0)
         with pytest.raises(ValueError):
             compare_effective(p, [0.0, 1.0])
+
+
+def _params(**kwargs):
+    return HubbardParams(**{**dict(M=3, t0=[1.0, 1.0], t1=[1.0, 1.0], U=1.0, U0=1.0, U1=1.0), **kwargs})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: _params(t0=[1.0]), "hopping lists must have length M-1 = 2"),
+        (lambda: _params(t1=[1.0, 1.0, 1.0]), "hopping lists must have length M-1 = 2"),
+        (lambda: _params(xi=[0.0, 0.0]), "xi must have length M = 3"),
+        (lambda: enumerate_basis(2, 5, 0, 2), "nmax too small to host the atoms"),
+        (lambda: enumerate_basis(2, 0, 3, 1), "nmax too small to host the atoms"),
+        (lambda: build_hamiltonian(_params(), enumerate_basis(2, 1, 1, 2)), "params have M=3, basis has M=2"),
+    ],
+    ids=["t0-length", "t1-length", "xi-length", "nmax-N0", "nmax-N1", "params-basis-M"],
+)
+def test_refusals(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert info.type is ValueError and str(info.value) == message

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from qcradle import (
     tune_double,
     uniform_chain,
 )
-from qcradle.dynamics import PEAK_COARSE_STEP, _end_abs_scan, default_window
+from qcradle.dynamics import PEAK_COARSE_STEP, _end_abs_scan
 from qcradle.spectral import _WEIGHT_FLOOR, _eigvals, _end_weights
 from util import dense_eig, dense_propagate, random_chain, residual_norm, seeded_spectrum, unfold_modes
 
@@ -173,6 +174,17 @@ class TestEndWeights:
         assert np.isfinite(rep.peak_amplitude) and 0.0 <= rep.peak_amplitude <= 1.0
         assert np.isfinite(end_amplitude(sp, 7.5))
 
+    @pytest.mark.parametrize("M, tau", [(4, 1e-308)] + [(M, 1e-310) for M in range(2, 11)])
+    def test_subnormal_hoppings_fall_back_without_a_warning(self, M, tau):
+        # the first-order error product meets 0 * inf here: its NaN refuses
+        # the weights without a RuntimeWarning, and the eigenvectors serve
+        sp = diagonalize(uniform_chain(M, tau))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nu, p, q = sp._end_modes
+        assert p is q and np.array_equal(nu, sp.omega)
+        assert np.array_equal(p, sp.g[:, 0] * sp.g[:, -1])
+
     def test_near_tie_falls_back_to_the_eigenvectors(self):
         # the middle bond 1e-13 splits each pair of sector eigenvalues by
         # 1e-13; the sum |w_n| check refuses their weights and the
@@ -211,7 +223,7 @@ class TestEndWeights:
         assert not ((0.0 < np.abs(q)) & (np.abs(q) < 2.0 * _WEIGHT_FLOOR)).any()
         assert (q == 0.0).sum() > (raw == 0.0).sum()
         # the peak search's grid
-        T = default_window(sp)[1]
+        T = peak_transfer(sp).window[1]
         n = int(np.ceil(T * np.max(sp.spec.tau) / PEAK_COARSE_STEP)) + 1
         dt = T / (n - 1)
         assert np.array_equal(_end_abs_scan(nu, None, q, dt, n), _end_abs_scan(nu, None, raw, dt, n))
