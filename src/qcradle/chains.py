@@ -19,6 +19,7 @@ convention; arrays are 0-based internally.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -31,8 +32,8 @@ NORM_TOL = 1e-12
 # Sign with which the Gaussian trap enters the Hamiltonian diagonal.  A
 # zero-momentum wavepacket on a -tau hopping chain lives at the band bottom
 # with positive effective mass, so confinement needs a diagonal well: the
-# negative sign.  (Verified dynamically in the test suite: the positive sign
-# pushes the packet into the lattice ends.)
+# negative sign.  (The positive sign pushes the packet into the lattice ends:
+# tests/test_dynamics.py evolves both signs on the trap_bounce setting.)
 DEFAULT_TRAP_SIGN = -1
 
 
@@ -41,10 +42,37 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integral(value) -> bool:
+    # bool is numbers.Integral, but True is no count or index
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _count(name: str, value, least: int) -> None:
     # the one rule for every integer count: sites, steps, grid points, atoms
-    if not (isinstance(value, numbers.Integral) and value >= least):
+    if not (_integral(value) and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf, closed: bool = False) -> None:
+    # the one rule for every real scalar, a Python or NumPy number or a 0-d array: a finite
+    # number in (lo, hi], or in [lo, hi] if closed; float first, as an ABC check costs as
+    # much as the rest
+    real = isinstance(value, (float, numbers.Real)) or (
+        isinstance(value, np.ndarray) and value.shape == () and value.dtype.kind in "biuf"
+    )
+    if not (real and (lo <= value if closed else lo < value) and value <= hi and abs(value) < math.inf):
+        domain = f"{'[' if closed else '('}{lo:g}, {hi:g}{']' if hi < math.inf else ')'}"
+        raise ValueError(f"{name} must be a finite number in {domain}, got {value!r}")
+
+
+def _reals(name: str, value, size: int, lo: float = -math.inf) -> np.ndarray:
+    # the one rule for every real array field: `size` finite numbers > lo, kept read-only;
+    # a NaN makes the least value NaN, and the initial values pass an empty array
+    a = np.atleast_1d(np.asarray(value, dtype=float))
+    least, most = np.minimum.reduce(a, initial=math.inf), np.maximum.reduce(a, initial=-math.inf)
+    if not (a.shape == (size,) and least > lo and most < math.inf):
+        raise ValueError(f"{name} must be a length-{size} array of finite numbers in ({lo:g}, inf)")
+    return _readonly(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,18 +85,8 @@ class ChainSpec:
 
     def __post_init__(self):
         _count("M", self.M, 1)
-        tau = np.atleast_1d(np.asarray(self.tau, dtype=float))
-        eps = np.atleast_1d(np.asarray(self.eps, dtype=float))
-        if tau.shape != (self.M - 1,):
-            raise ValueError(f"tau must have length M-1 = {self.M - 1}, got {tau.shape}")
-        if eps.shape != (self.M,):
-            raise ValueError(f"eps must have length M = {self.M}, got {eps.shape}")
-        if self.M > 1 and not tau.min() > 0.0:  # also refuses NaN
-            raise ValueError("all hopping amplitudes tau_j must be > 0")
-        if not (np.isfinite(tau).all() and np.isfinite(eps).all()):
-            raise ValueError("tau and eps must be finite")
-        object.__setattr__(self, "tau", _readonly(tau))
-        object.__setattr__(self, "eps", _readonly(eps))
+        object.__setattr__(self, "tau", _reals("tau", self.tau, self.M - 1, 0.0))
+        object.__setattr__(self, "eps", _reals("eps", self.eps, self.M))
 
 
 def mirror_symmetric(spec: ChainSpec) -> bool:
@@ -103,8 +121,7 @@ class WaveState:
 def uniform_chain(M: int, tau: float) -> ChainSpec:
     """Chain with all hoppings equal to ``tau`` and zero offsets."""
     _count("M", M, 1)
-    if not tau > 0.0:
-        raise ValueError("tau must be > 0")
+    _real("tau", tau, 0.0)
     return ChainSpec(M=M, tau=np.full(M - 1, float(tau)), eps=np.zeros(M))
 
 
@@ -115,8 +132,7 @@ def pst_chain(M: int, Omega: float) -> ChainSpec:
     dynamics exactly periodic and end-to-end mirroring.
     """
     _count("M", M, 2)
-    if not Omega > 0.0:
-        raise ValueError("Omega must be > 0")
+    _real("Omega", Omega, 0.0)
     j = np.arange(1, M, dtype=float)
     return ChainSpec(M=M, tau=Omega * np.sqrt(j * (M - j)), eps=np.zeros(M))
 
@@ -129,16 +145,13 @@ def edge_modified_chain(M: int, tau: float, x: float, y: float | None = None) ->
     factors must lie in (0, 1]: zero would disconnect the endpoints.
     """
     _count("M", M, 3 if y is None else 5)
-    if not tau > 0.0:
-        raise ValueError("tau must be > 0")
-    if not 0.0 < x <= 1.0:
-        raise ValueError("x must lie in (0, 1]")
+    _real("tau", tau, 0.0)
+    _real("x", x, 0.0, 1.0)
     t = np.full(M - 1, float(tau))
     t[0] = x * tau
     t[-1] = x * tau
     if y is not None:
-        if not 0.0 < y <= 1.0:
-            raise ValueError("y must lie in (0, 1]")
+        _real("y", y, 0.0, 1.0)
         t[1] = y * tau
         t[-2] = y * tau
     return ChainSpec(M=M, tau=t, eps=np.zeros(M))
@@ -157,10 +170,9 @@ def gaussian_trap_chain(
     trap confining for a zero-momentum packet (see DEFAULT_TRAP_SIGN).
     """
     _count("M", M, 1)
-    if not tau > 0.0:
-        raise ValueError("tau must be > 0")
-    if not theta > 0.0:
-        raise ValueError("theta must be > 0")
+    _real("tau", tau, 0.0)
+    _real("x_m", x_m)
+    _real("theta", theta, 0.0)
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     j = np.arange(1, M + 1, dtype=float)
@@ -171,7 +183,7 @@ def gaussian_trap_chain(
 def kick_state(M: int, site: int) -> WaveState:
     """Excitation localized on one site (1-based): the cradle trigger."""
     _count("M", M, 1)
-    if not isinstance(site, numbers.Integral) or not 1 <= site <= M:
+    if not (_integral(site) and 1 <= site <= M):
         raise ValueError(f"site must be an integer in 1..{M}, got {site}")
     z = np.zeros(M, dtype=complex)
     z[site - 1] = 1.0
@@ -185,10 +197,8 @@ def gaussian_wavepacket(M: int, x0: float, sigma: float) -> WaveState:
     DegenerateStateError when every site weight underflows to zero.
     """
     _count("M", M, 1)
-    if not sigma > 0.0:
-        raise ValueError("sigma must be > 0")
-    if not np.isfinite(x0):
-        raise ValueError("x0 must be finite")
+    _real("sigma", sigma, 0.0)
+    _real("x0", x0)
     j = np.arange(1, M + 1, dtype=float)
     w = np.exp(-((j - x0) ** 2) / sigma**2)
     total = float(np.sum(w**2))

@@ -37,16 +37,15 @@ Times are in units of inverse energy (hbar = 1).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas
 
 from ._golden import golden_max
-from .chains import WaveState, _count, _readonly
+from .chains import WaveState, _count, _integral, _readonly, _real
 from .errors import TooLargeError
-from .spectral import Spectrum
+from .spectral import Spectrum, _mode_coefficients
 
 # Guardrail on dense probability grids: T * M cells per call.
 GRID_CELL_CAP = 100_000
@@ -70,10 +69,6 @@ class EvolutionGrid:
     times: np.ndarray
     prob: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "times", _readonly(np.asarray(self.times, dtype=float)))
-        object.__setattr__(self, "prob", _readonly(np.asarray(self.prob, dtype=float)))
-
 
 @dataclass(frozen=True)
 class TransferReport:
@@ -87,11 +82,8 @@ class TransferReport:
 
 def evolve(spectrum: Spectrum, state0: WaveState, t: float) -> WaveState:
     """Evolve ``state0`` for time ``t`` (negative t reverses time)."""
-    if state0.M != spectrum.M:
-        raise ValueError(f"state has {state0.M} sites, spectrum has {spectrum.M}")
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
-    c = spectrum.g @ state0.z
+    _real("t", t)
+    c = _mode_coefficients(spectrum, state0)
     z = spectrum.g.T @ (np.exp(-1j * spectrum.omega * t) * c)
     return WaveState(z=z)
 
@@ -104,18 +96,15 @@ def evolution_grid(
     max_cells: int = GRID_CELL_CAP,
 ) -> EvolutionGrid:
     """Probabilities on ``steps`` uniform samples of [0, t_max], endpoints included."""
-    if state0.M != spectrum.M:
-        raise ValueError(f"state has {state0.M} sites, spectrum has {spectrum.M}")
-    if not 0.0 < t_max < math.inf:
-        raise ValueError("t_max must be finite and > 0")
+    _real("t_max", t_max, 0.0)
     _count("steps", steps, 2)
     cells = steps * spectrum.M
     if cells > max_cells:
         raise TooLargeError(f"grid of {steps} x {spectrum.M} = {cells} cells exceeds cap {max_cells}")
+    c = _mode_coefficients(spectrum, state0)
     times = np.linspace(0.0, t_max, steps)
-    c = spectrum.g @ state0.z
     amps = (np.exp(-1j * np.outer(times, spectrum.omega)) * c) @ spectrum.g
-    return EvolutionGrid(times=times, prob=np.abs(amps) ** 2)
+    return EvolutionGrid(times=_readonly(times), prob=_readonly(np.abs(amps) ** 2))
 
 
 def _fill_powers(table: np.ndarray, phase: np.ndarray) -> None:
@@ -208,8 +197,7 @@ def end_amplitude(spectrum: Spectrum, t: float) -> complex:
     so |A_M| at a reported peak time equals the reported peak amplitude
     exactly, on any chain.
     """
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
+    _real("t", t)
     return _end_kernel(*spectrum._end_modes)(t)
 
 
@@ -262,7 +250,7 @@ def edge_exposure(grid: EvolutionGrid, edge_width: int) -> float:
     Scans every sampled time of the grid; ``edge_width`` sites per end.
     """
     M = grid.prob.shape[1]
-    if not isinstance(edge_width, numbers.Integral) or edge_width < 1 or 2 * edge_width > M:
+    if not (_integral(edge_width) and 1 <= edge_width <= M // 2):
         raise ValueError(f"edge_width must lie in 1..{M // 2}")
     p = grid.prob
     exposure = p[:, :edge_width].sum(axis=1) + p[:, M - edge_width :].sum(axis=1)

@@ -49,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
-from .chains import ChainSpec, kick_state, _count, _readonly
+from .chains import ChainSpec, kick_state, _count, _readonly, _real, _reals
 from .dynamics import evolve
 from .errors import TooLargeError
 from .spectral import _stevd, diagonalize
@@ -76,21 +76,11 @@ class HubbardParams:
 
     def __post_init__(self):
         _count("M", self.M, 1)
-        t0 = np.atleast_1d(np.asarray(self.t0, dtype=float))
-        t1 = np.atleast_1d(np.asarray(self.t1, dtype=float))
-        if t0.shape != (self.M - 1,) or t1.shape != (self.M - 1,):
-            raise ValueError(f"hopping lists must have length M-1 = {self.M - 1}")
-        xi = np.zeros(self.M) if self.xi is None else np.asarray(self.xi, dtype=float)
-        if xi.shape != (self.M,):
-            raise ValueError(f"xi must have length M = {self.M}")
-        for name, value in (("t0", t0), ("t1", t1), ("U", self.U), ("U0", self.U0), ("U1", self.U1), ("xi", xi)):
-            if not np.isfinite(np.asarray(value, dtype=float)).all():
-                raise ValueError(f"{name} must be finite")
-            if name[0] == "U" and not value > 0.0:
-                raise ValueError(f"{name} must be > 0")
-        object.__setattr__(self, "t0", _readonly(t0))
-        object.__setattr__(self, "t1", _readonly(t1))
-        object.__setattr__(self, "xi", _readonly(xi))
+        object.__setattr__(self, "t0", _reals("t0", self.t0, self.M - 1))
+        object.__setattr__(self, "t1", _reals("t1", self.t1, self.M - 1))
+        for name in ("U", "U0", "U1"):
+            _real(name, getattr(self, name), 0.0)
+        object.__setattr__(self, "xi", _reals("xi", np.zeros(self.M) if self.xi is None else self.xi, self.M))
 
     def species_independent(self) -> bool:
         return bool(
@@ -107,11 +97,6 @@ class EffectiveParams:
     gamma: np.ndarray
     sigma: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "tau", _readonly(np.asarray(self.tau, dtype=float)))
-        object.__setattr__(self, "gamma", _readonly(np.asarray(self.gamma, dtype=float)))
-        object.__setattr__(self, "sigma", _readonly(np.asarray(self.sigma, dtype=float)))
-
 
 def effective_params(p: HubbardParams) -> EffectiveParams:
     """Second-order effective couplings of the singly-occupied sector."""
@@ -119,7 +104,7 @@ def effective_params(p: HubbardParams) -> EffectiveParams:
     tau = 2.0 * t0 * t1 / p.U
     gamma = 2.0 * ((t0**2 + t1**2) / p.U - t0**2 / p.U0 - t1**2 / p.U1)
     sigma = 2.0 * t0**2 / p.U0 - (t0**2 + t1**2) / p.U
-    return EffectiveParams(tau=tau, gamma=gamma, sigma=sigma)
+    return EffectiveParams(tau=_readonly(tau), gamma=_readonly(gamma), sigma=_readonly(sigma))
 
 
 def _count_rows(M: int, N: int, nmax: int) -> int:

@@ -24,14 +24,13 @@ depends on an eigenvector's sign: every quantity derived here or in
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .chains import ChainSpec, WaveState, _count, _readonly, mirror_symmetric
+from .chains import ChainSpec, WaveState, _count, _integral, _readonly, _real, mirror_symmetric
 from .errors import DegenerateSpectrumError
 
 # Gap-matrix entries per chunk of rows in _end_weights: 256 KB of float64,
@@ -242,8 +241,7 @@ def pseudo_wavevectors(M: int, x: float) -> np.ndarray:
     residual (comment below).
     """
     _count("M", M, 1)
-    if not 0.0 < x <= 1.0:
-        raise ValueError("x must lie in (0, 1]")
+    _real("x", x, 0.0, 1.0)
 
     # The residual (M-1) k + 2 psi(k) - pi n rises with k, and psi in (0, pi)
     # makes it tend to -pi n < 0 at k = 0+ and to (M + 1 - n) pi > 0 at
@@ -269,8 +267,7 @@ def linearity_deviation(spectrum: Spectrum, index_range: tuple[int, int]) -> flo
     mean spacing in the window; 0 means exactly equispaced.
     """
     lo, hi = index_range
-    integral = isinstance(lo, numbers.Integral) and isinstance(hi, numbers.Integral)
-    if not (integral and 1 <= lo < hi <= spectrum.M):
+    if not (_integral(lo) and _integral(hi) and 1 <= lo < hi <= spectrum.M):
         raise ValueError(f"index_range must satisfy 1 <= lo < hi <= {spectrum.M}")
     if hi - lo + 1 < 3:
         raise ValueError("index_range must contain at least 3 modes")
@@ -281,8 +278,13 @@ def linearity_deviation(spectrum: Spectrum, index_range: tuple[int, int]) -> flo
     return float(np.max(np.abs(spacings - sbar)) / sbar)
 
 
-def mode_overlaps(spectrum: Spectrum, state: WaveState) -> np.ndarray:
-    """Weights w_n = |<mode n | state>|^2; they sum to one."""
+def _mode_coefficients(spectrum: Spectrum, state: WaveState) -> np.ndarray:
+    """Mode coefficients c_n = <mode n | state> = sum_j g_{nj} z_j."""
     if state.M != spectrum.M:
         raise ValueError(f"state has {state.M} sites, spectrum has {spectrum.M}")
-    return np.abs(spectrum.g @ state.z) ** 2
+    return spectrum.g @ state.z
+
+
+def mode_overlaps(spectrum: Spectrum, state: WaveState) -> np.ndarray:
+    """Weights w_n = |<mode n | state>|^2; they sum to one."""
+    return np.abs(_mode_coefficients(spectrum, state)) ** 2

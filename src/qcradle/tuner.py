@@ -17,13 +17,12 @@ the lowest x then lowest y.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._golden import golden_max
-from .chains import _count, edge_modified_chain
+from .chains import _count, _real, edge_modified_chain
 from .dynamics import TransferReport, peak_transfer
 from .spectral import diagonalize
 
@@ -42,10 +41,6 @@ class TuneResult:
     best_time: float
     evaluations: int
     trace: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "best_params", tuple(float(p) for p in self.best_params))
-        object.__setattr__(self, "trace", tuple(self.trace))
 
 
 def _objective(M: int, tau: float, params: tuple[float, ...]) -> TransferReport:
@@ -95,11 +90,11 @@ def _tune(M: int, tau: float, pairs: int, grid: int) -> TuneResult:
                 break
 
     return TuneResult(
-        best_params=best,
+        best_params=tuple(best),
         best_amplitude=best_amp,
         best_time=_objective(M, tau, tuple(best)).peak_time,
         evaluations=len(trace),
-        trace=trace,
+        trace=tuple(trace),
     )
 
 
@@ -131,10 +126,9 @@ def flatness_probe(M: int, tau: float, params, radius: float) -> float:
     params = tuple(float(p) for p in params)
     if len(params) not in (1, 2):
         raise ValueError("params must hold one (x) or two (x, y) factors")
-    if not all(0.0 < p <= 1.0 for p in params):
-        raise ValueError("params must lie inside (0, 1]")
-    if not 0.0 <= radius < math.inf:
-        raise ValueError("radius must be finite and >= 0")
+    for i, p in enumerate(params):
+        _real(f"params[{i}]", p, 0.0, 1.0)
+    _real("radius", radius, 0.0, closed=True)
 
     axes = [np.clip(np.linspace(p - radius, p + radius, 5), X_FLOOR, 1.0).tolist() for p in params]
     return float(min(_objective(M, tau, q).peak_amplitude for q in itertools.product(*axes)))

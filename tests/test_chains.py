@@ -124,9 +124,9 @@ class TestKickState:
         z = kick_state(100, 1).z
         assert z[0] == 1.0 and np.count_nonzero(z) == 1
 
-    @pytest.mark.parametrize("site", [0, 5, -1, 1.5, 2.0])
+    @pytest.mark.parametrize("site", [0, 5, -1, 1.5, 2.0, True])
     def test_out_of_range(self, site):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^site must be an integer in 1\.\.4, got {site}$"):
             kick_state(4, site)
 
 
@@ -199,12 +199,18 @@ class TestInvariants:
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: ChainSpec(M=2, tau=[np.inf], eps=[0.0, 0.0]), "tau and eps must be finite"),
-        (lambda: ChainSpec(M=2, tau=[1.0], eps=[0.0, np.nan]), "tau and eps must be finite"),
+        (
+            lambda: ChainSpec(M=2, tau=[np.inf], eps=[0.0, 0.0]),
+            "tau must be a length-1 array of finite numbers in (0, inf)",
+        ),
+        (
+            lambda: ChainSpec(M=2, tau=[1.0], eps=[0.0, np.nan]),
+            "eps must be a length-2 array of finite numbers in (-inf, inf)",
+        ),
         (lambda: WaveState(z=np.array([])), "z must be a nonempty 1-d amplitude vector"),
         (lambda: WaveState(z=np.eye(2)), "z must be a nonempty 1-d amplitude vector"),
-        (lambda: edge_modified_chain(5, 0.0, 0.5), "tau must be > 0"),
-        (lambda: gaussian_trap_chain(5, -1.0, 2.0, 3.0), "tau must be > 0"),
+        (lambda: edge_modified_chain(5, 0.0, 0.5), "tau must be a finite number in (0, inf), got 0.0"),
+        (lambda: gaussian_trap_chain(5, -1.0, 2.0, 3.0), "tau must be a finite number in (0, inf), got -1.0"),
     ],
     ids=["inf-tau", "nan-eps", "empty-z", "2d-z", "edge-tau", "trap-tau"],
 )

@@ -505,7 +505,7 @@ class TestOracleCommand:
         cfg = write(tmp_path / "run.ini", ORACLE_M2)
         argv = ["oracle", "--config", cfg, "--out", str(tmp_path), "--override", "hubbard.u=inf"]
         assert main(argv) == EXIT_CONFIG
-        assert "U must be finite" in capsys.readouterr().err
+        assert "U must be a finite number in (0, inf), got inf" in capsys.readouterr().err
         assert not (tmp_path / "oracle.csv").exists()
 
     def test_demo_config_bytes_pinned(self, tmp_path):

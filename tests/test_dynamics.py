@@ -89,7 +89,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
     def test_time_must_be_finite(self, t):
-        with pytest.raises(ValueError, match="t must be finite"):
+        with pytest.raises(ValueError, match=r"^t must be a finite number in \(-inf, inf\), got "):
             evolve(_spectrum(10), kick_state(10, 1), t)
 
 
@@ -114,7 +114,7 @@ class TestEvolutionGrid:
 
     @pytest.mark.parametrize("t_max", [0.0, np.inf, np.nan])
     def test_t_max_must_be_finite_and_positive(self, t_max):
-        with pytest.raises(ValueError, match="t_max must be finite and > 0"):
+        with pytest.raises(ValueError, match=r"^t_max must be a finite number in \(0, inf\), got "):
             evolution_grid(_spectrum(6), kick_state(6, 1), t_max, 10)
 
     @pytest.mark.parametrize("steps", [1, 2.5, np.float64(3.0), "3"], ids=["one", "float", "float64", "str"])
@@ -245,7 +245,7 @@ class TestEndAmplitude:
 
     @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
     def test_time_must_be_finite(self, t):
-        with pytest.raises(ValueError, match="t must be finite"):
+        with pytest.raises(ValueError, match=r"^t must be a finite number in \(-inf, inf\), got "):
             end_amplitude(_spectrum(10), t)
 
 
@@ -551,7 +551,7 @@ class TestRevivalFidelity:
 
     @pytest.mark.parametrize("t", [np.inf, np.nan])
     def test_time_must_be_finite(self, t):
-        with pytest.raises(ValueError, match="t must be finite"):
+        with pytest.raises(ValueError, match=r"^t must be a finite number in \(-inf, inf\), got "):
             revival_fidelity(_spectrum(9), kick_state(9, 4), t)
 
 
@@ -586,6 +586,19 @@ class TestEdgeExposure:
             edge_exposure(grid, 1.5)
         with pytest.raises(ValueError, match="edge_width must lie in"):
             edge_exposure(grid, 2.0)
+        with pytest.raises(ValueError, match="edge_width must lie in"):
+            edge_exposure(grid, True)
+
+    def test_positive_trap_sign_pushes_the_packet_into_the_ends(self):
+        # the trap_bounce setting: the default sign -1 confines the packet,
+        # the opposite sign scatters it onto the outermost sites
+        pkt = gaussian_wavepacket(100, 20.0, 10.0)
+        exposure = {}
+        for sign in (-1, 1):
+            sp = diagonalize(gaussian_trap_chain(100, 1.0, 50.0, 110.0, sign))
+            exposure[sign] = edge_exposure(evolution_grid(sp, pkt, 500.0, 500), 5)
+        assert exposure[1] > 0.1
+        assert exposure[1] > 50.0 * exposure[-1]
 
 
 @pytest.mark.parametrize(

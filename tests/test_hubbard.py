@@ -147,9 +147,15 @@ class TestEffectiveParams:
     @pytest.mark.parametrize("name", ["t0", "t1", "U", "U0", "U1", "xi"])
     def test_rejects_non_finite_couplings(self, name, bad):
         kwargs = dict(M=3, t0=[1.0, 1.0], t1=[1.0, 1.0], U=10.0, U0=10.0, U1=10.0, xi=[0.0, 0.1, 0.0])
-        kwargs[name] = bad if name.startswith("U") else [1.0, bad, 1.0][: len(kwargs[name])]
-        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        if name.startswith("U"):
+            kwargs[name] = bad
+            message = f"{name} must be a finite number in (0, inf), got {bad!r}"
+        else:
+            kwargs[name] = [1.0, bad, 1.0][: len(kwargs[name])]
+            message = f"{name} must be a length-{len(kwargs[name])} array of finite numbers in (-inf, inf)"
+        with pytest.raises(ValueError) as info:
             HubbardParams(**kwargs)
+        assert str(info.value) == message
 
 
 class TestFockBasis:
@@ -498,9 +504,9 @@ def _params(**kwargs):
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: _params(t0=[1.0]), "hopping lists must have length M-1 = 2"),
-        (lambda: _params(t1=[1.0, 1.0, 1.0]), "hopping lists must have length M-1 = 2"),
-        (lambda: _params(xi=[0.0, 0.0]), "xi must have length M = 3"),
+        (lambda: _params(t0=[1.0]), "t0 must be a length-2 array of finite numbers in (-inf, inf)"),
+        (lambda: _params(t1=[1.0, 1.0, 1.0]), "t1 must be a length-2 array of finite numbers in (-inf, inf)"),
+        (lambda: _params(xi=[0.0, 0.0]), "xi must be a length-3 array of finite numbers in (-inf, inf)"),
         (lambda: enumerate_basis(2, 5, 0, 2), "nmax too small to host the atoms"),
         (lambda: enumerate_basis(2, 0, 3, 1), "nmax too small to host the atoms"),
         (lambda: build_hamiltonian(_params(), enumerate_basis(2, 1, 1, 2)), "params have M=3, basis has M=2"),

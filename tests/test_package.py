@@ -1,12 +1,15 @@
 """The package namespace: every exported name resolves, and only once,
 every exception type the package defines is raised, exported and mapped to
-a CLI exit code, every integer count follows one rule, the value types that
-hold arrays compare and hash by identity, and the console script names a
-callable."""
+a CLI exit code, every integer count follows one rule, every real input
+follows one rule, the value types that hold arrays compare and hash by
+identity, the console script names a callable, and the package metadata
+reads its version from the package."""
 
 import ast
 import importlib
 import inspect
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +25,17 @@ from qcradle import (
     diagonalize,
     edge_modified_chain,
     effective_params,
+    end_amplitude,
     enumerate_basis,
     evolution_grid,
+    evolve,
+    flatness_probe,
     gaussian_trap_chain,
     gaussian_wavepacket,
     kick_state,
     pseudo_wavevectors,
     pst_chain,
+    revival_fidelity,
     tune_single,
     uniform_chain,
 )
@@ -117,6 +124,84 @@ def test_counts_follow_one_rule(case):
     with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {least}, got {least - 1}$"):
         call(least - 1)
     call(np.int64(least))
+    # bool is numbers.Integral, but True is no count
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d+, got True$"):
+        call(True)
+
+
+def _scalar(name, domain):
+    return f"{name} must be a finite number in {domain}, got {{v!r}}"
+
+
+def _array(name, size, domain):
+    return f"{name} must be a length-{size} array of finite numbers in {domain}"
+
+
+def _couplings(**kwargs):
+    return HubbardParams(**{**dict(M=3, t0=[1.0, 1.0], t1=[1.0, 1.0], U=1.0, U0=1.0, U1=1.0), **kwargs})
+
+
+_TINY = 5e-324  # the least positive double
+_ABOVE_ONE = float(np.nextafter(1.0, 2.0))
+_KICK = (diagonalize(uniform_chain(3, 1.0)), kick_state(3, 1))
+
+# entry point -> (message, with {v!r} for the value of a scalar; a value just
+# outside the domain, None for an unbounded one; a value at or next to its
+# edge; call with the value, in one slot of an array field)
+REALS = {
+    "ChainSpec-tau": (_array("tau", 2, "(0, inf)"), 0.0, _TINY, lambda v: ChainSpec(M=3, tau=[1.0, v], eps=[0.0] * 3)),
+    "ChainSpec-eps": (
+        _array("eps", 3, "(-inf, inf)"), None, -1e308, lambda v: ChainSpec(M=3, tau=[1.0, 1.0], eps=[0.0, v, 0.0])
+    ),
+    "uniform_chain": (_scalar("tau", "(0, inf)"), 0.0, _TINY, lambda v: uniform_chain(3, v)),
+    # one site has no hopping, but its tau follows the rule all the same
+    "uniform_chain-one-site": (_scalar("tau", "(0, inf)"), 0.0, _TINY, lambda v: uniform_chain(1, v)),
+    "pst_chain": (_scalar("Omega", "(0, inf)"), 0.0, _TINY, lambda v: pst_chain(3, v)),
+    "edge_modified_chain-tau": (
+        _scalar("tau", "(0, inf)"), 0.0, _TINY, lambda v: edge_modified_chain(5, v, 1.0, 1.0)
+    ),
+    "edge_modified_chain-x": (_scalar("x", "(0, 1]"), _ABOVE_ONE, 1.0, lambda v: edge_modified_chain(5, 1.0, v)),
+    "edge_modified_chain-y": (_scalar("y", "(0, 1]"), _ABOVE_ONE, 1.0, lambda v: edge_modified_chain(5, 1.0, 0.5, v)),
+    "gaussian_trap_chain-tau": (
+        _scalar("tau", "(0, inf)"), 0.0, _TINY, lambda v: gaussian_trap_chain(5, v, 3.0, 2.0)
+    ),
+    "gaussian_trap_chain-x_m": (
+        _scalar("x_m", "(-inf, inf)"), None, 1e150, lambda v: gaussian_trap_chain(5, 1.0, v, 2.0)
+    ),
+    # theta^2 divides: the least positive theta would make 0/0
+    "gaussian_trap_chain-theta": (
+        _scalar("theta", "(0, inf)"), 0.0, 1e-150, lambda v: gaussian_trap_chain(5, 1.0, 3.0, v)
+    ),
+    "gaussian_wavepacket-x0": (_scalar("x0", "(-inf, inf)"), None, 1e150, lambda v: gaussian_wavepacket(3, v, 1e150)),
+    "gaussian_wavepacket-sigma": (_scalar("sigma", "(0, inf)"), 0.0, 1e-150, lambda v: gaussian_wavepacket(3, 1.0, v)),
+    "evolve": (_scalar("t", "(-inf, inf)"), None, -1e300, lambda v: evolve(*_KICK, v)),
+    "revival_fidelity": (_scalar("t", "(-inf, inf)"), None, 1e300, lambda v: revival_fidelity(*_KICK, v)),
+    "end_amplitude": (_scalar("t", "(-inf, inf)"), None, 1e300, lambda v: end_amplitude(_KICK[0], v)),
+    "evolution_grid": (_scalar("t_max", "(0, inf)"), 0.0, _TINY, lambda v: evolution_grid(*_KICK, v, 2)),
+    "pseudo_wavevectors": (_scalar("x", "(0, 1]"), _ABOVE_ONE, 1.0, lambda v: pseudo_wavevectors(3, v)),
+    "flatness_probe-params": (
+        _scalar("params[1]", "(0, 1]"), _ABOVE_ONE, 1.0, lambda v: flatness_probe(5, 1.0, (0.5, v), 0.0)
+    ),
+    "flatness_probe-radius": (_scalar("radius", "[0, inf)"), -_TINY, 0.0, lambda v: flatness_probe(5, 1.0, (0.5,), v)),
+    "HubbardParams-U": (_scalar("U", "(0, inf)"), 0.0, _TINY, lambda v: _couplings(U=v)),
+    "HubbardParams-U0": (_scalar("U0", "(0, inf)"), 0.0, _TINY, lambda v: _couplings(U0=v)),
+    "HubbardParams-U1": (_scalar("U1", "(0, inf)"), 0.0, _TINY, lambda v: _couplings(U1=v)),
+    "HubbardParams-t0": (_array("t0", 2, "(-inf, inf)"), None, -1e308, lambda v: _couplings(t0=[1.0, v])),
+    "HubbardParams-t1": (_array("t1", 2, "(-inf, inf)"), None, 1e308, lambda v: _couplings(t1=[v, 1.0])),
+    "HubbardParams-xi": (_array("xi", 3, "(-inf, inf)"), None, 1e308, lambda v: _couplings(xi=[0.0, 0.0, v])),
+}
+
+
+@pytest.mark.parametrize("case", REALS)
+def test_reals_follow_one_rule(case):
+    message, outside, edge, call = REALS[case]
+    for bad in [math.nan, math.inf, -math.inf] + ([] if outside is None else [outside]):
+        with pytest.raises(ValueError) as info:
+            call(bad)
+        assert info.type is ValueError and str(info.value) == message.format(v=bad)
+    call(edge)
+    call(np.float64(edge))
+    call(np.array(edge))
 
 
 # value types that hold arrays: a field-wise == would ask numpy for the
@@ -146,3 +231,14 @@ def test_console_script_resolves():
     target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["qcradle"]
     module, _, attr = target.partition(":")
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_version_has_one_source():
+    # the metadata reads qcradle.__version__; pyproject.toml holds no version of its own
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # older setuptools call [tool.setuptools] beta
+        project = pyprojecttoml.read_configuration(pyproject)["project"]
+    assert "version" in project["dynamic"]
+    assert project["version"] == qcradle.__version__
