@@ -36,21 +36,22 @@ NORM_TOL = 1e-12
 # tests/test_dynamics.py evolves both signs on the trap_bounce setting.)
 DEFAULT_TRAP_SIGN = -1
 
+# least Gaussian width: below sqrt(tiny) a width's square underflows, and it divides
+_WIDTH_MIN = math.sqrt(np.finfo(float).tiny)
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
 
-def _integral(value) -> bool:
-    # bool is numbers.Integral, but True is no count or index
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _count(name: str, value, least: int) -> None:
-    # the one rule for every integer count: sites, steps, grid points, atoms
-    if not (_integral(value) and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def _count(name: str, value, least: int, most: float = math.inf) -> None:
+    # the one rule for every integer count or index (site counts, steps, grid points, atoms,
+    # a site, a mode) in least..most; bool is numbers.Integral, but True is no count or index
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and least <= value <= most):
+        domain = f">= {least}" if most == math.inf else f"in {least}..{most}"
+        raise ValueError(f"{name} must be an integer {domain}, got {value!r}")
 
 
 def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf, closed: bool = False) -> None:
@@ -66,9 +67,9 @@ def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf, closed:
 
 
 def _reals(name: str, value, size: int, lo: float = -math.inf) -> np.ndarray:
-    # the one rule for every real array field: `size` finite numbers > lo, kept read-only;
-    # a NaN makes the least value NaN, and the initial values pass an empty array
-    a = np.atleast_1d(np.asarray(value, dtype=float))
+    # the one rule for every real array field: `size` finite numbers > lo, returned as a
+    # read-only copy; a NaN makes the least value NaN, and the initial values pass an empty array
+    a = np.atleast_1d(np.array(value, dtype=float))
     least, most = np.minimum.reduce(a, initial=math.inf), np.maximum.reduce(a, initial=-math.inf)
     if not (a.shape == (size,) and least > lo and most < math.inf):
         raise ValueError(f"{name} must be a length-{size} array of finite numbers in ({lo:g}, inf)")
@@ -102,7 +103,7 @@ class WaveState:
     z: np.ndarray
 
     def __post_init__(self):
-        z = np.atleast_1d(np.asarray(self.z, dtype=complex))
+        z = np.atleast_1d(np.array(self.z, dtype=complex))
         if z.ndim != 1 or z.size < 1:
             raise ValueError("z must be a nonempty 1-d amplitude vector")
         norm2 = float(np.sum(np.abs(z) ** 2))
@@ -172,19 +173,20 @@ def gaussian_trap_chain(
     _count("M", M, 1)
     _real("tau", tau, 0.0)
     _real("x_m", x_m)
-    _real("theta", theta, 0.0)
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
+    _real("theta", theta, _WIDTH_MIN)
+    _count("sign", sign, -1, 1)
+    if sign == 0:
+        raise ValueError("sign must be +1 or -1, got 0")
     j = np.arange(1, M + 1, dtype=float)
-    eps = sign * np.exp(-((j - x_m) ** 2) / theta**2)
+    with np.errstate(over="ignore"):  # a far site's exponent is -inf, its weight 0
+        eps = sign * np.exp(-((j - x_m) ** 2) / theta**2)
     return ChainSpec(M=M, tau=np.full(M - 1, float(tau)), eps=eps)
 
 
 def kick_state(M: int, site: int) -> WaveState:
     """Excitation localized on one site (1-based): the cradle trigger."""
     _count("M", M, 1)
-    if not (_integral(site) and 1 <= site <= M):
-        raise ValueError(f"site must be an integer in 1..{M}, got {site}")
+    _count("site", site, 1, M)
     z = np.zeros(M, dtype=complex)
     z[site - 1] = 1.0
     return WaveState(z=z)
@@ -197,10 +199,11 @@ def gaussian_wavepacket(M: int, x0: float, sigma: float) -> WaveState:
     DegenerateStateError when every site weight underflows to zero.
     """
     _count("M", M, 1)
-    _real("sigma", sigma, 0.0)
+    _real("sigma", sigma, _WIDTH_MIN)
     _real("x0", x0)
     j = np.arange(1, M + 1, dtype=float)
-    w = np.exp(-((j - x0) ** 2) / sigma**2)
+    with np.errstate(over="ignore"):
+        w = np.exp(-((j - x0) ** 2) / sigma**2)
     total = float(np.sum(w**2))
     if not total > 0.0:
         raise DegenerateStateError(

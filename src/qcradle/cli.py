@@ -53,6 +53,8 @@ from .chains import (
     ChainSpec,
     DEFAULT_TRAP_SIGN,
     WaveState,
+    _count,
+    _real,
     edge_modified_chain,
     gaussian_trap_chain,
     gaussian_wavepacket,
@@ -287,7 +289,7 @@ def _write_csvs(outdir: str, meta: str, tables: dict) -> list[str]:
             row_fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
             width, n = len(columns), len(columns[0])
             rows = max(1, _CHUNK_VALUES // width)
-            fh.write(meta + "\n" + ("" if header is None else ",".join(header) + "\n"))
+            fh.write(meta + "\n" + ",".join(header) + "\n")
             for start in range(0, n, rows):
                 stop = min(start + rows, n)
                 values = [None] * (width * (stop - start))
@@ -410,10 +412,9 @@ def cmd_oracle(cfg: dict, outdir: str, caps: dict) -> list[str]:
     M, t, U, t_max, steps = h["m"], h["t"], h["u"], h["t_max"], h["steps"]
     if M > caps["oracle_m"]:
         raise TooLargeError(f"[hubbard] key 'm': M={M} exceeds the oracle cap {caps['oracle_m']}")
-    if steps < 2 or not 0.0 < t_max < math.inf:
-        raise ConfigError("[hubbard] keys 't_max'/'steps': need finite t_max > 0 and steps >= 2")
-
     try:
+        _real("t_max", t_max, 0.0)
+        _count("steps", steps, 2)
         # lists: for M <= 0 np.full(M - 1, t) raises "negative dimensions" before _count names the rule
         params = HubbardParams(M=M, t0=[t] * (M - 1), t1=[t] * (M - 1), U=U, U0=U, U1=U)
         report = compare_effective(

@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg import blas
 
 from ._golden import golden_max
-from .chains import WaveState, _count, _integral, _readonly, _real
+from .chains import WaveState, _count, _readonly, _real
 from .errors import TooLargeError
 from .spectral import Spectrum, _mode_coefficients
 
@@ -250,8 +250,7 @@ def edge_exposure(grid: EvolutionGrid, edge_width: int) -> float:
     Scans every sampled time of the grid; ``edge_width`` sites per end.
     """
     M = grid.prob.shape[1]
-    if not (_integral(edge_width) and 1 <= edge_width <= M // 2):
-        raise ValueError(f"edge_width must lie in 1..{M // 2}")
+    _count("edge_width", edge_width, 1, M // 2)
     p = grid.prob
     exposure = p[:, :edge_width].sum(axis=1) + p[:, M - edge_width :].sum(axis=1)
     return float(np.max(exposure))

@@ -167,11 +167,9 @@ def enumerate_basis(M: int, N0: int, N1: int, nmax: int, max_states: int = BASIS
     virtual doubly-occupied states that mediate the second-order processes.
     """
     _count("M", M, 1)
-    _count("N0", N0, 0)
-    _count("N1", N1, 0)
     _count("nmax", nmax, 1)
-    if N0 > M * nmax or N1 > M * nmax:
-        raise ValueError("nmax too small to host the atoms")
+    _count("N0", N0, 0, M * nmax)
+    _count("N1", N1, 0, M * nmax)
     # Refuse from a cheap bound first; past it the exact count has few terms.  Row counts,
     # coefficients of (1 + ... + x^nmax)^M, are symmetric and unimodal in N, so N atoms have
     # at least the C(M, j) rows of j = min(N, M nmax - N, 2) atoms on distinct sites.
@@ -327,9 +325,8 @@ def compare_effective(
     if not p.species_independent():
         raise ValueError("compare_effective requires species-independent parameters")
     _count("M", p.M, 2)
-    times = np.asarray(t_grid, dtype=float)
-    if times.ndim != 1 or times.size == 0 or not np.isfinite(times).all():
-        raise ValueError("t_grid must be a nonempty 1-d sequence of finite times")
+    times = _reals("t_grid", t_grid, np.size(t_grid))
+    _count("len(t_grid)", times.size, 1)
 
     M = p.M
     # max_dim caps the full basis: nothing is enumerated or built past it
@@ -366,7 +363,7 @@ def compare_effective(
     worst = {name: float(np.max(dev)) for name, dev in deviations.items()}
     convention = min(TAU_CONVENTIONS, key=lambda name: worst[name])
     return OracleReport(
-        times=_readonly(times.copy()),
+        times=times,
         leakage=_readonly(leakage),
         deviations={k: _readonly(v) for k, v in deviations.items()},
         convention=convention,

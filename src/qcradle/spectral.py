@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import lapack
 
-from .chains import ChainSpec, WaveState, _count, _integral, _readonly, _real, mirror_symmetric
+from .chains import ChainSpec, WaveState, _count, _readonly, _real, mirror_symmetric
 from .errors import DegenerateSpectrumError
 
 # Gap-matrix entries per chunk of rows in _end_weights: 256 KB of float64,
@@ -267,10 +267,8 @@ def linearity_deviation(spectrum: Spectrum, index_range: tuple[int, int]) -> flo
     mean spacing in the window; 0 means exactly equispaced.
     """
     lo, hi = index_range
-    if not (_integral(lo) and _integral(hi) and 1 <= lo < hi <= spectrum.M):
-        raise ValueError(f"index_range must satisfy 1 <= lo < hi <= {spectrum.M}")
-    if hi - lo + 1 < 3:
-        raise ValueError("index_range must contain at least 3 modes")
+    _count("index_range[0]", lo, 1, spectrum.M - 2)
+    _count("index_range[1]", hi, lo + 2, spectrum.M)
     spacings = np.diff(spectrum.omega[lo - 1 : hi])
     sbar = float(np.mean(spacings))
     if sbar == 0.0:

@@ -99,6 +99,10 @@ class TestGaussianTrapChain:
         flat = diagonalize(uniform_chain(5, 1.0)).omega
         assert np.allclose(shifted, flat, rtol=0, atol=1e-12)
 
+    def test_narrowest_width_leaves_far_sites_empty(self):
+        # (j - x_m)^2 / theta^2 overflows past two sites; those offsets are 0, with no warning
+        assert np.array_equal(gaussian_trap_chain(5, 1.0, 1.0, 1.5e-154).eps, [-1.0, 0.0, 0.0, 0.0, 0.0])
+
     def test_sign_choices(self):
         up = gaussian_trap_chain(10, 1.0, 5.0, 4.0, sign=1)
         down = gaussian_trap_chain(10, 1.0, 5.0, 4.0, sign=-1)
@@ -148,6 +152,9 @@ class TestGaussianWavepacket:
         j = np.arange(1, 51)
         order = np.argsort(np.abs(j - 17.3))
         assert np.all(np.diff(z[order]) < 0)
+
+    def test_narrowest_width_leaves_far_sites_empty(self):
+        assert np.array_equal(gaussian_wavepacket(5, 1.0, 1.5e-154).z, [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_underflow(self):
         with pytest.raises(DegenerateStateError):

@@ -252,7 +252,7 @@ def _csv_cases():
         "integers": (["n", "x"], [counts, counts / 3.0]),
         "partial_last_chunk": (["t", "j", "p"], [_RNG_VALUES, j, _RNG_VALUES**3]),
         "one_row": (["x", "y", "n"], [[0.1], [np.float64(-2.5e-8)], [np.int64(12)]]),
-        "wider_than_a_chunk": (None, matrix.T),
+        "wider_than_a_chunk": ([f"c{k}" for k in range(matrix.shape[1])], matrix.T),
     }
 
 
@@ -588,7 +588,8 @@ class TestValidation:
             assert f"[hubbard] has unexpected key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "oracle.csv").exists()
 
-    # one refused count per layer (chains, dynamics, tuner, hubbard), and the oracle's M
+    # one refused count per layer (chains, dynamics, tuner, hubbard), the oracle's M, and the
+    # oracle's steps and t_max, which go through the same rules as the library's
     @pytest.mark.parametrize(
         "command, body, override, message",
         [
@@ -597,8 +598,16 @@ class TestValidation:
             ("tune", TUNE_ONE_POINT, "tune.points=0", "points must be an integer >= 1, got 0"),
             ("oracle", ORACLE_M2, "hubbard.nmax=0", "nmax must be an integer >= 1, got 0"),
             ("oracle", ORACLE_M2, "hubbard.m=0", "M must be an integer >= 1, got 0"),
+            (
+                "oracle", ORACLE_M2, "hubbard.steps=1",
+                "[hubbard] invalid parameters: steps must be an integer >= 2, got 1",
+            ),
+            (
+                "oracle", ORACLE_M2, "hubbard.t_max=0",
+                "[hubbard] invalid parameters: t_max must be a finite number in (0, inf), got 0.0",
+            ),
         ],
-        ids=["chain.m", "evolve.steps", "tune.points", "hubbard.nmax", "hubbard.m"],
+        ids=["chain.m", "evolve.steps", "tune.points", "hubbard.nmax", "hubbard.m", "hubbard.steps", "hubbard.t_max"],
     )
     def test_bad_count_is_config_error(self, command, body, override, message, tmp_path, capsys):
         cfg = write(tmp_path / "run.ini", body)

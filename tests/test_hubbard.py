@@ -507,8 +507,8 @@ def _params(**kwargs):
         (lambda: _params(t0=[1.0]), "t0 must be a length-2 array of finite numbers in (-inf, inf)"),
         (lambda: _params(t1=[1.0, 1.0, 1.0]), "t1 must be a length-2 array of finite numbers in (-inf, inf)"),
         (lambda: _params(xi=[0.0, 0.0]), "xi must be a length-3 array of finite numbers in (-inf, inf)"),
-        (lambda: enumerate_basis(2, 5, 0, 2), "nmax too small to host the atoms"),
-        (lambda: enumerate_basis(2, 0, 3, 1), "nmax too small to host the atoms"),
+        (lambda: enumerate_basis(2, 5, 0, 2), "N0 must be an integer in 0..4, got 5"),
+        (lambda: enumerate_basis(2, 0, 3, 1), "N1 must be an integer in 0..2, got 3"),
         (lambda: build_hamiltonian(_params(), enumerate_basis(2, 1, 1, 2)), "params have M=3, basis has M=2"),
     ],
     ids=["t0-length", "t1-length", "xi-length", "nmax-N0", "nmax-N1", "params-basis-M"],

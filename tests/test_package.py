@@ -1,14 +1,16 @@
 """The package namespace: every exported name resolves, and only once,
 every exception type the package defines is raised, exported and mapped to
-a CLI exit code, every integer count follows one rule, every real input
-follows one rule, the value types that hold arrays compare and hash by
-identity, the console script names a callable, and the package metadata
-reads its version from the package."""
+a CLI exit code, every integer count or index follows one rule, within its
+range, every real input follows one rule, the value types that hold arrays
+compare and hash by identity and keep their own read-only copies, the
+console script names a callable, and the package metadata reads its version
+from the package."""
 
 import ast
 import importlib
 import inspect
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -21,8 +23,10 @@ from qcradle import (
     ChainSpec,
     HubbardParams,
     TooLargeError,
+    WaveState,
     compare_effective,
     diagonalize,
+    edge_exposure,
     edge_modified_chain,
     effective_params,
     end_amplitude,
@@ -33,6 +37,7 @@ from qcradle import (
     gaussian_trap_chain,
     gaussian_wavepacket,
     kick_state,
+    linearity_deviation,
     pseudo_wavevectors,
     pst_chain,
     revival_fidelity,
@@ -91,42 +96,91 @@ def _hubbard(M):
     return HubbardParams(M=M, t0=t, t1=t, U=40.0, U0=40.0, U1=40.0)
 
 
-# entry point -> (count name, least value, call with the count)
+_GRID8 = evolution_grid(diagonalize(uniform_chain(8, 1.0)), kick_state(8, 1), 1.0, 2)
+_SPECTRUM8 = diagonalize(uniform_chain(8, 1.0))
+
+# entry point -> (count name, least value, greatest value or None, call with the count)
 COUNTS = {
-    "ChainSpec": ("M", 1, lambda n: ChainSpec(M=n, tau=[], eps=[0.0])),
-    "uniform_chain": ("M", 1, lambda n: uniform_chain(n, 1.0)),
-    "pst_chain": ("M", 2, lambda n: pst_chain(n, 1.0)),
-    "edge_modified_chain": ("M", 3, lambda n: edge_modified_chain(n, 1.0, 0.5)),
-    "edge_modified_chain-y": ("M", 5, lambda n: edge_modified_chain(n, 1.0, 0.5, 0.8)),
-    "gaussian_trap_chain": ("M", 1, lambda n: gaussian_trap_chain(n, 1.0, 1.0, 2.0)),
-    "kick_state": ("M", 1, lambda n: kick_state(n, 1)),
-    "gaussian_wavepacket": ("M", 1, lambda n: gaussian_wavepacket(n, 1.0, 1.0)),
-    "pseudo_wavevectors": ("M", 1, lambda n: pseudo_wavevectors(n, 0.5)),
-    "HubbardParams": ("M", 1, _hubbard),
-    "enumerate_basis-M": ("M", 1, lambda n: enumerate_basis(n, 0, 0, 1)),
-    "enumerate_basis-N0": ("N0", 0, lambda n: enumerate_basis(1, n, 0, 1)),
-    "enumerate_basis-N1": ("N1", 0, lambda n: enumerate_basis(1, 0, n, 1)),
-    "enumerate_basis-nmax": ("nmax", 1, lambda n: enumerate_basis(1, 0, 0, n)),
+    "ChainSpec": ("M", 1, None, lambda n: ChainSpec(M=n, tau=[], eps=[0.0])),
+    "uniform_chain": ("M", 1, None, lambda n: uniform_chain(n, 1.0)),
+    "pst_chain": ("M", 2, None, lambda n: pst_chain(n, 1.0)),
+    "edge_modified_chain": ("M", 3, None, lambda n: edge_modified_chain(n, 1.0, 0.5)),
+    "edge_modified_chain-y": ("M", 5, None, lambda n: edge_modified_chain(n, 1.0, 0.5, 0.8)),
+    "gaussian_trap_chain": ("M", 1, None, lambda n: gaussian_trap_chain(n, 1.0, 1.0, 2.0)),
+    "gaussian_trap_chain-sign": ("sign", -1, 1, lambda n: gaussian_trap_chain(3, 1.0, 1.0, 2.0, n)),
+    "kick_state": ("M", 1, None, lambda n: kick_state(n, 1)),
+    "kick_state-site": ("site", 1, 4, lambda n: kick_state(4, n)),
+    "gaussian_wavepacket": ("M", 1, None, lambda n: gaussian_wavepacket(n, 1.0, 1.0)),
+    "pseudo_wavevectors": ("M", 1, None, lambda n: pseudo_wavevectors(n, 0.5)),
+    "linearity_deviation-lo": ("index_range[0]", 1, 6, lambda n: linearity_deviation(_SPECTRUM8, (n, 8))),
+    "linearity_deviation-hi": ("index_range[1]", 3, 8, lambda n: linearity_deviation(_SPECTRUM8, (1, n))),
+    "edge_exposure": ("edge_width", 1, 4, lambda n: edge_exposure(_GRID8, n)),
+    "HubbardParams": ("M", 1, None, _hubbard),
+    "enumerate_basis-M": ("M", 1, None, lambda n: enumerate_basis(n, 0, 0, 1)),
+    "enumerate_basis-N0": ("N0", 0, 1, lambda n: enumerate_basis(1, n, 0, 1)),
+    "enumerate_basis-N1": ("N1", 0, 1, lambda n: enumerate_basis(1, 0, n, 1)),
+    "enumerate_basis-nmax": ("nmax", 1, None, lambda n: enumerate_basis(1, 0, 0, n)),
     # a float M is refused by HubbardParams, before compare_effective sees it
-    "compare_effective": ("M", 2, lambda n: compare_effective(_hubbard(n), [0.0])),
+    "compare_effective": ("M", 2, None, lambda n: compare_effective(_hubbard(n), [0.0])),
     "evolution_grid": (
-        "steps", 2, lambda n: evolution_grid(diagonalize(uniform_chain(3, 1.0)), kick_state(3, 1), 1.0, n)
+        "steps", 2, None, lambda n: evolution_grid(diagonalize(uniform_chain(3, 1.0)), kick_state(3, 1), 1.0, n)
     ),
-    "tune_single": ("points", 1, lambda n: tune_single(3, 1.0, n)),
+    "tune_single": ("points", 1, None, lambda n: tune_single(3, 1.0, n)),
 }
+
+
+def _domain(least, most):
+    return f">= {least}" if most is None else f"in {least}..{most}"
 
 
 @pytest.mark.parametrize("case", COUNTS)
 def test_counts_follow_one_rule(case):
-    name, least, call = COUNTS[case]
-    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d+, got {least}\.0$"):
+    name, least, most, call = COUNTS[case]
+    # the domain of a refused float or bool may be another count's (compare_effective's M)
+    some_domain = r"(>= -?\d+|in -?\d+\.\.\d+)"
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer {some_domain}, got {least}\.0$"):
         call(float(least))
-    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {least}, got {least - 1}$"):
+    with pytest.raises(ValueError) as info:
         call(least - 1)
+    assert str(info.value) == f"{name} must be an integer {_domain(least, most)}, got {least - 1}"
     call(np.int64(least))
     # bool is numbers.Integral, but True is no count
-    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d+, got True$"):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer {some_domain}, got True$"):
         call(True)
+
+
+# bounded count or index -> (call with a value past its greatest, the one message)
+COUNT_BOUNDS = {
+    "kick_state-site": (lambda: kick_state(1, 2), "site must be an integer in 1..1, got 2"),
+    "edge_exposure": (lambda: edge_exposure(_GRID8, 5), "edge_width must be an integer in 1..4, got 5"),
+    "linearity_deviation-hi-past-M": (
+        lambda: linearity_deviation(_SPECTRUM8, (1, 9)), "index_range[1] must be an integer in 3..8, got 9"
+    ),
+    "linearity_deviation-two-modes": (
+        lambda: linearity_deviation(_SPECTRUM8, (2, 3)), "index_range[1] must be an integer in 4..8, got 3"
+    ),
+    "enumerate_basis-N0": (lambda: enumerate_basis(1, 2, 0, 1), "N0 must be an integer in 0..1, got 2"),
+    "enumerate_basis-N1": (lambda: enumerate_basis(3, 0, 7, 2), "N1 must be an integer in 0..6, got 7"),
+    "gaussian_trap_chain-sign": (
+        lambda: gaussian_trap_chain(3, 1.0, 1.0, 2.0, 2), "sign must be an integer in -1..1, got 2"
+    ),
+    "gaussian_trap_chain-sign-True": (
+        lambda: gaussian_trap_chain(3, 1.0, 1.0, 2.0, True), "sign must be an integer in -1..1, got True"
+    ),
+    "gaussian_trap_chain-sign-float": (
+        lambda: gaussian_trap_chain(3, 1.0, 1.0, 2.0, 1.0), "sign must be an integer in -1..1, got 1.0"
+    ),
+    # the one value inside the range that is no sign
+    "gaussian_trap_chain-sign-zero": (lambda: gaussian_trap_chain(3, 1.0, 1.0, 2.0, 0), "sign must be +1 or -1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", COUNT_BOUNDS)
+def test_count_bounds(case):
+    call, message = COUNT_BOUNDS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is ValueError and str(info.value) == message
 
 
 def _scalar(name, domain):
@@ -143,6 +197,7 @@ def _couplings(**kwargs):
 
 _TINY = 5e-324  # the least positive double
 _ABOVE_ONE = float(np.nextafter(1.0, 2.0))
+_WIDTHS = "(1.49167e-154, inf)"  # Gaussian widths: (sqrt(tiny), inf)
 _KICK = (diagonalize(uniform_chain(3, 1.0)), kick_state(3, 1))
 
 # entry point -> (message, with {v!r} for the value of a scalar; a value just
@@ -168,12 +223,20 @@ REALS = {
     "gaussian_trap_chain-x_m": (
         _scalar("x_m", "(-inf, inf)"), None, 1e150, lambda v: gaussian_trap_chain(5, 1.0, v, 2.0)
     ),
-    # theta^2 divides: the least positive theta would make 0/0
+    # theta^2 divides, so theta > sqrt(tiny): the least positive theta would make 0/0,
+    # and 1e-170 would be blamed on eps
     "gaussian_trap_chain-theta": (
-        _scalar("theta", "(0, inf)"), 0.0, 1e-150, lambda v: gaussian_trap_chain(5, 1.0, 3.0, v)
+        _scalar("theta", _WIDTHS), 0.0, 1e-150, lambda v: gaussian_trap_chain(5, 1.0, 3.0, v)
+    ),
+    "gaussian_trap_chain-theta-underflow": (
+        _scalar("theta", _WIDTHS), 1e-170, 1.5e-154, lambda v: gaussian_trap_chain(5, 1.0, 3.0, v)
     ),
     "gaussian_wavepacket-x0": (_scalar("x0", "(-inf, inf)"), None, 1e150, lambda v: gaussian_wavepacket(3, v, 1e150)),
-    "gaussian_wavepacket-sigma": (_scalar("sigma", "(0, inf)"), 0.0, 1e-150, lambda v: gaussian_wavepacket(3, 1.0, v)),
+    "gaussian_wavepacket-sigma": (_scalar("sigma", _WIDTHS), 0.0, 1e-150, lambda v: gaussian_wavepacket(3, 1.0, v)),
+    # 1e-170 would leave every site weight 0 for a packet that sits on a site
+    "gaussian_wavepacket-sigma-underflow": (
+        _scalar("sigma", _WIDTHS), 1e-170, 1.5e-154, lambda v: gaussian_wavepacket(3, 1.0, v)
+    ),
     "evolve": (_scalar("t", "(-inf, inf)"), None, -1e300, lambda v: evolve(*_KICK, v)),
     "revival_fidelity": (_scalar("t", "(-inf, inf)"), None, 1e300, lambda v: revival_fidelity(*_KICK, v)),
     "end_amplitude": (_scalar("t", "(-inf, inf)"), None, 1e300, lambda v: end_amplitude(_KICK[0], v)),
@@ -223,6 +286,28 @@ def test_array_holders_compare_by_identity(case):
     a, b = ARRAY_HOLDERS[case](), ARRAY_HOLDERS[case]()
     assert a == a and a != b
     assert hash(a) == hash(a) and {a, b} == {b, a}
+
+
+# stored array field -> (build from the caller's array, the caller's array, the field)
+OWNED_ARRAYS = {
+    "ChainSpec-tau": (lambda a: ChainSpec(M=3, tau=a, eps=np.zeros(3)), np.ones(2), "tau"),
+    "ChainSpec-eps": (lambda a: ChainSpec(M=3, tau=np.ones(2), eps=a), np.zeros(3), "eps"),
+    "HubbardParams-t0": (lambda a: _couplings(t0=a), np.ones(2), "t0"),
+    "HubbardParams-t1": (lambda a: _couplings(t1=a), np.ones(2), "t1"),
+    "HubbardParams-xi": (lambda a: _couplings(xi=a), np.zeros(3), "xi"),
+    "WaveState-z": (lambda a: WaveState(z=a), np.array([1.0, 0.0, 0.0], dtype=complex), "z"),
+    "OracleReport-times": (lambda a: compare_effective(_hubbard(2), a), np.array([0.0, 1.0]), "times"),
+}
+
+
+@pytest.mark.parametrize("case", OWNED_ARRAYS)
+def test_stored_arrays_are_read_only_copies(case):
+    build, caller, field = OWNED_ARRAYS[case]
+    kept = getattr(build(caller), field)
+    before = kept.copy()
+    assert caller.flags.writeable and not kept.flags.writeable
+    caller[0] = 0.5
+    assert np.array_equal(kept, before)
 
 
 def test_console_script_resolves():

@@ -587,16 +587,17 @@ class TestLinearityDeviation:
 
     def test_errors(self):
         sp = diagonalize(uniform_chain(8, 1.0))
-        with pytest.raises(ValueError):
-            linearity_deviation(sp, (1, 2))
-        with pytest.raises(ValueError):
-            linearity_deviation(sp, (0, 5))
-        with pytest.raises(ValueError):
-            linearity_deviation(sp, (5, 5))
-        with pytest.raises(ValueError, match="index_range must satisfy"):
-            linearity_deviation(sp, (1.0, 5.0))
-        with pytest.raises(ValueError, match="index_range must satisfy"):
-            linearity_deviation(sp, (1, 5.0))
+        refusals = [
+            ((1, 2), "index_range[1] must be an integer in 3..8, got 2"),
+            ((0, 5), "index_range[0] must be an integer in 1..6, got 0"),
+            ((5, 5), "index_range[1] must be an integer in 7..8, got 5"),
+            ((1.0, 5.0), "index_range[0] must be an integer in 1..6, got 1.0"),
+            ((1, 5.0), "index_range[1] must be an integer in 3..8, got 5.0"),
+        ]
+        for index_range, message in refusals:
+            with pytest.raises(ValueError) as info:
+                linearity_deviation(sp, index_range)
+            assert str(info.value) == message
         flat = seeded_spectrum(uniform_chain(3, 1.0), np.zeros(3), np.eye(3))
         with pytest.raises(DegenerateSpectrumError):
             linearity_deviation(flat, (1, 3))
