@@ -158,6 +158,15 @@ def edge_modified_chain(M: int, tau: float, x: float, y: float | None = None) ->
     return ChainSpec(M=M, tau=t, eps=np.zeros(M))
 
 
+def _gaussian(M: int, center: float, width: float) -> np.ndarray:
+    # exp(-(j - center)^2 / width^2) at the sites j = 1..M.  The width is squared as a
+    # NumPy float, whose square overflows to inf (a flat profile of ones) where a Python
+    # float's raises OverflowError; below that, both give the same bits
+    j = np.arange(1, M + 1, dtype=float)
+    with np.errstate(over="ignore"):  # a far site's exponent is -inf, its weight 0
+        return np.exp(-((j - center) ** 2) / np.float64(width) ** 2)
+
+
 def gaussian_trap_chain(
     M: int,
     tau: float,
@@ -168,7 +177,8 @@ def gaussian_trap_chain(
     """Uniform chain with a Gaussian on-site offset profile.
 
     eps_j = sign * exp(-(j - x_m)^2 / theta^2).  The default sign makes the
-    trap confining for a zero-momentum packet (see DEFAULT_TRAP_SIGN).
+    trap confining for a zero-momentum packet (see DEFAULT_TRAP_SIGN).  A
+    theta whose square overflows (about 1.34e154 and up) gives eps = sign.
     """
     _count("M", M, 1)
     _real("tau", tau, 0.0)
@@ -177,10 +187,7 @@ def gaussian_trap_chain(
     _count("sign", sign, -1, 1)
     if sign == 0:
         raise ValueError("sign must be +1 or -1, got 0")
-    j = np.arange(1, M + 1, dtype=float)
-    with np.errstate(over="ignore"):  # a far site's exponent is -inf, its weight 0
-        eps = sign * np.exp(-((j - x_m) ** 2) / theta**2)
-    return ChainSpec(M=M, tau=np.full(M - 1, float(tau)), eps=eps)
+    return ChainSpec(M=M, tau=np.full(M - 1, float(tau)), eps=sign * _gaussian(M, x_m, theta))
 
 
 def kick_state(M: int, site: int) -> WaveState:
@@ -195,15 +202,14 @@ def kick_state(M: int, site: int) -> WaveState:
 def gaussian_wavepacket(M: int, x0: float, sigma: float) -> WaveState:
     """Real positive Gaussian packet, z_j proportional to exp(-(j-x0)^2/sigma^2).
 
-    Normalized in the discrete l2 sense over the M sites.  Raises
-    DegenerateStateError when every site weight underflows to zero.
+    Normalized in the discrete l2 sense over the M sites; a sigma whose
+    square overflows gives the uniform packet.  Raises DegenerateStateError
+    when every site weight underflows to zero.
     """
     _count("M", M, 1)
     _real("sigma", sigma, _WIDTH_MIN)
     _real("x0", x0)
-    j = np.arange(1, M + 1, dtype=float)
-    with np.errstate(over="ignore"):
-        w = np.exp(-((j - x0) ** 2) / sigma**2)
+    w = _gaussian(M, x0, sigma)
     total = float(np.sum(w**2))
     if not total > 0.0:
         raise DegenerateStateError(

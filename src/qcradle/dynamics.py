@@ -6,30 +6,13 @@ The amplitude on site j at time t is the mode sum
     A_j(t) = sum_n g_{nj} e^{-i omega_n t} sum_{j'} g_{nj'} z_{j'}(0),
 
 which is exact to round-off at any t for the time-independent chain
-Hamiltonian; no time stepping is involved.  On top of ``evolve`` this module
-builds the site-probability grids behind the bounce diagrams, end-to-end
-transfer metrics, revival fidelities, and the boundary-exposure diagnostic
-for trapped packets.  The transfer peak search scans |A_M(t)| over a window
-fixed by the chain, [0, 1.5 M/tau_max], which brackets ballistic first
-arrival; its uniform grid of step 0.05/tau_max holds n = 30M + 1 or 30M + 2
-samples.  It reads only the modes (nu, p, q) of ``Spectrum._end_modes``, in
-which the end amplitude is the real form
-
-    A_M(t) = sum_k p_k cos(nu_k t) - i sum_k q_k sin(nu_k t).
-
-A chain with eps = 0 folds onto (M + 1) // 2 modes and one of the two sums
-(q alone for even M, p alone for odd M); any other chain has nu = omega and
-p = q = g_{n1} g_{nM}.  ``Spectrum`` derives these from the eigenvalues
-without building the M^2 eigenvectors.  The grid is factored into two phase
-blocks so the scan is a real matrix product over the nonzero sums, added in
-place into one accumulator over chunks of at most K = 128 modes, in
-O(sqrt(n) K + n) memory.  Each block holds powers of one step phase per mode,
-built by doubling, so the scan carries an O(sqrt(n) eps) sum_n |w_n|
-round-off; it only picks the sample to refine, the scan's first maximum.
-Golden-section search then refines that sample through the point kernel
-``_end_kernel``, bound once per transfer to the modes and its work buffers.
-``end_amplitude`` calls the same kernel, so every reported amplitude is the
-same direct sum over the modes at one time.
+Hamiltonian; no time stepping is involved.  ``evolve`` and
+``evolution_grid`` take it over every site, for the bounce diagrams,
+revival fidelities and the boundary-exposure diagnostic of trapped packets.
+The transfer metrics read the end amplitude of a kick at site 1 from the
+modes ``Spectrum._end_modes`` alone: ``peak_transfer`` scans it
+(``_end_abs_scan``) and refines the scan's maximum through the point kernel
+``_end_kernel``, which ``end_amplitude`` calls too.
 
 Times are in units of inverse energy (hbar = 1).
 """
@@ -141,11 +124,7 @@ def _end_abs_scan(nu: np.ndarray, p, q, dt: float, n: int) -> np.ndarray:
     """
     B = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     nb = -(-n // B)
-    weights = []
-    if p is not None:
-        weights.append(p)
-    if q is not None:
-        weights.append(1j * q)
+    weights = ([] if p is None else [p]) + ([] if q is None else [1j * q])
     parts = np.zeros((len(weights) * nb, B))
     for lo in range(0, nu.size, _SCAN_MODES):
         chunk = slice(lo, lo + _SCAN_MODES)
@@ -180,11 +159,9 @@ def _end_kernel(nu: np.ndarray, p, q):
 
     def amp(t: float) -> complex:
         np.multiply(nu, t, x)
-        if q is None:  # C - i 0
-            return complex(p.dot(np.cos(x, x)), -0.0)
-        if p is None:
-            return complex(0.0, -q.dot(np.sin(x, x)))
-        return complex(p.dot(np.cos(x, y)), -q.dot(np.sin(x, x)))
+        C = 0.0 if p is None else p.dot(np.cos(x, y))
+        S = 0.0 if q is None else q.dot(np.sin(x, x))
+        return complex(C, -S)
 
     return amp
 

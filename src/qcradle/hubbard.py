@@ -99,11 +99,16 @@ class EffectiveParams:
 
 
 def effective_params(p: HubbardParams) -> EffectiveParams:
-    """Second-order effective couplings of the singly-occupied sector."""
+    """Second-order effective couplings of the singly-occupied sector.
+
+    A coupling that overflows (a subnormal U, or a huge t) is inf or NaN, with
+    no warning: ``ChainSpec`` refuses such a tau by name.
+    """
     t0, t1 = p.t0, p.t1
-    tau = 2.0 * t0 * t1 / p.U
-    gamma = 2.0 * ((t0**2 + t1**2) / p.U - t0**2 / p.U0 - t1**2 / p.U1)
-    sigma = 2.0 * t0**2 / p.U0 - (t0**2 + t1**2) / p.U
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau = 2.0 * t0 * t1 / p.U
+        gamma = 2.0 * ((t0**2 + t1**2) / p.U - t0**2 / p.U0 - t1**2 / p.U1)
+        sigma = 2.0 * t0**2 / p.U0 - (t0**2 + t1**2) / p.U
     return EffectiveParams(tau=_readonly(tau), gamma=_readonly(gamma), sigma=_readonly(sigma))
 
 
@@ -329,6 +334,10 @@ def compare_effective(
     _count("len(t_grid)", times.size, 1)
 
     M = p.M
+    # the 2t^2/U chain, first, so that an overflowing tau is refused before any exact work;
+    # None when the hopping is frozen (tau == 0)
+    tau = effective_params(p).tau
+    chain = diagonalize(ChainSpec(M=M, tau=tau, eps=np.zeros(M))) if tau.any() else None
     # max_dim caps the full basis: nothing is enumerated or built past it
     basis = enumerate_basis(M, M - 1, 1, nmax, max_states=max_dim)
     H = build_hamiltonian(p, basis)
@@ -341,10 +350,6 @@ def compare_effective(
     mirror = np.array_equal(p.t0, p.t0[::-1]) and np.array_equal(p.xi, p.xi[::-1])
     sectors = _sectors(_reflection(basis) if mirror else np.arange(basis.dim))
     modes = [_sector_modes(H, S, single_idx) for S in sectors]
-
-    # the 2t^2/U chain; None when the hopping is frozen (tau == 0)
-    tau = effective_params(p).tau
-    chain = diagonalize(ChainSpec(M=M, tau=tau, eps=np.zeros(M))) if tau.any() else None
 
     z0 = kick_state(M, 1)
     p0 = z0.probabilities()

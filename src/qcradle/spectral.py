@@ -2,24 +2,14 @@
 Spectral analysis of hopping chains.
 
 Solves the real symmetric tridiagonal single-particle Hamiltonian of a
-ChainSpec, solves the boundary-modified quantization condition for the
-pseudo-wavevectors of an edge-weakened chain, and provides the
-spectrum/state diagnostics (equal-spacing deviation, mode overlaps) used by
-the transfer studies.
-
-A ``Spectrum`` solves on first use and keeps what it solved.  Every
-tridiagonal eigensolve in the package, of the chain or of an oracle sector,
-values or vectors, is one ``_stevd`` (LAPACK stevd) call; the eigenpairs,
-with LAPACK's signs, take O(M^2) memory.  The end-to-end transfer reads only
-the eigenvalues, from the two reflection sectors of a mirror-symmetric chain
-at half the cost of one solve (``_eigvals``), and the end weights
-g_{n1} g_{nM}, which follow from the eigenvalues alone (``_end_weights``) in O(M)
-memory, so a transfer never builds the eigenvectors.  A chain with eps = 0 is
-bipartite, so its spectrum and end weights come in mirror pairs: its transfer
-folds onto the (M + 1) // 2 lowest modes (``Spectrum._end_modes``), and for
-even M with mirror symmetry one reflection sector gives them.  No output
-depends on an eigenvector's sign: every quantity derived here or in
-``dynamics`` holds each eigenvector an even number of times.
+ChainSpec (``diagonalize``, which returns a ``Spectrum`` that solves on first
+use), solves the boundary-modified quantization condition for the
+pseudo-wavevectors of an edge-weakened chain (``pseudo_wavevectors``), and
+provides the spectrum/state diagnostics (``linearity_deviation``,
+``mode_overlaps``) used by the transfer studies.  The end-to-end transfer
+reads the modes ``Spectrum._end_modes``, built from ``_eigvals`` and
+``_end_weights`` without the eigenvectors.  Every tridiagonal eigensolve in
+the package is one ``_stevd`` call.
 """
 
 from __future__ import annotations
@@ -102,12 +92,9 @@ class Spectrum:
         if w.size == M:  # no fold: eps != 0, the eigenvector fallback, or one site
             w = _readonly(w)
             return _readonly(omega), w, w
-        nu = _readonly(omega[: w.size])
-        w *= 2.0
-        if M % 2:
-            w[-1] /= 2.0  # the zero mode has no mirror image
-            return nu, _readonly(w), None
-        return nu, None, _readonly(w)
+        w[: M // 2] *= 2.0  # for the mirror modes; an odd chain's zero mode (last) has none
+        nu, w = _readonly(omega[: w.size]), _readonly(w)
+        return (nu, w, None) if M % 2 else (nu, None, w)
 
 
 def _stevd(d: np.ndarray, e: np.ndarray, vectors: bool = True):
@@ -202,7 +189,8 @@ def diagonalize(spec: ChainSpec) -> Spectrum:
     """The spectrum of the chain Hamiltonian, solved when first read.
 
     Backed by the LAPACK symmetric-tridiagonal solvers, O(M^2) instead of the
-    dense O(M^3) path.  Rows of ``g`` keep LAPACK's signs; no output reads them.
+    dense O(M^3) path.  Rows of ``g`` keep LAPACK's signs; no output depends on
+    them, as every quantity holds each eigenvector an even number of times.
     """
     return Spectrum(spec)
 

@@ -117,6 +117,17 @@ class TestGaussianTrapChain:
             gaussian_trap_chain(10, 1.0, 5.0, 4.0, sign=2)
 
 
+# widths whose square overflows, where a Python float's square raises OverflowError:
+# a Python and a NumPy width give the same flat profile
+@pytest.mark.parametrize("width", [1e155, 1e200, 1.7e308])
+def test_overflowing_width_gives_a_flat_profile(width):
+    for sign in (-1, 1):
+        traps = [gaussian_trap_chain(5, 1.0, 3.0, w, sign=sign).eps for w in (width, np.float64(width))]
+        assert traps[0].tobytes() == traps[1].tobytes() == np.full(5, float(sign)).tobytes()
+    packets = [gaussian_wavepacket(5, 3.0, w).z for w in (width, np.float64(width))]
+    assert packets[0].tobytes() == packets[1].tobytes() == np.full(5, 1.0 / np.sqrt(5.0), dtype=complex).tobytes()
+
+
 class TestKickState:
     def test_first_site(self):
         assert np.array_equal(kick_state(4, 1).z, [1, 0, 0, 0])

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -472,6 +473,33 @@ def assert_demo_csvs(case, tmp_path):
 @pytest.mark.parametrize("case", [c for c in DEMO_CSVS if c != "oracle_m4"])
 def test_demo_config_bytes_pinned(case, tmp_path):
     assert_demo_csvs(case, tmp_path)
+
+
+# extreme values on the demo configs: each run writes its CSVs or is refused by
+# name (exit 2 or 3), never with a traceback or a RuntimeWarning
+_TRAP_EXTREMES = [
+    "chain.width=1e200", "chain.width=1e-200", "state.width=1e200", "state.width=1e-200",
+    "chain.center=1e308", "state.center=1e308", "chain.tau=1e-320", "chain.tau=1e300",
+]
+EXTREME_INPUTS = [
+    *(("evolve", "trap_bounce", o) for o in _TRAP_EXTREMES + ["evolve.t_max=1e300"]),
+    *(("spectrum", "trap_spectrum", o) for o in _TRAP_EXTREMES),
+    *(
+        ("oracle", "oracle_m4", f"hubbard.{o}")
+        for o in ("u=1e-320", "u=1e300", "t=1e200", "t=1e-200", "t_max=1e300")
+    ),
+]
+
+
+@pytest.mark.parametrize("command, config, override", EXTREME_INPUTS)
+def test_extreme_input_exits_cleanly(command, config, override, tmp_path, capsys):
+    cfg = Path(__file__).resolve().parent.parent / "demos" / "configs" / f"{config}.ini"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path), "--override", override])
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_CAP)
+    assert "Traceback" not in capsys.readouterr().err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestOracleCommand:

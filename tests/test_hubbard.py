@@ -485,6 +485,16 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024.0)
         with pytest.raises(TooLargeError, match="basis would hold 8128 states, cap is 2048"):
             compare_effective(_uniform_params(8, 1.0, 50.0), [0.0, 1.0])
 
+    # 2t^2/U overflows: the chain refuses tau, with no overflow warning, before the basis
+    @pytest.mark.parametrize("t, U", [(1.0, 1e-320), (1e200, 50.0)], ids=["subnormal-U", "huge-t"])
+    def test_overflowing_tau_refused_before_the_exact_solve(self, t, U, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("enumerate_basis called")
+
+        monkeypatch.setattr("qcradle.hubbard.enumerate_basis", boom)
+        with pytest.raises(ValueError, match=r"^tau must be a length-3 array of finite numbers in \(0, inf\)$"):
+            compare_effective(_uniform_params(4, t, U), [0.0, 1.0])
+
     def test_refuses_long_chain_fast(self):
         start = time.perf_counter()
         with pytest.raises(TooLargeError):
