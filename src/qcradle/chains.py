@@ -56,20 +56,25 @@ def _count(name: str, value, least: int, most: float = math.inf) -> None:
 
 def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf, closed: bool = False) -> None:
     # the one rule for every real scalar, a Python or NumPy number or a 0-d array: a finite
-    # number in (lo, hi], or in [lo, hi] if closed; float first, as an ABC check costs as
-    # much as the rest
-    real = isinstance(value, (float, numbers.Real)) or (
-        isinstance(value, np.ndarray) and value.shape == () and value.dtype.kind in "biuf"
-    )
-    if not (real and (lo <= value if closed else lo < value) and value <= hi and abs(value) < math.inf):
+    # number in (lo, hi], or in [lo, hi] if closed.  Checked as a float, which an int past
+    # the float range cannot become; float first, as an ABC check costs as much as the rest
+    try:
+        x = float(value) if isinstance(value, (float, numbers.Real)) or (
+            isinstance(value, np.ndarray) and value.shape == () and value.dtype.kind in "biuf"
+        ) else math.nan
+    except OverflowError:
+        x = math.nan
+    if not ((lo <= x if closed else lo < x) and x <= hi and abs(x) < math.inf):
         domain = f"{'[' if closed else '('}{lo:g}, {hi:g}{']' if hi < math.inf else ')'}"
         raise ValueError(f"{name} must be a finite number in {domain}, got {value!r}")
 
 
 def _reals(name: str, value, size: int, lo: float = -math.inf) -> np.ndarray:
-    # the one rule for every real array field: `size` finite numbers > lo, returned as a
-    # read-only copy; a NaN makes the least value NaN, and the initial values pass an empty array
-    a = np.atleast_1d(np.array(value, dtype=float))
+    # the one rule for every real array field: `size` finite numbers > lo, as a read-only copy.
+    # Text and objects (ints past 64 bits) become NaN, which makes the least value NaN; the
+    # initial values pass an empty array
+    a = np.atleast_1d(np.array(value))
+    a = a.astype(float, copy=False) if a.dtype.kind in "biuf" else np.full(1, math.nan)
     least, most = np.minimum.reduce(a, initial=math.inf), np.maximum.reduce(a, initial=-math.inf)
     if not (a.shape == (size,) and least > lo and most < math.inf):
         raise ValueError(f"{name} must be a length-{size} array of finite numbers in ({lo:g}, inf)")
@@ -159,12 +164,13 @@ def edge_modified_chain(M: int, tau: float, x: float, y: float | None = None) ->
 
 
 def _gaussian(M: int, center: float, width: float) -> np.ndarray:
-    # exp(-(j - center)^2 / width^2) at the sites j = 1..M.  The width is squared as a
-    # NumPy float, whose square overflows to inf (a flat profile of ones) where a Python
-    # float's raises OverflowError; below that, both give the same bits
+    # exp(-(j - center)^2 / width^2) at the sites j = 1..M, the width squared as a NumPy
+    # float, whose square overflows to inf (a flat profile of ones) where a Python float's
+    # raises OverflowError; where both squares overflow (inf/inf), the ratio is squared
     j = np.arange(1, M + 1, dtype=float)
-    with np.errstate(over="ignore"):  # a far site's exponent is -inf, its weight 0
-        return np.exp(-((j - center) ** 2) / np.float64(width) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # a far site's exponent is -inf, its weight 0
+        r = (j - center) ** 2 / np.float64(width) ** 2
+        return np.exp(-np.where(np.isnan(r), ((j - center) / width) ** 2, r))
 
 
 def gaussian_trap_chain(

@@ -10,9 +10,10 @@ Hamiltonian; no time stepping is involved.  ``evolve`` and
 ``evolution_grid`` take it over every site, for the bounce diagrams,
 revival fidelities and the boundary-exposure diagnostic of trapped packets.
 The transfer metrics read the end amplitude of a kick at site 1 from the
-modes ``Spectrum._end_modes`` alone: ``peak_transfer`` scans it
-(``_end_abs_scan``) and refines the scan's maximum through the point kernel
-``_end_kernel``, which ``end_amplitude`` calls too.
+modes ``Spectrum._end_modes`` alone: ``peak_transfer`` fixes the window and
+``_peak`` searches it, scanning (``_end_abs_scan``) and refining the scan's
+maximum through the point kernel ``_end_kernel``, which ``end_amplitude``
+calls too.
 
 Times are in units of inverse energy (hbar = 1).
 """
@@ -178,41 +179,39 @@ def end_amplitude(spectrum: Spectrum, t: float) -> complex:
     return _end_kernel(*spectrum._end_modes)(t)
 
 
+def _peak(modes, T: float, n: int) -> tuple[float, float, int]:
+    """(time, amplitude, samples) of the largest |A_M(t)| on [0, T], from ``Spectrum._end_modes``.
+
+    The coarse scan ``_end_abs_scan`` of n samples k*dt, dt = T/(n - 1),
+    picks its first maximum; ``golden_max`` refines it within dt, clipped
+    to [0, T], through the point kernel ``_end_kernel`` to time tolerance
+    1e-6.  samples = n + refine evaluations + 1 (the picked sample's kernel
+    value).
+    """
+    dt = T / (n - 1)
+    t = int(_end_abs_scan(*modes, dt, n).argmax()) * dt
+    amp = _end_kernel(*modes)
+    t, a, evals = golden_max(lambda t: abs(amp(t)), t, abs(amp(t)), dt, 0.0, T, PEAK_TIME_TOL)
+    return t, a, n + evals + 1
+
+
 def peak_transfer(spectrum: Spectrum) -> TransferReport:
     """Largest |A_M(t)| over the window (0, 1.5 M/tau_max) for the kick-at-1 state.
 
     The window is fixed by the chain (tau_max = 1 for one site) and is
-    reported as ``TransferReport.window``.  A coarse uniform scan of step
-    0.05/tau_max, n = 30M + 1 or 30M + 2 samples in O(sqrt(n) K + n) memory
-    (K = 128 modes per chunk), picks the first maximum of the computed scan;
-    golden-section search refines it to time tolerance 1e-6.  Deterministic,
-    but on a profile flat to round-off the scan's round-off, not the
-    earliest time, picks that sample.  A window end that overflows (a
-    subnormal tau_max) raises ValueError.
+    reported as ``TransferReport.window``; ``_peak`` searches it from a
+    coarse scan of step 0.05/tau_max, n = 30M + 1 or 30M + 2 samples.
+    Deterministic, but on a profile flat to round-off the scan's round-off,
+    not the earliest time, picks the sample it refines.  A window end that
+    overflows (a subnormal tau_max) raises ValueError.
     """
     tau = spectrum.spec.tau
     tau = float(tau.max()) if tau.size else 1.0
     T = PEAK_WINDOW_FACTOR * spectrum.M / tau
     if T == math.inf:
         raise ValueError(f"peak-search window 1.5 M/tau_max overflows at tau_max = {tau!r}")
-    n = math.ceil(T * tau / PEAK_COARSE_STEP) + 1
-    dt = T / (n - 1)
-    modes = spectrum._end_modes
-    t_best = int(_end_abs_scan(*modes, dt, n).argmax()) * dt
-    amp = _end_kernel(*modes)
-    f_best = abs(amp(t_best))
-
-    a = max(0.0, t_best - dt)
-    b = min(T, t_best + dt)
-    t_ref, f_ref, evals = golden_max(lambda t: abs(amp(t)), a, b, PEAK_TIME_TOL)
-    if f_ref > f_best:
-        t_best, f_best = t_ref, f_ref
-    return TransferReport(
-        peak_time=float(t_best),
-        peak_amplitude=float(f_best),
-        window=(0.0, T),
-        samples=n + evals + 1,
-    )
+    t, a, samples = _peak(spectrum._end_modes, T, math.ceil(T * tau / PEAK_COARSE_STEP) + 1)
+    return TransferReport(peak_time=float(t), peak_amplitude=float(a), window=(0.0, T), samples=samples)
 
 
 def revival_fidelity(spectrum: Spectrum, state0: WaveState, t: float) -> float:

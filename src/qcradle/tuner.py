@@ -80,12 +80,9 @@ def _tune(M: int, tau: float, pairs: int, grid: int) -> TuneResult:
                 def line(v: float, axis=axis) -> float:
                     return amplitude(tuple(best[:axis] + [v] + best[axis + 1 :]))
 
-                a = max(X_FLOOR, best[axis] - h)
-                b = min(1.0, best[axis] + h)
-                v_ref, amp_ref, _ = golden_max(line, a, b, PARAM_TOL)
-                if amp_ref > best_amp:
-                    moved = max(moved, abs(v_ref - best[axis]))
-                    best[axis], best_amp = float(v_ref), float(amp_ref)
+                v, best_amp, _ = golden_max(line, best[axis], best_amp, h, X_FLOOR, 1.0, PARAM_TOL)
+                moved = max(moved, abs(v - best[axis]))
+                best[axis] = v
             if moved < PARAM_TOL:
                 break
 
@@ -123,12 +120,12 @@ def flatness_probe(M: int, tau: float, params, radius: float) -> float:
     Samples 5 points per axis on [p - radius, p + radius], clipped to (0, 1].
     radius = 0 reproduces the amplitude at ``params`` itself.
     """
-    params = tuple(float(p) for p in params)
+    params = tuple(params)
     if len(params) not in (1, 2):
         raise ValueError("params must hold one (x) or two (x, y) factors")
     for i, p in enumerate(params):
         _real(f"params[{i}]", p, 0.0, 1.0)
     _real("radius", radius, 0.0, closed=True)
 
-    axes = [np.clip(np.linspace(p - radius, p + radius, 5), X_FLOOR, 1.0).tolist() for p in params]
+    axes = [np.clip(np.linspace(p - radius, p + radius, 5), X_FLOOR, 1.0).tolist() for p in map(float, params)]
     return float(min(_objective(M, tau, q).peak_amplitude for q in itertools.product(*axes)))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,21 @@ def test_overflowing_width_gives_a_flat_profile(width):
         assert traps[0].tobytes() == traps[1].tobytes() == np.full(5, float(sign)).tobytes()
     packets = [gaussian_wavepacket(5, 3.0, w).z for w in (width, np.float64(width))]
     assert packets[0].tobytes() == packets[1].tobytes() == np.full(5, 1.0 / np.sqrt(5.0), dtype=complex).tobytes()
+
+
+def test_huge_centre_and_width_give_the_ratio_squared():
+    # (j - c)^2 and the width's square both overflow, and inf/inf would be NaN:
+    # the profile is exp(-((j - c)/w)^2) instead, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = gaussian_trap_chain(5, 1.0, 1e308, 1e200).eps  # ((j - c)/w)^2 = 1e216
+        assert far.tobytes() == np.full(5, -0.0).tobytes()
+        near = gaussian_trap_chain(5, 1.0, 1e200, 1e200).eps  # ((j - c)/w)^2 = 1
+        assert near.tobytes() == np.full(5, -np.exp(-1.0)).tobytes()
+        with pytest.raises(DegenerateStateError):
+            gaussian_wavepacket(5, 1e308, 1e200)
+        packet = gaussian_wavepacket(5, 1e200, 1e200).z
+        assert packet.tobytes() == np.full(5, 1.0 / np.sqrt(5.0), dtype=complex).tobytes()
 
 
 class TestKickState:

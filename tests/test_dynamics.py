@@ -360,7 +360,7 @@ class TestPeakTransfer:
     # or move any refine probe by one ulp.  The old amplitude is the one the
     # end weights g_{n1} g_{nM} of the eigenvectors gave, summed over all M
     # modes; the weights from the eigenvalues, the eigenvalues from the
-    # reflection sectors, and the real sum over the folded modes of these
+    # reflection sectors, and the real sum over the folded modes of the
     # eps = 0 chains move it by round-off only (pst50 by 101 ulp), at the
     # same peak time
     @pytest.mark.parametrize(
@@ -372,8 +372,23 @@ class TestPeakTransfer:
                 edge_modified_chain(100, 1.0, 0.5, 0.8),
                 "0x1.b52da4c252a3cp+5", "0x1.e1c1938b619d2p-1", "0x1.e1c1938b6197dp-1", 3030,
             ),
+            # the other shapes of the modes: both halves, the eigenvector fallback, a chain
+            # that is not mirror-symmetric, and one site
+            (
+                gaussian_trap_chain(100, 1.0, 40.0, 50.0),
+                "0x1.a4fd984ed7354p+5", "0x1.06bd9b1c098eep-1", "0x1.06bd9b1c098fdp-1", 3030,
+            ),
+            (
+                edge_modified_chain(100, 1.0, 1.0, 0.02),
+                "0x1.285454cde9cb4p+7", "0x1.ff99a59790369p-6", "0x1.ff99a59790368p-6", 3030,
+            ),
+            (
+                ChainSpec(M=4, tau=[1.0, 2.0, 1.5], eps=np.zeros(4)),
+                "0x1.f668d877f7756p+0", "0x1.beccd83d21a17p-1", "0x1.beccd83d21a19p-1", 149,
+            ),
+            (uniform_chain(1, 1.0), "0x0.0p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", 59),
         ],
-        ids=["uniform101", "pst50", "two-bond100"],
+        ids=["uniform101", "pst50", "two-bond100", "trap100", "fallback100", "asymmetric4", "one-site"],
     )
     def test_pinned_bits(self, spec, time_hex, amp_hex, old_amp_hex, samples):
         rep = peak_transfer(diagonalize(spec))

@@ -258,7 +258,8 @@ REALS = {
 @pytest.mark.parametrize("case", REALS)
 def test_reals_follow_one_rule(case):
     message, outside, edge, call = REALS[case]
-    for bad in [math.nan, math.inf, -math.inf] + ([] if outside is None else [outside]):
+    # an int past the float range, and a number's text, are no finite numbers either
+    for bad in [math.nan, math.inf, -math.inf, 10**400, -(10**400), "0.5"] + ([] if outside is None else [outside]):
         with pytest.raises(ValueError) as info:
             call(bad)
         assert info.type is ValueError and str(info.value) == message.format(v=bad)
