@@ -135,14 +135,7 @@ _STATE_KINDS = {
 }
 _EVOLVE = {"t_max": _FLOAT, "steps": (int, _REQUIRED)}
 _TUNE = {"mode": (str, _REQUIRED), "points": (int, 50)}
-_HUBBARD = {
-    "m": (int, _REQUIRED),
-    "t": _FLOAT,
-    "u": _FLOAT,
-    "nmax": (int, 2),
-    "t_max": _FLOAT,
-    "steps": (int, _REQUIRED),
-}
+_HUBBARD = {"m": (int, _REQUIRED), "t": _FLOAT, "u": _FLOAT, "nmax": (int, 2), **_EVOLVE}
 
 
 def _caps() -> dict:

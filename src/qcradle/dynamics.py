@@ -34,9 +34,9 @@ from .spectral import Spectrum, _mode_coefficients
 # Guardrail on dense probability grids: T * M cells per call.
 GRID_CELL_CAP = 100_000
 
-# Peak-search window and coarse resolution, in units of the largest hopping:
-# ballistic transport at group velocity 2*tau puts first arrival near
-# M/(2*tau), so 1.5*M/tau brackets it for every chain family here.
+# Peak-search window, coarse step and refine tolerance, all in units of
+# 1/tau_max: ballistic transport at group velocity 2*tau puts first arrival
+# near M/(2*tau), so 1.5*M/tau brackets it for every chain family here.
 PEAK_WINDOW_FACTOR = 1.5
 PEAK_COARSE_STEP = 0.05
 PEAK_TIME_TOL = 1e-6
@@ -185,13 +185,15 @@ def _peak(modes, T: float, n: int) -> tuple[float, float, int]:
     The coarse scan ``_end_abs_scan`` of n samples k*dt, dt = T/(n - 1),
     picks its first maximum; ``golden_max`` refines it within dt, clipped
     to [0, T], through the point kernel ``_end_kernel`` to time tolerance
-    1e-6.  samples = n + refine evaluations + 1 (the picked sample's kernel
-    value).
+    PEAK_TIME_TOL * dt / PEAK_COARSE_STEP, the same fraction of the step at
+    every time scale.  samples = n + refine evaluations + 1 (the picked
+    sample's kernel value).
     """
     dt = T / (n - 1)
     t = int(_end_abs_scan(*modes, dt, n).argmax()) * dt
     amp = _end_kernel(*modes)
-    t, a, evals = golden_max(lambda t: abs(amp(t)), t, abs(amp(t)), dt, 0.0, T, PEAK_TIME_TOL)
+    tol = PEAK_TIME_TOL * dt / PEAK_COARSE_STEP
+    t, a, evals = golden_max(lambda t: abs(amp(t)), t, abs(amp(t)), dt, 0.0, T, tol)
     return t, a, n + evals + 1
 
 
@@ -200,7 +202,7 @@ def peak_transfer(spectrum: Spectrum) -> TransferReport:
 
     The window is fixed by the chain (tau_max = 1 for one site) and is
     reported as ``TransferReport.window``; ``_peak`` searches it from a
-    coarse scan of step 0.05/tau_max, n = 30M + 1 or 30M + 2 samples.
+    coarse scan of n = 30M + 1 samples, step 0.05/tau_max.
     Deterministic, but on a profile flat to round-off the scan's round-off,
     not the earliest time, picks the sample it refines.  A window end that
     overflows (a subnormal tau_max) raises ValueError.
@@ -210,7 +212,8 @@ def peak_transfer(spectrum: Spectrum) -> TransferReport:
     T = PEAK_WINDOW_FACTOR * spectrum.M / tau
     if T == math.inf:
         raise ValueError(f"peak-search window 1.5 M/tau_max overflows at tau_max = {tau!r}")
-    t, a, samples = _peak(spectrum._end_modes, T, math.ceil(T * tau / PEAK_COARSE_STEP) + 1)
+    n = round(PEAK_WINDOW_FACTOR / PEAK_COARSE_STEP) * spectrum.M + 1
+    t, a, samples = _peak(spectrum._end_modes, T, n)
     return TransferReport(peak_time=float(t), peak_amplitude=float(a), window=(0.0, T), samples=samples)
 
 

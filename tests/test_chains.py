@@ -188,6 +188,16 @@ class TestGaussianWavepacket:
         with pytest.raises(DegenerateStateError):
             gaussian_wavepacket(3, 1e6, 1.0)
 
+    @pytest.mark.parametrize("M, x0", [(3, -18.0), (3, -18.3), (5, 30.0)])
+    def test_subnormal_squares_still_normalize(self, M, x0):
+        # the largest weight is normal (e^-361, e^-372.5) or tiny (e^-625)
+        # but every square is subnormal or 0: the packet is the Gaussian
+        # normalized from the largest weight, not a refusal
+        z = gaussian_wavepacket(M, x0, 1.0).z
+        assert abs(np.sum(np.abs(z) ** 2) - 1.0) <= 4e-16
+        log_w = -((np.arange(1, M + 1) - x0) ** 2)
+        assert np.allclose(z.real, np.exp(log_w - log_w.max()), rtol=1e-12, atol=1e-40)
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             gaussian_wavepacket(3, 1.0, 0.0)

@@ -200,6 +200,31 @@ def test_error_names_do_not_depend_on_hash_seed(tmp_path):
         ], seed
 
 
+
+def test_module_entry_point(tmp_path):
+    # `python -m qcradle` from the source tree, without installing: the same
+    # paths and bytes as an in-process main, and the same config-error exit
+    cfg = str(Path(__file__).resolve().parent.parent / "demos" / "configs" / "trap_spectrum.ini")
+    src = str(Path(qcradle.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "module"
+    run = subprocess.run(
+        [sys.executable, "-m", "qcradle", "spectrum", "--config", cfg, "--out", str(out)],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert run.returncode == EXIT_OK, run.stderr
+    assert run.stdout.splitlines() == [str(out / "spectrum.csv")]
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+    assert (out / "spectrum.csv").read_bytes() == (tmp_path / "spectrum.csv").read_bytes()
+    no_chain = write(tmp_path / "no_chain.ini", "[state]\nkind = kick\nsite = 1\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "qcradle", "spectrum", "--config", no_chain],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert run.returncode == EXIT_CONFIG
+    assert run.stderr == "config error: missing required section [chain]\n"
+
+
 class TestEvolveCommand:
     def test_grid_files(self, tmp_path):
         cfg = write(tmp_path / "run.ini", EVOLVE)

@@ -328,8 +328,8 @@ class TestPeakTransfer:
         ids=["uniform1", "uniform7", "uniform500", "pst2", "pst33", "two-bond5", "two-bond100"],
     )
     def test_window_and_scan_size_follow_from_the_chain(self, spec):
-        # the one window (0, 1.5 M/tau_max) and 30M + 1 or 30M + 2 coarse
-        # samples, plus the golden probes and the coarse winner's re-evaluation
+        # the one window (0, 1.5 M/tau_max) and 30M + 1 coarse samples, plus
+        # the golden probes and the coarse winner's re-evaluation
         tau_max = float(np.max(spec.tau)) if spec.M > 1 else 1.0
         rep = peak_transfer(diagonalize(spec))
         assert rep.window == (0.0, 1.5 * spec.M / tau_max)
@@ -345,8 +345,8 @@ class TestPeakTransfer:
 
     @pytest.mark.parametrize("tau", [1e-12, 1e-10])
     def test_tiny_hopping_returns(self, tau):
-        # the peak time ~ 2e12 has an ulp above the 1e-6 time tolerance, so
-        # the refine stops once a probe rounds onto its bracket end
+        # a peak time ~ 2e12: the refine tolerance is 1e-6/tau, a fraction of
+        # the scan step, so the search is the one at tau = 1
         rep = peak_transfer(_spectrum(3, tau))
         assert rep.peak_amplitude > 1.0 - 1e-9
 
@@ -361,13 +361,14 @@ class TestPeakTransfer:
     # end weights g_{n1} g_{nM} of the eigenvectors gave, summed over all M
     # modes; the weights from the eigenvalues, the eigenvalues from the
     # reflection sectors, and the real sum over the folded modes of the
-    # eps = 0 chains move it by round-off only (pst50 by 101 ulp), at the
-    # same peak time
+    # eps = 0 chains move it by round-off only (pst50 by 50 ulp), at the
+    # same peak time.  The refine tolerance is a fraction of the scan step, so
+    # pst50 and asymmetric4 (tau_max = 25 and 2) refine to 4e-8 and 5e-7
     @pytest.mark.parametrize(
         "spec, time_hex, amp_hex, old_amp_hex, samples",
         [
             (uniform_chain(101, 1.0), "0x1.a619ec95cb85dp+5", "0x1.11a004662a7bap-1", "0x1.11a004662a7dcp-1", 3060),
-            (pst_chain(50, 1.0), "0x1.921fb68fd6a85p+0", "0x1.ffffffffffb44p-1", "0x1.ffffffffffadfp-1", 1524),
+            (pst_chain(50, 1.0), "0x1.921fb544716f1p+0", "0x1.0000000000034p+0", "0x1.0000000000002p+0", 1530),
             (
                 edge_modified_chain(100, 1.0, 0.5, 0.8),
                 "0x1.b52da4c252a3cp+5", "0x1.e1c1938b619d2p-1", "0x1.e1c1938b6197dp-1", 3030,
@@ -384,7 +385,7 @@ class TestPeakTransfer:
             ),
             (
                 ChainSpec(M=4, tau=[1.0, 2.0, 1.5], eps=np.zeros(4)),
-                "0x1.f668d877f7756p+0", "0x1.beccd83d21a17p-1", "0x1.beccd83d21a19p-1", 149,
+                "0x1.f668d877f7756p+0", "0x1.beccd83d21a17p-1", "0x1.beccd83d21a19p-1", 150,
             ),
             (uniform_chain(1, 1.0), "0x0.0p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", 59),
         ],
@@ -396,6 +397,28 @@ class TestPeakTransfer:
         assert rep.peak_amplitude.hex() == amp_hex
         assert abs(rep.peak_amplitude - float.fromhex(old_amp_hex)) <= 1e-13
         assert rep.samples == samples
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            edge_modified_chain(100, 1.0, 0.36, 0.68),
+            pst_chain(50, 1.0),
+            uniform_chain(101, 1.0),
+            gaussian_trap_chain(100, 1.0, 40.0, 50.0),
+            ChainSpec(M=4, tau=[1.0, 2.0, 1.5], eps=np.zeros(4)),
+        ],
+        ids=["two-bond100", "pst50", "uniform101", "trap100", "asymmetric4"],
+    )
+    def test_peak_is_scale_free(self, spec):
+        # the window, the scan step and the refine tolerance are all in units
+        # of 1/tau_max: a chain with every energy times c has the same scan
+        # and refine, its times divided by c
+        ref = peak_transfer(diagonalize(spec))
+        for c in (1e-300, 1e-3, 1e3, 1e5, 1e300):
+            rep = peak_transfer(diagonalize(ChainSpec(M=spec.M, tau=spec.tau * c, eps=spec.eps * c)))
+            assert abs(rep.peak_amplitude - ref.peak_amplitude) <= 1e-11
+            assert rep.samples == ref.samples
+            assert abs(rep.peak_time * c - ref.peak_time) <= 1e-9 * ref.peak_time
 
 
 class TestEndSum:

@@ -44,8 +44,8 @@ class TestTuneSingle:
         assert a.trace == b.trace and a.best_params == b.best_params
 
     def test_scale_free_at_tiny_hopping(self):
-        # peak times near 1e12 are coarser than the time tolerance; the tuned
-        # factor does not depend on the hopping scale
+        # peak times near 1e12: the peak search works in units of 1/tau_max,
+        # so the tuned factor does not depend on the hopping scale
         assert tune_single(5, 1e-12, 3).best_params == tune_single(5, 1.0, 3).best_params
 
     def test_needs_three_sites(self):
@@ -97,6 +97,16 @@ class TestSearchPath:
         assert result.evaluations == evaluations
         assert result.best_params == pytest.approx(params, abs=1e-12)
         assert result.best_amplitude == pytest.approx(amplitude, abs=1e-12)
+
+    @pytest.mark.parametrize("tune, M, grid", [(tune_single, 100, 50), (tune_double, 40, 10)], ids=["single", "double"])
+    def test_scale_free(self, tune, M, grid):
+        # the peak search works in units of 1/tau_max, so every hopping scale
+        # gives the tuner the same objective and the same search path
+        ref = tune(M, 1.0, grid)
+        for c in (1e-3, 1e5):
+            result = tune(M, c, grid)
+            assert result.evaluations == ref.evaluations
+            assert result.best_params == pytest.approx(ref.best_params, abs=1e-12)
 
 
 class TestFlatnessProbe:
