@@ -7,9 +7,10 @@ use), solves the boundary-modified quantization condition for the
 pseudo-wavevectors of an edge-weakened chain (``pseudo_wavevectors``), and
 provides the spectrum/state diagnostics (``linearity_deviation``,
 ``mode_overlaps``) used by the transfer studies.  The end-to-end transfer
-reads the modes ``Spectrum._end_modes``, built from ``_eigvals`` and
-``_end_weights`` without the eigenvectors.  Every tridiagonal eigensolve in
-the package is one ``_stevd`` call.
+reads the modes ``Spectrum._end_modes``, built without the eigenvectors:
+for a long edge-engineered chain from its boundary phase (``_edge_modes``,
+no LAPACK), otherwise from ``_eigvals`` and ``_end_weights``.  Every
+tridiagonal eigensolve in the package is one ``_stevd`` call.
 """
 
 from __future__ import annotations
@@ -30,6 +31,15 @@ _GAP_CHUNK = 2**15
 # End weights below this are set to 0: the scan's GEMM would make subnormal
 # products of them, which are slow and add nothing at double precision.
 _WEIGHT_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+
+# The edge-chain route (_edge_modes): the least M that takes it, where it beats
+# LAPACK's O(M^2) solve and gap logs; the most edge bond pairs it takes, as it
+# loops over them in Python; and its Newton iteration's step cap and stop rule,
+# a step below 2^-40 of the root (the next error is then far below one ulp).
+_EDGE_ROUTE_M = 300
+_EDGE_BONDS = 4
+_EDGE_STEPS = 128
+_EDGE_TOL = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -72,22 +82,27 @@ class Spectrum:
         other chain, and a single site: nu = omega and p = q = w.  A zero
         half is None.
 
-        From ``_eigvals`` and, when ``_end_weights`` certifies them, from
-        those eigenvalues alone; otherwise (computed eigenvalues that tie or
-        nearly tie) from the eigenpairs, unfolded.  Weights below
-        ``_WEIGHT_FLOOR`` are 0.
+        An edge-engineered chain of at least ``_EDGE_ROUTE_M`` sites takes
+        ``_edge_modes`` when they certify.  Any other chain takes ``_eigvals``
+        and, when ``_end_weights`` certifies them, those eigenvalues alone;
+        otherwise (computed eigenvalues that tie or nearly tie) the
+        eigenpairs, unfolded.  Weights below ``_WEIGHT_FLOOR`` are 0.
         """
         spec, M = self.spec, self.M
-        omega = _eigvals(spec)
-        fold = not spec.eps.any()
-        if fold:
-            # the symmetrised spectrum: the lower half and its mirror image
-            lower = omega[: M // 2]
-            omega = np.concatenate([lower, np.zeros(M % 2), -lower[::-1]])
-        w = _end_weights(omega, spec.tau, (M + 1) // 2 if fold else M)
-        if w is None:
-            omega, g = self._eigenpairs
-            w = g[:, 0] * g[:, -1]
+        modes = _edge_modes(spec) if M >= _EDGE_ROUTE_M else None
+        if modes is not None:
+            omega, w = modes
+        else:
+            omega = _eigvals(spec)
+            fold = not spec.eps.any()
+            if fold:
+                # the symmetrised spectrum: the lower half and its mirror image
+                lower = omega[: M // 2]
+                omega = np.concatenate([lower, np.zeros(M % 2), -lower[::-1]])
+            w = _end_weights(omega, spec.tau, (M + 1) // 2 if fold else M)
+            if w is None:
+                omega, g = self._eigenpairs
+                w = g[:, 0] * g[:, -1]
         w[np.abs(w) < _WEIGHT_FLOOR] = 0.0
         if w.size == M:  # no fold: eps != 0, the eigenvector fallback, or one site
             w = _readonly(w)
@@ -195,19 +210,112 @@ def diagonalize(spec: ChainSpec) -> Spectrum:
     return Spectrum(spec)
 
 
-def _boundary_shift(k: np.ndarray, x: float) -> np.ndarray:
-    """Quantization shift of an edge-weakened chain, in (0, pi).
+def _edge_phase(q: np.ndarray, edge: np.ndarray):
+    """The bulk phase phi(k) of a chain at k = pi/2 - q, as phi = j pi/2 + delta, and
+    what the edge route reads with it: (j, delta, dphi/dk, norm, amp2).
 
-    Derived by matching a sin(kj + delta) interior ansatz to the weakened
-    edge rows: tan psi = c tan k with c = x^2/(2 - x^2), taken on the branch
-    continuous across k = pi/2.  The pseudo-wavevector equation then reads
-    (M+1) k_n = pi n + 2 (k_n - psi(k_n)).
+    ``edge`` holds the chain's first b bonds over its bulk hopping, which is 1 here,
+    so omega = -2 cos k.  The three-term recurrence omega g_i = -tau_{i-1} g_{i-1}
+    - tau_i g_{i+1} runs from g_0 = 0, g_1 = 1 through the edge bonds to g_{b+1} and
+    g_{b+2}, the first two sites of the bulk wave g_i = R sin(k i + phi), i > b.  Its
+    angle at site b + 1, (b + 1) k + phi, is lifted by pi for each sign change of
+    g_1 .. g_{b+1} (a Sturm count), so phi is continuous in k and the n-th mode of a
+    mirror chain meets (M + 1) k + 2 phi = n pi.  That angle is split into a multiple
+    of pi/2 and an arctangent of the smaller ratio of (g_{b+1} sin k, g_{b+2} -
+    g_{b+1} cos k), so the integers of a residual cancel exactly and a root keeps
+    its relative precision; q, not k, keeps it for the modes next to omega = 0.
+    dphi/dk comes from the Christoffel-Darboux sum over sites 1 .. b + 1;
+    norm = sum_{i <= b} g_i^2 and amp2 = R^2.  For edges near zero the last three
+    lose precision or leave the float range, which the route's checks refuse;
+    callers silence those floating-point warnings.
     """
-    c = x * x / (2.0 - x * x)
-    # acot on the (0, pi) branch.  Below x ~ 1e-154, c or sin(k) c underflows
-    # to 0 and cot(k)/c overflows to +-inf, whose arctan is the right limit.
-    with np.errstate(divide="ignore", over="ignore"):
-        return 0.5 * np.pi - np.arctan(np.cos(k) / (np.sin(k) * c))
+    c, s = np.sin(q), np.cos(q)  # cos k and sin k
+    c2 = 2.0 * c  # -omega
+    # the pair (g_i, g_{i+1}) is carried scaled to a largest entry of 1, and g_1^2 and
+    # sum_{i' <= i} g_i'^2 in the same units, so no weak bond overflows or underflows it
+    g0, g, first, norm, flips, left = 0.0, np.ones_like(q), 1.0, 0.0, 0, 0.0
+    for bond in edge:
+        norm = norm + g * g
+        g0, g = bond * g, c2 * g - left * g0
+        big = np.maximum(np.abs(g0), np.abs(g))
+        g0, g, shrink = g0 / big, g / big, (bond / big) ** 2
+        first, norm = first * shrink, norm * shrink
+        flips = flips + ((g < 0.0) != (g0 < 0.0))
+        left = bond
+    g2 = c2 * g - left * g0
+    Y, X = g * s, g2 - c * g
+    steep = np.abs(Y) > np.abs(X)
+    ratio = np.where(steep, -X, Y) / np.where(steep, Y, X)
+    amp2, ss, gg = X * X + Y * Y, s * s, g * g
+    slope = (2.0 * ss * (norm + gg) + c * g * g2 - gg) / amp2
+    b1 = len(edge) + 1
+    j = 2 * flips + np.where(steep, 1, 2 * np.signbit(ratio)) - b1  # -0.0: an exact node, X < 0
+    return j, b1 * q + np.arctan(ratio), slope - b1, norm / first, amp2 / (ss * first)
+
+
+def _edge_modes(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray] | None:
+    """Folded modes (omega, w) of an edge-engineered chain in O(M) without LAPACK, or None.
+
+    The chain must be mirror-symmetric with eps = 0, and uniform (hopping t) outside its
+    b <= ``_EDGE_BONDS`` end bonds, none stronger than t: then every mode lies in the
+    band (Gershgorin), omega = -2t cos k with k real, and in the bulk it is the wave
+    R sin(k j + phi(k)) whose phase ``_edge_phase`` gives (Wojcik et al., PRA 72, 034303,
+    2005; Banchi et al., NJP 13, 123006, 2011).  Mirror symmetry quantises k:
+    (M + 1) k + 2 phi(k) = n pi.  One Newton iteration, vectorised over the M // 2 modes
+    below the band centre and started from the uniform chain's k = n pi/(M + 1), solves
+    it in q = pi/2 - k.  Each root keeps the bracket its residual's signs give and is
+    bisected where a step would leave it; the iteration ends when every step is below
+    ``_EDGE_TOL`` of its root, keeping the stepped roots.  An odd chain's zero mode
+    (q = 0) comes last.
+
+    The weights are w_n = (-1)^(n-1) g_{n1}^2, and with g_1 = 1 the norm 1/g_{n1}^2 is
+    twice the b edge sites' sum plus the bulk's in closed form,
+    R^2/2 (L - (-1)^n sin(L k)/sin k) over its L = M - 2b sites: no gap product enters.
+    Certified, and returned, only when the iteration ends within ``_EDGE_STEPS`` steps,
+    the roots strictly decrease in q within (0, pi/2), and sum |w| over all M modes
+    lies within 64 M eps of 1, as the exact g_{n1}^2 sum to 1.
+    """
+    M, tau = spec.M, spec.tau
+    if M < 2 or spec.eps.any() or not mirror_symmetric(spec):
+        return None
+    t = tau[(M - 2) // 2]  # a middle bond
+    off = np.flatnonzero(tau[: M // 2] != t)
+    b = int(off[-1]) + 1 if off.size else 0
+    if b > _EDGE_BONDS or (tau[:b] > t).any():
+        return None
+    edge = tau[:b] / t
+    n = np.arange(1, M // 2 + 1)
+    lo, hi = np.zeros(n.size), np.full(n.size, 0.5 * np.pi)
+    turns = M + 1 - 2 * n
+    q = turns * (0.5 * np.pi / (M + 1))
+    with np.errstate(all="ignore"):  # a nearly cut edge: refused below
+        for _ in range(_EDGE_STEPS):
+            j, delta, slope, _, _ = _edge_phase(q, edge)
+            # (M + 1) k + 2 phi - n pi, which rises with k: its integers in units of pi/2 first
+            f = 0.5 * np.pi * (turns + 2 * j) + 2.0 * delta - (M + 1) * q
+            root_above = f > 0.0  # k below the root
+            lo, hi = np.where(root_above, q, lo), np.where(root_above, hi, q)
+            step = f / (M + 1 + 2.0 * slope)
+            done = np.abs(step) <= _EDGE_TOL * q
+            new = q + step
+            q = np.where(done | (lo < new) & (new < hi), new, 0.5 * (lo + hi))
+            if done.all():
+                break
+        else:
+            return None
+        roots = q
+        if M % 2:
+            q, n = np.append(q, 0.0), np.append(n, n.size + 1)
+        _, _, _, norm, amp2 = _edge_phase(q, edge)
+        L = M - 2 * b
+        w = 1.0 / (2.0 * norm + 0.5 * amp2 * (L - (-1.0) ** n * np.sin(L * (0.5 * np.pi - q)) / np.cos(q)))
+    w[1::2] *= -1.0
+    total = 2.0 * np.abs(w).sum() - (abs(w[-1]) if M % 2 else 0.0)
+    eps = np.finfo(float).eps
+    if not (0.0 < roots[-1] and roots[0] < 0.5 * np.pi and (roots[1:] < roots[:-1]).all()
+            and abs(total - 1.0) <= 64 * M * eps):
+        return None
+    return -2.0 * t * np.sin(q) + 0.0, w  # + 0.0: the zero mode's -0.0 as 0.0
 
 
 def pseudo_wavevectors(M: int, x: float) -> np.ndarray:
@@ -231,9 +339,11 @@ def pseudo_wavevectors(M: int, x: float) -> np.ndarray:
     _count("M", M, 1)
     _real("x", x, 0.0, 1.0)
 
-    # The residual (M-1) k + 2 psi(k) - pi n rises with k, and psi in (0, pi)
-    # makes it tend to -pi n < 0 at k = 0+ and to (M + 1 - n) pi > 0 at
-    # k = pi-, so [0+, pi-] brackets exactly one root for every n in 1..M.
+    # The residual (M + 1) k + 2 phi(k) - pi n, with phi from _edge_phase (one edge bond x),
+    # rises with k: phi = psi - k with tan psi = x^2/(2 - x^2) tan k and psi in (0, pi)
+    # (Wojcik et al. 2005).  So it tends to -pi n < 0 at k = 0+ and to (M + 1 - n) pi > 0
+    # at k = pi-, and [0+, pi-] brackets exactly one root for every n in 1..M.
+    edge = np.array([x], dtype=float)
     target = np.pi * np.arange(1, M + 1)
     lo = np.full(M, 1e-12)
     hi = np.full(M, np.pi - 1e-12)
@@ -242,7 +352,9 @@ def pseudo_wavevectors(M: int, x: float) -> np.ndarray:
         if np.all((mid == lo) | (mid == hi)):
             break
         # a midpoint that is an end keeps the residual's sign there, so its bracket stays put
-        below = (M - 1) * mid + 2.0 * _boundary_shift(mid, x) - target < 0.0
+        with np.errstate(all="ignore"):  # only the phase is read, which stays finite
+            j, delta = _edge_phase(0.5 * np.pi - mid, edge)[:2]
+        below = (M + 1) * mid + np.pi * j + 2.0 * delta - target < 0.0
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return 0.5 * (lo + hi)
 

@@ -462,7 +462,7 @@ class TestTuneCommand:
 # thread count unset
 DEMO_CSVS = {
     "oracle_m4": ("oracle_m4", ["oracle"], {
-        "oracle.csv": "15a37c93147ae5950fb1a5ba3dd98266f05f98669365d2122aaf6edf1cf7277e",
+        "oracle.csv": "eb820392e76be9c6eca1cfddc3e4d9b66e85b43f8a2a86cc512dfb658cf8900d",
     }),
     "trap_bounce": ("trap_bounce", ["evolve"], {
         "grid.csv": "43b59836b95238b1d662aa51afdf87c414da7f70d75e176fb4a7a5ad026d33a4",

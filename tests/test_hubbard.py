@@ -414,6 +414,19 @@ class TestCompareEffective:
         ref = compare_effective(p, times)
         assert ref.deviations["t^2/U"].tobytes() == rep.deviations["t^2/U"].tobytes()
 
+    def test_time_blocks_leave_the_bits(self, monkeypatch):
+        # each sampled time's probabilities come from its own columns of the phase block,
+        # whatever block of times it falls in: one block, uneven blocks, one time per block
+        p = _cradle_params(4, "palindromic-t", seed=4)
+        times = np.linspace(0.0, 60.0, 130)
+        ref = compare_effective(p, times)
+        assert times.size > qcradle.hubbard._TIME_BLOCK
+        for block in (1000, 7, 1):
+            monkeypatch.setattr(qcradle.hubbard, "_TIME_BLOCK", block)
+            rep = compare_effective(p, times)
+            assert rep.leakage.tobytes() == ref.leakage.tobytes()
+            assert all(rep.deviations[k].tobytes() == ref.deviations[k].tobytes() for k in ref.deviations)
+
     def test_m7_memory(self):
         # two sectors of about 1250 states; one dense eigh of all 2499 peaks at 143 MB
         M = 7

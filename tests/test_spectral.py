@@ -27,8 +27,8 @@ from qcradle import (
     tune_double,
     uniform_chain,
 )
-from qcradle.dynamics import PEAK_COARSE_STEP, _end_abs_scan
-from qcradle.spectral import _WEIGHT_FLOOR, _eigvals, _end_weights
+from qcradle.dynamics import PEAK_COARSE_STEP, PEAK_TIME_TOL, PEAK_WINDOW_FACTOR, _end_abs_scan
+from qcradle.spectral import _EDGE_ROUTE_M, _WEIGHT_FLOOR, _edge_modes, _edge_phase, _eigvals, _end_weights
 from util import dense_eig, dense_propagate, random_chain, residual_norm, seeded_spectrum, unfold_modes
 
 SQRT2 = np.sqrt(2.0)
@@ -222,16 +222,16 @@ class TestEndWeights:
         raw = 2.0 * _end_weights(_eigvals(sp.spec), sp.spec.tau, 1000)
         assert not ((0.0 < np.abs(q)) & (np.abs(q) < 2.0 * _WEIGHT_FLOOR)).any()
         assert (q == 0.0).sum() > (raw == 0.0).sum()
-        # the peak search's grid
+        # the peak search's grid: n = 30M + 1 samples, as peak_transfer takes them
         T = peak_transfer(sp).window[1]
-        n = int(np.ceil(T * np.max(sp.spec.tau) / PEAK_COARSE_STEP)) + 1
+        n = round(PEAK_WINDOW_FACTOR / PEAK_COARSE_STEP) * sp.M + 1
         dt = T / (n - 1)
         assert np.array_equal(_end_abs_scan(nu, None, q, dt, n), _end_abs_scan(nu, None, raw, dt, n))
 
     @pytest.mark.parametrize(
         "spec",
-        [_two_bond(100), uniform_chain(2000, 1.0), gaussian_trap_chain(257, 1.0, 128.5, 282.7)],
-        ids=["two-bond100", "uniform2000", "trap257"],
+        [_two_bond(100), pst_chain(2000, 1.0), gaussian_trap_chain(257, 1.0, 128.5, 282.7)],
+        ids=["two-bond100", "pst2000", "trap257"],
     )
     def test_chunk_size_leaves_the_bits(self, spec, monkeypatch):
         # each row's sums are taken over that row alone, whatever the chunk
@@ -249,11 +249,157 @@ class TestEndWeights:
             assert np.array_equal(_end_weights(omega, tau, rows), default)
 
 
+def _edge_chains():
+    # one and two modified bond pairs, x and y down to 1e-9, even and odd M; at M = 2 and
+    # 3 every chain is uniform (one bond; two equal bonds)
+    params = [
+        pytest.param(uniform_chain(2, 1.0), id="uniform2"),
+        pytest.param(edge_modified_chain(3, 1.0, 0.5), id="x0.5-3"),
+        pytest.param(edge_modified_chain(3, 1.0, 1e-9), id="x1e-9-3"),
+    ]
+    for M in (100, 101, 500, 2000):
+        for xy in ((1.0,), (0.5,), (1e-3,), (1e-9,), (0.36, 0.68), (1.0, 0.02), (1e-9, 0.5), (1e-9, 1e-9)):
+            params.append(pytest.param(edge_modified_chain(M, 1.0, *xy), id="-".join(f"{v:g}" for v in xy) + f"-{M}"))
+    return params
+
+
+def _routes(spec, monkeypatch):
+    # the transfer spectrum of the LAPACK route (_eigvals, _end_weights and their
+    # eigenvector fallback), then of the edge route, whatever the gate
+    spectra = []
+    for least in (spec.M + 1, 2):
+        monkeypatch.setattr(qcradle.spectral, "_EDGE_ROUTE_M", least)
+        spectra.append(diagonalize(spec))
+        spectra[-1]._end_modes  # solved now, under this gate
+    monkeypatch.undo()
+    return spectra
+
+
+class TestEdgeModes:
+    @pytest.mark.parametrize("spec", _edge_chains())
+    def test_match_the_gap_route(self, spec, monkeypatch):
+        # the route certifies every chain here; the spectra agree to round-off and the
+        # transfers to 1e-12.  The peak time agrees to the refine tolerance where the
+        # peak stands above round-off (on a profile flat to round-off any time is a peak)
+        assert _edge_modes(spec) is not None
+        gap, edge = _routes(spec, monkeypatch)
+        omega_gap, _ = unfold_modes(gap._end_modes, spec.M)
+        omega_edge, _ = unfold_modes(edge._end_modes, spec.M)
+        assert np.max(np.abs(omega_edge - omega_gap)) <= 1e-14
+        a, b = peak_transfer(gap), peak_transfer(edge)
+        assert abs(a.peak_amplitude - b.peak_amplitude) <= 1e-12 and a.samples == b.samples
+        if a.peak_amplitude > 1e-9:
+            assert abs(a.peak_time - b.peak_time) <= PEAK_TIME_TOL
+        for t in (0.5, 7.0, a.peak_time):
+            assert abs(end_amplitude(gap, t) - end_amplitude(edge, t)) <= 1e-12
+
+    @pytest.mark.parametrize("M", [3, 101, 2001])
+    def test_odd_chain_keeps_its_zero_mode(self, M, monkeypatch):
+        # the zero mode comes last, at exactly +0.0, with its unpaired weight in p
+        spec = edge_modified_chain(M, 1.0, 0.5)
+        gap, edge = _routes(spec, monkeypatch)
+        nu, p, q = edge._end_modes
+        assert q is None and nu.size == p.size == (M + 1) // 2
+        assert nu[-1] == 0.0 and not np.signbit(nu[-1]) and (nu[:-1] < 0.0).all()
+        assert abs(p[-1] - gap._end_modes[1][-1]) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            uniform_chain(2000, 1.0),
+            edge_modified_chain(2000, 1.0, 0.5, 0.8),
+            edge_modified_chain(501, 1.0, 0.36, 0.68),
+            edge_modified_chain(2000, 1.0, 1e-4),
+            edge_modified_chain(2000, 1.0, 1e-6),
+            edge_modified_chain(2000, 1.0, 1e-9),
+        ],
+        ids=["uniform2000", "two-bond2000", "two-bond501", "x1e-4", "x1e-6", "x1e-9"],
+    )
+    def test_routed_chain_calls_no_lapack(self, spec, monkeypatch):
+        # the gate takes these chains; the weakest edges took the eigenvectors before
+        calls = []
+        monkeypatch.setattr(qcradle.spectral, "_stevd", lambda *a, **k: calls.append("stevd"))
+        monkeypatch.setattr(qcradle.spectral, "_end_weights", lambda *a: calls.append("weights"))
+        assert spec.M >= _EDGE_ROUTE_M
+        sp = diagonalize(spec)
+        rep = peak_transfer(sp)
+        assert abs(end_amplitude(sp, rep.peak_time)) == rep.peak_amplitude
+        assert calls == [] and "_eigenpairs" not in vars(sp)
+
+    @pytest.mark.parametrize(
+        "spec, solved",
+        [
+            # the certificate refuses: the two end dimers' modes tie (split ~1e-18), and so
+            # do their roots; their weights miss the sum |w| = 1 check
+            (edge_modified_chain(2000, 1.0, 0.3, 1e-9), True),
+            (edge_modified_chain(500, 1.0, 0.5, 1e-9), True),
+            # a nearly cut edge: its end mode's root (q ~ x^2) is past the step cap
+            (edge_modified_chain(500, 1.0, 1e-100), True),
+            # not of the route's shape, refused before any root is sought: an edge bond
+            # 1.5 times the bulk (it binds modes outside the band), pst (every bond its
+            # own), five bond pairs, a mirror-broken end, on-site offsets
+            (ChainSpec(M=2000, tau=np.r_[1.5, np.ones(1997), 1.5], eps=np.zeros(2000)), False),
+            (pst_chain(2000, 1.0), False),
+            (ChainSpec(M=500, tau=np.r_[[0.5] * 5, np.ones(489), [0.5] * 5], eps=np.zeros(500)), False),
+            (ChainSpec(M=500, tau=np.r_[0.5, np.ones(497), 0.6], eps=np.zeros(500)), False),
+            (gaussian_trap_chain(500, 1.0, 250.5, 550.0), False),
+        ],
+        ids=["tied-roots", "weight-sum", "nearly-cut", "strong-edge", "pst", "five-pairs", "non-mirror", "trap"],
+    )
+    def test_refusals_keep_the_gap_route_bits(self, spec, solved, monkeypatch):
+        calls = []
+        phase = qcradle.spectral._edge_phase
+        monkeypatch.setattr(qcradle.spectral, "_edge_phase", lambda *a: calls.append(1) or phase(*a))
+        assert spec.M >= _EDGE_ROUTE_M and _edge_modes(spec) is None and bool(calls) == solved
+        gap = _routes(spec, monkeypatch)[0]._end_modes
+        for got, ref in zip(diagonalize(spec)._end_modes, gap):
+            assert (got is None and ref is None) or got.tobytes() == ref.tobytes()
+
+    def test_short_chains_keep_the_gap_route(self, monkeypatch):
+        # below the measured crossover LAPACK is the cheaper route: the tuner's chains keep it
+        calls = []
+        weights = qcradle.spectral._end_weights
+        monkeypatch.setattr(qcradle.spectral, "_end_weights", lambda *a: calls.append(a) or weights(*a))
+        diagonalize(edge_modified_chain(_EDGE_ROUTE_M - 1, 1.0, 0.36, 0.68))._end_modes
+        diagonalize(edge_modified_chain(100, 1.0, 0.36, 0.68))._end_modes
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("x", [1e-6, 0.02, 0.5, 1.0])
+    def test_phase_of_one_bond_is_the_closed_form(self, x):
+        # phi = psi - k with tan psi = x^2/(2 - x^2) tan k, psi in (0, pi) (Wojcik et al. 2005),
+        # with cos k and sin k taken from q = pi/2 - k, as the phase takes them
+        q = 0.5 * np.pi - np.linspace(0.01, np.pi - 0.01, 101)
+        j, delta = _edge_phase(q, np.array([x]))[:2]
+        psi = 0.5 * np.pi - np.arctan(np.sin(q) / (np.cos(q) * x * x / (2.0 - x * x)))
+        assert np.max(np.abs(0.5 * np.pi * j + delta - (psi - (0.5 * np.pi - q)))) <= 1e-12
+
+    @pytest.mark.parametrize("edge", [[], [0.5], [0.36, 0.68], [1.0, 0.02], [0.3, 0.7, 0.9, 0.2]])
+    def test_phase_slope_and_norms(self, edge):
+        # dphi/dk against a central difference, and norm and R^2 against the recurrence
+        # run out to a bulk site by hand
+        edge = np.array(edge)
+        k = np.linspace(0.2, 1.5, 14)
+        h = 1e-6
+        phase = [0.5 * np.pi * j + d for j, d in (_edge_phase(0.5 * np.pi - k - s, edge)[:2] for s in (h, -h))]
+        _, _, slope, norm, amp2 = _edge_phase(0.5 * np.pi - k, edge)
+        assert np.max(np.abs(slope - (phase[0] - phase[1]) / (2 * h))) <= 1e-7
+        b = edge.size
+        bonds = np.r_[edge, np.ones(3)]
+        g = [np.zeros_like(k), np.ones_like(k)]
+        for i in range(b + 3):
+            g.append((2.0 * np.cos(k) * g[-1] - (bonds[i - 1] if i else 0.0) * g[-2]) / bonds[i])
+        g = np.array(g[1:])  # g_1 .. g_{b+4}
+        assert np.allclose(norm, (g[:b] ** 2).sum(axis=0), rtol=1e-13, atol=0)
+        # the bulk wave's amplitude from two later bulk sites
+        r2 = g[b + 2] ** 2 + ((g[b + 3] - g[b + 2] * np.cos(k)) / np.sin(k)) ** 2
+        assert np.allclose(amp2, r2, rtol=1e-12, atol=0)
+
+
 class TestReflectionSectors:
     @staticmethod
     def _solve_sizes(spec, monkeypatch):
-        # the eigenvalue solves only: a chain whose weights fail their checks
-        # also makes one full eigenvector solve
+        # the solves of _eigvals itself, which a long edge chain's transfer
+        # skips (TestEdgeModes)
         sizes = []
         solve = qcradle.spectral._stevd
 
@@ -263,7 +409,7 @@ class TestReflectionSectors:
             return solve(d, e, vectors)
 
         monkeypatch.setattr(qcradle.spectral, "_stevd", spy)
-        diagonalize(spec)._end_modes
+        _eigvals(spec)
         return sorted(sizes)
 
     @pytest.mark.parametrize("M", [100, 101])
@@ -519,16 +665,26 @@ class TestPseudoWavevectors:
         omega = diagonalize(edge_modified_chain(M, 1.0, x)).omega
         assert np.max(np.abs(-2.0 * np.cos(k) - omega)) <= 1e-12
 
+    @pytest.mark.parametrize("x", [1e-310, 5e-324])
+    @pytest.mark.parametrize("M", [4, 101])
+    def test_subnormal_edges(self, M, x):
+        # the phase's recurrence divides by no bond, so it neither overflows nor
+        # underflows: the roots are the cut chain's, with no warning
+        k = pseudo_wavevectors(M, x)
+        assert np.all(np.diff(k) >= 0)
+        omega = diagonalize(edge_modified_chain(M, 1.0, x)).omega
+        assert np.max(np.abs(-2.0 * np.cos(k) - omega)) <= 1e-12
+
     # pinned bits: the roots must not move when the bisection is restructured
     @pytest.mark.parametrize(
         "M, x, digest",
         [
             (1, 1.0, "c3f113d6cbe802411220c98356d28b3c4ce2b9b769df839bd479276aff85c18e"),
             (4, 0.5, "40edff939d4c4043e466017d18b18afb65dc281685a77fc39d30efc56e9ba173"),
-            (37, 1.0, "6314b347099495d50a015c6d812f2d07ff7216dfa426b68a1f90fcb8d295f706"),
-            (100, 0.48, "4e24bf62af45befa4023b4b5d4d3aab7db546bdfbbebc7237ed9794bc14faaee"),
-            (101, 0.02, "3bb230aedeb6468ab988d6e6023a7caf4a8f9bd548c136f2dc3727b6032d74e8"),
-            (200, 0.35, "6c8915ec31cf8a3c4d08be2f335f8d338271e6a614b033a5b70ff5d9c58296b7"),
+            (37, 1.0, "c9f908b68cc5b86cce9117924ec0cf409f3480a010ed91f7840cd0a97b72b498"),
+            (100, 0.48, "83b9697db08bb75875bf57dd14450d7409086144061ca0f88fc16ee21d61d8b3"),
+            (101, 0.02, "b69e39650c1fc7bfe2203baab15ea101403cf8dbeff2fd49011173d442003897"),
+            (200, 0.35, "2d33e7050339c8d089e32ff1faac53221d147a56b19d1053deb16b7ac31e3975"),
         ],
     )
     def test_pinned_bits(self, M, x, digest):
@@ -542,7 +698,8 @@ class TestPseudoWavevectors:
         n = np.arange(1, M + 1)
 
         def residual(k):
-            return (M - 1) * k + 2.0 * qcradle.spectral._boundary_shift(k, x) - np.pi * n
+            j, delta = _edge_phase(0.5 * np.pi - k, np.array([x]))[:2]
+            return (M + 1) * k + np.pi * j + 2.0 * delta - np.pi * n
 
         f = residual(k)
         below, above = residual(np.nextafter(k, 0.0)), residual(np.nextafter(k, np.pi))
@@ -551,13 +708,13 @@ class TestPseudoWavevectors:
     def test_stops_at_the_fixed_point(self, monkeypatch):
         # at x = 0.005 the brackets stop halving long before the 200 cap
         calls = []
-        shift = qcradle.spectral._boundary_shift
+        phase = qcradle.spectral._edge_phase
 
-        def counted(k, x):
-            calls.append(x)
-            return shift(k, x)
+        def counted(q, edge):
+            calls.append(edge)
+            return phase(q, edge)
 
-        monkeypatch.setattr(qcradle.spectral, "_boundary_shift", counted)
+        monkeypatch.setattr(qcradle.spectral, "_edge_phase", counted)
         k = pseudo_wavevectors(100, 0.005)
         assert len(calls) <= 64
         assert np.all(np.diff(k) > 0)
