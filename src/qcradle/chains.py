@@ -134,8 +134,10 @@ def uniform_chain(M: int, tau: float) -> ChainSpec:
 def pst_chain(M: int, Omega: float) -> ChainSpec:
     """Perfect-transfer chain, tau_j = Omega * sqrt(j (M - j)).
 
-    The spectrum is equally spaced, which makes the single-excitation
-    dynamics exactly periodic and end-to-end mirroring.
+    The spectrum is equally spaced, omega_n = Omega (2n - M - 1), which makes
+    the single-excitation dynamics exactly periodic and end-to-end mirroring:
+    the end-to-end amplitude is A_M(t) = (i sin Omega t)^(M-1), a perfect
+    transfer at t = pi/(2 Omega) (Christandl et al., PRL 92, 187902, 2004).
     """
     _count("M", M, 2)
     _real("Omega", Omega, 0.0)

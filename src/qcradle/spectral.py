@@ -7,14 +7,23 @@ use), solves the boundary-modified quantization condition for the
 pseudo-wavevectors of an edge-weakened chain (``pseudo_wavevectors``), and
 provides the spectrum/state diagnostics (``linearity_deviation``,
 ``mode_overlaps``) used by the transfer studies.  The end-to-end transfer
-reads the modes ``Spectrum._end_modes``, built without the eigenvectors:
-for a long edge-engineered chain from its boundary phase (``_edge_modes``,
-no LAPACK), otherwise from ``_eigvals`` and ``_end_weights``.  Every
-tridiagonal eigensolve in the package is one ``_stevd`` call.
+reads the modes ``Spectrum._end_modes``, built without the eigenvectors by
+the first of three routes that takes the chain:
+
+- the perfect-transfer chain (``pst_chain``) in closed form, its spectrum
+  and end weights those of a spin's J_x (``_pst_modes``, no LAPACK);
+- a chain of at least ``_EDGE_ROUTE_M`` sites that is uniform outside a few
+  end bonds (``uniform_chain``, ``edge_modified_chain``) from its boundary
+  phase (``_edge_modes``, no LAPACK);
+- any other chain, and one the routes above refuse, from the eigenvalues
+  (``_eigvals``) and the gap products of ``_end_weights``.
+
+Every tridiagonal eigensolve in the package is one ``_stevd`` call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,6 +49,14 @@ _EDGE_ROUTE_M = 300
 _EDGE_BONDS = 4
 _EDGE_STEPS = 128
 _EDGE_TOL = 2.0**-40
+
+# the least normal double: the floor of the edge route's roots and of the pst route's scale
+_TINY = np.finfo(float).tiny
+
+# The pst route (_pst_modes) takes a chain whose bonds all lie within this of the
+# perfect-transfer bonds (relative): pst_chain's lie within 1.68 eps of them for every
+# M from 2 to 20000 and eight Omega from 1e-150 to 1e150
+_PST_TOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -82,14 +99,17 @@ class Spectrum:
         other chain, and a single site: nu = omega and p = q = w.  A zero
         half is None.
 
-        An edge-engineered chain of at least ``_EDGE_ROUTE_M`` sites takes
-        ``_edge_modes`` when they certify.  Any other chain takes ``_eigvals``
-        and, when ``_end_weights`` certifies them, those eigenvalues alone;
-        otherwise (computed eigenvalues that tie or nearly tie) the
-        eigenpairs, unfolded.  Weights below ``_WEIGHT_FLOOR`` are 0.
+        A perfect-transfer chain takes the closed form of ``_pst_modes``, and an
+        edge-engineered chain of at least ``_EDGE_ROUTE_M`` sites ``_edge_modes``
+        when they certify.  Any other chain takes ``_eigvals`` and, when
+        ``_end_weights`` certifies them, those eigenvalues alone; otherwise
+        (computed eigenvalues that tie or nearly tie) the eigenpairs, unfolded.
+        Weights below ``_WEIGHT_FLOOR`` are 0.
         """
         spec, M = self.spec, self.M
-        modes = _edge_modes(spec) if M >= _EDGE_ROUTE_M else None
+        modes = _pst_modes(spec)
+        if modes is None and M >= _EDGE_ROUTE_M:
+            modes = _edge_modes(spec)
         if modes is not None:
             omega, w = modes
         else:
@@ -210,6 +230,54 @@ def diagonalize(spec: ChainSpec) -> Spectrum:
     return Spectrum(spec)
 
 
+def _pst_modes(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray] | None:
+    """Folded modes (omega, w) of a perfect-transfer chain in closed form, or None.
+
+    The chain tau_j = Omega sqrt(j (M - j)), eps = 0, is -2 Omega J_x of a spin (M - 1)/2
+    (Christandl et al., PRL 92, 187902, 2004): omega_n = Omega (2n - M - 1) and
+    w_n = g_{n1} g_{nM} = (-1)^(n-1) C(M - 1, n - 1) / 2^(M-1), the Krawtchouk weights, so
+    A_M(t) = (i sin Omega t)^(M-1).  The modes come in ``_edge_modes``' layout: the M // 2
+    below the band centre, then an odd chain's zero mode as exactly +0.0.  The weights are
+    exp of a cumulative sum of log(k/(M - k)) run outward from the largest, last one, and
+    are divided by their sum over all M modes, as the exact |w_n| sum to 1 (the binomial
+    theorem): no LAPACK call, gap product or eigenvector.  Subtracting (M - 1) log 2 from
+    a cumulative sum run from the first weight instead would carry the rounding of sums
+    up to M log 2 into every weight (sum |dw| = 1.9e-11 at M = 20000, against 1.9e-16).
+
+    A chain of M >= 2 sites is taken when eps = 0 and every bond lies within ``_PST_TOL``
+    (4 eps, relative) of Omega^ sqrt(j (M - j)), Omega^ = tau_1 / sqrt(M - 1), with
+    4 eps Omega^ a normal number; the second bond is tested first, in O(1), so other
+    chains are refused before any O(M) work.  The modes returned are then the exact
+    modes of a chain whose bonds differ from the given ones by at most 4 eps relative:
+    a backward error E with ||E|| <= 4 eps ||T||, below the O(M eps ||T||) that LAPACK's
+    own backward-stable solve commits; and with eps = 0 a relative bond perturbation
+    moves every eigenvalue by a relative amount only (Demmel and Kahan, SIAM J. Sci.
+    Stat. Comput. 11, 873, 1990).
+    """
+    M, tau = spec.M, spec.tau
+    if M < 2:
+        return None
+    omega_hat = tau[0] / math.sqrt(M - 1)
+    if M > 2:
+        ref = omega_hat * math.sqrt(2.0 * (M - 2))
+        if not abs(tau[1] - ref) <= _PST_TOL * ref:
+            return None
+    if spec.eps.any() or omega_hat * _PST_TOL < _TINY:  # a subnormal tolerance is not 4 eps
+        return None
+    j = np.arange(1.0, M)
+    ref = omega_hat * np.sqrt(j * (M - j))
+    if not (np.abs(tau - ref) <= _PST_TOL * ref).all():
+        return None
+    omega = omega_hat * np.arange(1 - M, 1, 2, dtype=float)  # an odd M ends at 0 * omega_hat = +0.0
+    k = np.arange(1.0, omega.size)
+    log_w = np.zeros(omega.size)  # log w_k - log w_{last}
+    log_w[:-1] = np.cumsum(np.log(k / (M - k))[::-1])[::-1]
+    w = np.exp(log_w)
+    w /= 2.0 * w.sum() - (1.0 if M % 2 else 0.0)  # the zero mode, w = e^0, has no mirror
+    w[1::2] *= -1.0
+    return omega, w
+
+
 def _edge_phase(q: np.ndarray, edge: np.ndarray):
     """The bulk phase phi(k) of a chain at k = pi/2 - q, as phi = j pi/2 + delta, and
     what the edge route reads with it: (j, delta, dphi/dk, norm, amp2).
@@ -264,9 +332,10 @@ def _edge_modes(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray] | None:
     (M + 1) k + 2 phi(k) = n pi.  One Newton iteration, vectorised over the M // 2 modes
     below the band centre and started from the uniform chain's k = n pi/(M + 1), solves
     it in q = pi/2 - k.  Each root keeps the bracket its residual's signs give and is
-    bisected where a step would leave it; the iteration ends when every step is below
-    ``_EDGE_TOL`` of its root, keeping the stepped roots.  An odd chain's zero mode
-    (q = 0) comes last.
+    bisected where a step would leave it, in log q while the bracket's lower end is 0
+    (a nearly cut edge binds a mode at q ~ x^2); the iteration ends when every step is
+    below ``_EDGE_TOL`` of its root, keeping the stepped roots.  A root below the normal
+    range is refused.  An odd chain's zero mode (q = 0) comes last.
 
     The weights are w_n = (-1)^(n-1) g_{n1}^2, and with g_1 = 1 the norm 1/g_{n1}^2 is
     twice the b edge sites' sum plus the bulk's in closed form,
@@ -298,9 +367,15 @@ def _edge_modes(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray] | None:
             step = f / (M + 1 + 2.0 * slope)
             done = np.abs(step) <= _EDGE_TOL * q
             new = q + step
-            q = np.where(done | (lo < new) & (new < hi), new, 0.5 * (lo + hi))
+            # a bracket whose lower end is still 0 is bisected in log q down to the least
+            # normal double, so a nearly cut edge's root at q ~ x^2 takes a few steps, not
+            # one halving per factor of 2
+            mid = np.where(lo > 0.0, 0.5 * (lo + hi), np.sqrt(_TINY * hi))
+            q = np.where(done | (lo < new) & (new < hi), new, mid)
             if done.all():
                 break
+            if hi.min() < 2.0 * _TINY:  # a root below the normal range: refused
+                return None
         else:
             return None
         roots = q

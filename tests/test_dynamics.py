@@ -361,14 +361,16 @@ class TestPeakTransfer:
     # end weights g_{n1} g_{nM} of the eigenvectors gave, summed over all M
     # modes; the weights from the eigenvalues, the eigenvalues from the
     # reflection sectors, and the real sum over the folded modes of the
-    # eps = 0 chains move it by round-off only (pst50 by 50 ulp), at the
-    # same peak time.  The refine tolerance is a fraction of the scan step, so
-    # pst50 and asymmetric4 (tau_max = 25 and 2) refine to 4e-8 and 5e-7
+    # eps = 0 chains move it by round-off only, at the same peak time (pst50,
+    # whose modes are now the closed form, reads exactly 1, which the gap
+    # route's weights put 52 ulp above).  The refine tolerance is a fraction of
+    # the scan step, so pst50 and asymmetric4 (tau_max = 25 and 2) refine to
+    # 4e-8 and 5e-7
     @pytest.mark.parametrize(
         "spec, time_hex, amp_hex, old_amp_hex, samples",
         [
             (uniform_chain(101, 1.0), "0x1.a619ec95cb85dp+5", "0x1.11a004662a7bap-1", "0x1.11a004662a7dcp-1", 3060),
-            (pst_chain(50, 1.0), "0x1.921fb544716f1p+0", "0x1.0000000000034p+0", "0x1.0000000000002p+0", 1530),
+            (pst_chain(50, 1.0), "0x1.921fb544716f1p+0", "0x1.0000000000000p+0", "0x1.0000000000002p+0", 1530),
             (
                 edge_modified_chain(100, 1.0, 0.5, 0.8),
                 "0x1.b52da4c252a3cp+5", "0x1.e1c1938b619d2p-1", "0x1.e1c1938b6197dp-1", 3030,

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 import warnings
 
@@ -28,8 +29,16 @@ from qcradle import (
     uniform_chain,
 )
 from qcradle.dynamics import PEAK_COARSE_STEP, PEAK_TIME_TOL, PEAK_WINDOW_FACTOR, _end_abs_scan
-from qcradle.spectral import _EDGE_ROUTE_M, _WEIGHT_FLOOR, _edge_modes, _edge_phase, _eigvals, _end_weights
-from util import dense_eig, dense_propagate, random_chain, residual_norm, seeded_spectrum, unfold_modes
+from qcradle.spectral import (
+    _EDGE_ROUTE_M,
+    _WEIGHT_FLOOR,
+    _edge_modes,
+    _edge_phase,
+    _eigvals,
+    _end_weights,
+    _pst_modes,
+)
+from util import SolveSpy, dense_eig, dense_propagate, random_chain, residual_norm, seeded_spectrum, unfold_modes
 
 SQRT2 = np.sqrt(2.0)
 
@@ -201,25 +210,16 @@ class TestEndWeights:
         # the tuner's near-cut corner y = 0.02 splits end-state pairs by less
         # than the first-order check allows: of 2739 transfers, each with the
         # symmetrised spectrum from one sector, 5 took the eigenvectors
-        calls = []
-        weights, solve = qcradle.spectral._end_weights, qcradle.spectral._stevd
-
-        def stevd(d, e, vectors=True):
-            if vectors:
-                calls.append("g")
-            return solve(d, e, vectors)
-
-        monkeypatch.setattr(qcradle.spectral, "_end_weights", lambda *a: calls.append("w") or weights(*a))
-        monkeypatch.setattr(qcradle.spectral, "_stevd", stevd)
+        spy = SolveSpy(monkeypatch)
         tune_double(100, 1.0)
-        assert (calls.count("w"), calls.count("g")) == (2739, 5)
+        assert (len(spy.weights), len(spy.vectors)) == (2739, 5)
 
     def test_pst2000_floor_leaves_the_scan_unchanged(self):
-        # pst weights fall like 2^-M: the floor zeroes those whose scan
-        # products would be subnormal, and the scan does not move a bit
+        # pst weights fall like 2^-M: the floor zeroes those of the closed form whose
+        # scan products would be subnormal, and the scan does not move a bit
         sp = diagonalize(pst_chain(2000, 1.0))
         nu, _, q = sp._end_modes
-        raw = 2.0 * _end_weights(_eigvals(sp.spec), sp.spec.tau, 1000)
+        raw = 2.0 * _pst_modes(sp.spec)[1]
         assert not ((0.0 < np.abs(q)) & (np.abs(q) < 2.0 * _WEIGHT_FLOOR)).any()
         assert (q == 0.0).sum() > (raw == 0.0).sum()
         # the peak search's grid: n = 30M + 1 samples, as peak_transfer takes them
@@ -230,18 +230,22 @@ class TestEndWeights:
 
     @pytest.mark.parametrize(
         "spec",
-        [_two_bond(100), pst_chain(2000, 1.0), gaussian_trap_chain(257, 1.0, 128.5, 282.7)],
-        ids=["two-bond100", "pst2000", "trap257"],
+        [
+            _two_bond(100),
+            # five equal edge bond pairs: folded, and past the edge route's four
+            ChainSpec(M=2000, tau=np.r_[[0.5] * 5, np.ones(1989), [0.5] * 5], eps=np.zeros(2000)),
+            gaussian_trap_chain(257, 1.0, 128.5, 282.7),
+        ],
+        ids=["two-bond100", "five-pairs2000", "trap257"],
     )
     def test_chunk_size_leaves_the_bits(self, spec, monkeypatch):
         # each row's sums are taken over that row alone, whatever the chunk
         # of rows: one row per chunk (M entries), three rows with a partial
         # last chunk (3M + 1), and the default
-        args = []
-        monkeypatch.setattr(qcradle.spectral, "_end_weights", lambda *a: args.append(a))
+        spy = SolveSpy(monkeypatch)
         diagonalize(spec)._end_modes
         monkeypatch.undo()
-        (omega, tau, rows), M = args[0], spec.M
+        (omega, tau, rows), M = spy.weights[0], spec.M
         default = _end_weights(omega, tau, rows)
         assert default is not None and rows % 3
         for chunk in (M, 3 * M + 1):
@@ -265,8 +269,10 @@ def _edge_chains():
 
 def _routes(spec, monkeypatch):
     # the transfer spectrum of the LAPACK route (_eigvals, _end_weights and their
-    # eigenvector fallback), then of the edge route, whatever the gate
+    # eigenvector fallback), then of the edge route, whatever the gate; the pst route,
+    # which takes the chains of M = 2 and 3 with equal bonds, is off
     spectra = []
+    monkeypatch.setattr(qcradle.spectral, "_pst_modes", lambda spec: None)
     for least in (spec.M + 1, 2):
         monkeypatch.setattr(qcradle.spectral, "_EDGE_ROUTE_M", least)
         spectra.append(diagonalize(spec))
@@ -293,6 +299,30 @@ class TestEdgeModes:
         for t in (0.5, 7.0, a.peak_time):
             assert abs(end_amplitude(gap, t) - end_amplitude(edge, t)) <= 1e-12
 
+    @pytest.mark.parametrize("x", [1e-16, 1e-100])
+    @pytest.mark.parametrize("M", [500, 2000])
+    def test_nearly_cut_edge_is_second_order(self, M, x, monkeypatch):
+        # the end mode's root, q ~ x^2, is reached by bisecting in log q.  The transfer
+        # is x^2 times the bulk's to O(x^4): with E_k and psi_k of the uniform bulk of L =
+        # M - 2 sites, A(t) = -x^2 sum_k psi_k(1) psi_k(L) (-i t/E_k + (1 - e^(-i E_k t))/E_k^2).
+        # The gap route's eigenvector fallback, accurate only to eps, peaked at 6.8e-200
+        # at t = 259 for x = 1e-100, M = 500, where this peak is 1.0e-197 at t = 750
+        spy = SolveSpy(monkeypatch)
+        spec = edge_modified_chain(M, 1.0, x)
+        sp = diagonalize(spec)
+        L = M - 2
+        a = np.pi * np.arange(1, L + 1) / (L + 1)
+        E = -2.0 * np.cos(a)
+        psi = 2.0 / (L + 1) * np.sin(a) ** 2 * (-1.0) ** np.arange(L)  # psi_k(1) psi_k(L)
+        times = np.r_[0.7, 13.0, np.linspace(1.0, 1.5 * M, 20)]
+        ref = [-x * x * np.sum(psi * (-1j * t / E + (1.0 - np.exp(-1j * E * t)) / E**2)) for t in times]
+        scale = max(map(abs, ref))
+        for t, r in zip(times, ref):
+            assert abs(end_amplitude(sp, t) - r) <= 1e-12 * scale
+        rep = peak_transfer(sp)
+        assert abs(rep.peak_amplitude - scale) <= 1e-12 * scale
+        assert spy.calls == 0 and "_eigenpairs" not in vars(sp)
+
     @pytest.mark.parametrize("M", [3, 101, 2001])
     def test_odd_chain_keeps_its_zero_mode(self, M, monkeypatch):
         # the zero mode comes last, at exactly +0.0, with its unpaired weight in p
@@ -317,14 +347,12 @@ class TestEdgeModes:
     )
     def test_routed_chain_calls_no_lapack(self, spec, monkeypatch):
         # the gate takes these chains; the weakest edges took the eigenvectors before
-        calls = []
-        monkeypatch.setattr(qcradle.spectral, "_stevd", lambda *a, **k: calls.append("stevd"))
-        monkeypatch.setattr(qcradle.spectral, "_end_weights", lambda *a: calls.append("weights"))
+        spy = SolveSpy(monkeypatch)
         assert spec.M >= _EDGE_ROUTE_M
         sp = diagonalize(spec)
         rep = peak_transfer(sp)
         assert abs(end_amplitude(sp, rep.peak_time)) == rep.peak_amplitude
-        assert calls == [] and "_eigenpairs" not in vars(sp)
+        assert spy.calls == 0 and "_eigenpairs" not in vars(sp)
 
     @pytest.mark.parametrize(
         "spec, solved",
@@ -333,11 +361,13 @@ class TestEdgeModes:
             # do their roots; their weights miss the sum |w| = 1 check
             (edge_modified_chain(2000, 1.0, 0.3, 1e-9), True),
             (edge_modified_chain(500, 1.0, 0.5, 1e-9), True),
-            # a nearly cut edge: its end mode's root (q ~ x^2) is past the step cap
-            (edge_modified_chain(500, 1.0, 1e-100), True),
+            # a nearly cut edge whose end mode's root (q ~ x^2 = 1e-600) is below the
+            # normal range, refused once its bracket is
+            (edge_modified_chain(500, 1.0, 1e-300), True),
             # not of the route's shape, refused before any root is sought: an edge bond
             # 1.5 times the bulk (it binds modes outside the band), pst (every bond its
-            # own), five bond pairs, a mirror-broken end, on-site offsets
+            # own; it takes the pst route), five bond pairs, a mirror-broken end, on-site
+            # offsets
             (ChainSpec(M=2000, tau=np.r_[1.5, np.ones(1997), 1.5], eps=np.zeros(2000)), False),
             (pst_chain(2000, 1.0), False),
             (ChainSpec(M=500, tau=np.r_[[0.5] * 5, np.ones(489), [0.5] * 5], eps=np.zeros(500)), False),
@@ -351,18 +381,21 @@ class TestEdgeModes:
         phase = qcradle.spectral._edge_phase
         monkeypatch.setattr(qcradle.spectral, "_edge_phase", lambda *a: calls.append(1) or phase(*a))
         assert spec.M >= _EDGE_ROUTE_M and _edge_modes(spec) is None and bool(calls) == solved
-        gap = _routes(spec, monkeypatch)[0]._end_modes
-        for got, ref in zip(diagonalize(spec)._end_modes, gap):
+        pst = _pst_modes(spec)
+        if pst is None:
+            ref = _routes(spec, monkeypatch)[0]._end_modes
+        else:  # an even chain's closed-form modes, floored and folded
+            omega, w = pst
+            ref = omega, None, np.where(np.abs(w) < _WEIGHT_FLOOR, 0.0, 2.0 * w)
+        for got, ref in zip(diagonalize(spec)._end_modes, ref):
             assert (got is None and ref is None) or got.tobytes() == ref.tobytes()
 
     def test_short_chains_keep_the_gap_route(self, monkeypatch):
         # below the measured crossover LAPACK is the cheaper route: the tuner's chains keep it
-        calls = []
-        weights = qcradle.spectral._end_weights
-        monkeypatch.setattr(qcradle.spectral, "_end_weights", lambda *a: calls.append(a) or weights(*a))
+        spy = SolveSpy(monkeypatch)
         diagonalize(edge_modified_chain(_EDGE_ROUTE_M - 1, 1.0, 0.36, 0.68))._end_modes
         diagonalize(edge_modified_chain(100, 1.0, 0.36, 0.68))._end_modes
-        assert len(calls) == 2
+        assert len(spy.weights) == 2
 
     @pytest.mark.parametrize("x", [1e-6, 0.02, 0.5, 1.0])
     def test_phase_of_one_bond_is_the_closed_form(self, x):
@@ -395,22 +428,104 @@ class TestEdgeModes:
         assert np.allclose(amp2, r2, rtol=1e-12, atol=0)
 
 
+def _pst_amplitude(M, Omega, t):
+    # A_M(t) = (i sin Omega t)^(M - 1) of the pst chain, from i^(M - 1) and one real power
+    return 1j ** ((M - 1) % 4) * math.sin(Omega * t) ** (M - 1)
+
+
+PST_TIMES = (0.4, 1.2, 0.5 * np.pi, 2.9, 7.0)  # Omega t, across the first peak and past it
+
+
+class TestPstModes:
+    @pytest.mark.parametrize("Omega", [0.37, 1.0, 3.0])
+    @pytest.mark.parametrize("M", [2, 3, 50, 51, 2000, 2001, 20000])
+    def test_end_amplitude_is_the_closed_form(self, M, Omega, monkeypatch):
+        # 4.4e-15 at most (M = 20000, Omega = 0.37)
+        spy = SolveSpy(monkeypatch)
+        sp = diagonalize(pst_chain(M, Omega))
+        for x in PST_TIMES:
+            assert abs(end_amplitude(sp, x / Omega) - _pst_amplitude(M, Omega, x / Omega)) <= 1e-13
+        assert spy.calls == 0
+
+    @pytest.mark.parametrize("Omega", [0.37, 1.0, 3.0])
+    @pytest.mark.parametrize("M", [2, 3, 50, 51, 2000, 2001])
+    def test_gap_route_meets_the_closed_form(self, M, Omega, monkeypatch):
+        # the route it replaces, on the same check: 1.9e-14 at most up to M = 51, but
+        # 1.33e-12 and 1.42e-12 at the peak (Omega t = pi/2, Omega = 1) for M = 2000 and 2001
+        monkeypatch.setattr(qcradle.spectral, "_pst_modes", lambda spec: None)
+        spy = SolveSpy(monkeypatch)
+        sp = diagonalize(pst_chain(M, Omega))
+        for x in PST_TIMES:
+            assert abs(end_amplitude(sp, x / Omega) - _pst_amplitude(M, Omega, x / Omega)) <= 2e-12
+        assert len(spy.weights) == 1 and not spy.vectors
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 5, 50, 51, 2000, 2001])
+    def test_modes_are_the_krawtchouk_spectrum(self, M):
+        # omega_n = 2n - M - 1 over the lower half, an odd chain's zero mode last as +0.0
+        # (the bytes tell it from -0.0), and w_n = (-1)^(n-1) C(M - 1, n - 1) / 2^(M-1),
+        # each exact weight correctly rounded
+        omega, w = _pst_modes(pst_chain(M, 1.0))
+        assert omega.tobytes() == np.arange(1 - M, 1, 2, dtype=float).tobytes()
+        exact = [(-1) ** k * (math.comb(M - 1, k) / 2 ** (M - 1)) for k in range(omega.size)]
+        assert np.max(np.abs(w - exact)) <= 1e-16
+
+    @pytest.mark.parametrize("Omega", [1e-150, 1e-3, 0.37, 1.0, 3.0, 1e150])
+    def test_takes_pst_chains_at_every_scale(self, Omega):
+        for M in (2, 3, 4, 7, 100, 101, 2000, 20000):
+            omega, _ = _pst_modes(pst_chain(M, Omega))
+            assert abs(omega[0] - Omega * (1 - M)) <= 4 * np.finfo(float).eps * Omega * (M - 1)
+
+    @pytest.mark.parametrize("M", [2, 3, 500, 2000, 2001])
+    def test_transfer_calls_no_lapack(self, M, monkeypatch):
+        spy = SolveSpy(monkeypatch)
+        sp = diagonalize(pst_chain(M, 1.0))
+        rep = peak_transfer(sp)
+        assert abs(rep.peak_amplitude - 1.0) <= 1e-12
+        assert spy.calls == 0 and "_eigenpairs" not in vars(sp)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # one bond off by 1e-12 relative, far past the 4 eps the route allows
+            ChainSpec(M=2000, tau=pst_chain(2000, 1.0).tau * np.r_[np.ones(700), 1 + 1e-12, np.ones(1298)],
+                      eps=np.zeros(2000)),
+            # pst bonds with on-site offsets
+            ChainSpec(M=50, tau=pst_chain(50, 1.0).tau, eps=np.full(50, 0.25)),
+            ChainSpec(M=1, tau=[], eps=[0.0]),
+            # the tuner's chain, refused by its second bond
+            edge_modified_chain(100, 1.0, 0.36, 0.68),
+            # a subnormal scale, whose 4 eps tolerance would underflow
+            pst_chain(3, 1e-310),
+        ],
+        ids=["bond", "eps", "one-site", "tuner", "subnormal"],
+    )
+    def test_refusals_keep_the_gap_route_bits(self, spec, monkeypatch):
+        assert _pst_modes(spec) is None
+        got = diagonalize(spec)._end_modes
+        monkeypatch.setattr(qcradle.spectral, "_pst_modes", lambda spec: None)
+        for a, b in zip(got, diagonalize(spec)._end_modes):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+    def test_other_chains_are_refused_in_constant_time(self):
+        # the second bond refuses them: neither eps nor the bonds as an array are read
+        class Bonds(np.ndarray):
+            def __array_ufunc__(self, *a, **k):
+                raise AssertionError("an O(M) pass over the bonds")
+
+        for spec in (edge_modified_chain(100, 1.0, 0.36, 0.68), uniform_chain(100, 1.0)):
+            stand_in = type("Spec", (), {"M": spec.M, "tau": spec.tau.view(Bonds)})
+            assert _pst_modes(stand_in) is None
+
+
 class TestReflectionSectors:
     @staticmethod
     def _solve_sizes(spec, monkeypatch):
         # the solves of _eigvals itself, which a long edge chain's transfer
         # skips (TestEdgeModes)
-        sizes = []
-        solve = qcradle.spectral._stevd
-
-        def spy(d, e, vectors=True):
-            if not vectors:
-                sizes.append(len(d))
-            return solve(d, e, vectors)
-
-        monkeypatch.setattr(qcradle.spectral, "_stevd", spy)
+        spy = SolveSpy(monkeypatch)
         _eigvals(spec)
-        return sorted(sizes)
+        monkeypatch.undo()
+        return sorted(spy.values)
 
     @pytest.mark.parametrize("M", [100, 101])
     def test_mirror_chain_takes_two_half_size_solves(self, M, monkeypatch):

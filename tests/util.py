@@ -1,5 +1,6 @@
 """Shared test helpers: independent dense-matrix oracles, random chains,
-spectra seeded with given eigenpairs and a per-value CSV formatter."""
+spectra seeded with given eigenpairs, a spy on the transfer layer's solves
+and a per-value CSV formatter."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import itertools
 
 import numpy as np
 
+import qcradle.spectral
 from qcradle import ChainSpec, HubbardParams, Spectrum
 
 
@@ -35,6 +37,32 @@ def seeded_spectrum(spec: ChainSpec, omega, g) -> Spectrum:
     sp = Spectrum(spec)
     sp.__dict__["_eigenpairs"] = (np.asarray(omega, dtype=float), np.asarray(g, dtype=float))
     return sp
+
+
+class SolveSpy:
+    """Records, under a pytest ``monkeypatch``, each call that the transfer layer makes
+    to ``spectral._stevd`` and ``spectral._end_weights``, and runs it: the size of each
+    eigenvalue-only solve in ``values``, of each solve with eigenvectors in ``vectors``,
+    and the arguments of each end-weight call in ``weights``."""
+
+    def __init__(self, monkeypatch):
+        self.values, self.vectors, self.weights = [], [], []
+        solve, weights = qcradle.spectral._stevd, qcradle.spectral._end_weights
+
+        def stevd(d, e, vectors=True):
+            (self.vectors if vectors else self.values).append(len(d))
+            return solve(d, e, vectors)
+
+        def end_weights(*args):
+            self.weights.append(args)
+            return weights(*args)
+
+        monkeypatch.setattr(qcradle.spectral, "_stevd", stevd)
+        monkeypatch.setattr(qcradle.spectral, "_end_weights", end_weights)
+
+    @property
+    def calls(self) -> int:
+        return len(self.values) + len(self.vectors) + len(self.weights)
 
 
 def unfold_modes(modes, M: int):
