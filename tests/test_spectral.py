@@ -31,6 +31,7 @@ from qcradle import (
 from qcradle.dynamics import PEAK_COARSE_STEP, PEAK_TIME_TOL, PEAK_WINDOW_FACTOR, _end_abs_scan
 from qcradle.spectral import (
     _EDGE_ROUTE_M,
+    _TINY,
     _WEIGHT_FLOOR,
     _edge_modes,
     _edge_phase,
@@ -38,7 +39,16 @@ from qcradle.spectral import (
     _end_weights,
     _pst_modes,
 )
-from util import SolveSpy, dense_eig, dense_propagate, random_chain, residual_norm, seeded_spectrum, unfold_modes
+from util import (
+    PhaseSpy,
+    SolveSpy,
+    dense_eig,
+    dense_propagate,
+    random_chain,
+    residual_norm,
+    seeded_spectrum,
+    unfold_modes,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -281,6 +291,20 @@ def _routes(spec, monkeypatch):
     return spectra
 
 
+def _second_order(M, x, times):
+    # A_M(t) of edge_modified_chain(M, 1, x) to O(x^4) relative, from the E_k and psi_k of the
+    # uniform bulk of L = M - 2 sites: A(t) = -x^2 sum_k psi_k(1) psi_k(L) (-i t/E_k + (1 -
+    # e^(-i E_k t))/E_k^2), whose term tends to t^2/2 at the zero mode E_k = 0 of an odd bulk
+    L = M - 2
+    m = np.arange(1, L + 1)
+    a = np.pi * m / (L + 1)
+    zero = 2 * m == L + 1
+    E = np.where(zero, 1.0, -2.0 * np.cos(a))
+    psi = 2.0 / (L + 1) * np.sin(a) ** 2 * (-1.0) ** (m - 1)  # psi_k(1) psi_k(L)
+    terms = [np.where(zero, 0.5 * t * t, -1j * t / E + (1.0 - np.exp(-1j * E * t)) / E**2) for t in times]
+    return [-x * x * np.sum(psi * term) for term in terms]
+
+
 class TestEdgeModes:
     @pytest.mark.parametrize("spec", _edge_chains())
     def test_match_the_gap_route(self, spec, monkeypatch):
@@ -299,28 +323,48 @@ class TestEdgeModes:
         for t in (0.5, 7.0, a.peak_time):
             assert abs(end_amplitude(gap, t) - end_amplitude(edge, t)) <= 1e-12
 
-    @pytest.mark.parametrize("x", [1e-16, 1e-100])
+    @pytest.mark.parametrize("x", [1e-16, 1e-100, 1e-160, 1e-200, 1e-300])
     @pytest.mark.parametrize("M", [500, 2000])
     def test_nearly_cut_edge_is_second_order(self, M, x, monkeypatch):
-        # the end mode's root, q ~ x^2, is reached by bisecting in log q.  The transfer
-        # is x^2 times the bulk's to O(x^4): with E_k and psi_k of the uniform bulk of L =
-        # M - 2 sites, A(t) = -x^2 sum_k psi_k(1) psi_k(L) (-i t/E_k + (1 - e^(-i E_k t))/E_k^2).
-        # The gap route's eigenvector fallback, accurate only to eps, peaked at 6.8e-200
-        # at t = 259 for x = 1e-100, M = 500, where this peak is 1.0e-197 at t = 750
+        # the end mode's root, q ~ x^2, is reached by bisecting in log q; from x ~ 1e-154 it
+        # is below the normal range and the end pair is an exact zero pair.  The transfer is
+        # x^2 times the bulk's to O(x^4), to 1e-12 of its peak or, where that peak is below
+        # the normal range, to the least normal double.  The gap route's eigenvector
+        # fallback, accurate only to eps, peaked at 6.8e-200 at t = 259 for x = 1e-100,
+        # M = 500, where this peak is 1.0e-197 at t = 750
         spy = SolveSpy(monkeypatch)
-        spec = edge_modified_chain(M, 1.0, x)
-        sp = diagonalize(spec)
-        L = M - 2
-        a = np.pi * np.arange(1, L + 1) / (L + 1)
-        E = -2.0 * np.cos(a)
-        psi = 2.0 / (L + 1) * np.sin(a) ** 2 * (-1.0) ** np.arange(L)  # psi_k(1) psi_k(L)
+        sp = diagonalize(edge_modified_chain(M, 1.0, x))
         times = np.r_[0.7, 13.0, np.linspace(1.0, 1.5 * M, 20)]
-        ref = [-x * x * np.sum(psi * (-1j * t / E + (1.0 - np.exp(-1j * E * t)) / E**2)) for t in times]
+        ref = _second_order(M, x, times)
         scale = max(map(abs, ref))
+        tol = max(1e-12 * scale, _TINY)
         for t, r in zip(times, ref):
-            assert abs(end_amplitude(sp, t) - r) <= 1e-12 * scale
+            assert abs(end_amplitude(sp, t) - r) <= tol
         rep = peak_transfer(sp)
-        assert abs(rep.peak_amplitude - scale) <= 1e-12 * scale
+        assert abs(rep.peak_amplitude - scale) <= tol
+        assert spy.calls == 0 and "_eigenpairs" not in vars(sp)
+
+    @pytest.mark.parametrize("x", [1e-30, 1e-50, 1e-100, 1e-300])
+    @pytest.mark.parametrize("M", [301, 2001])
+    def test_odd_nearly_cut_edge(self, M, x, monkeypatch):
+        # the end pair binds to the bulk's zero mode at q ~ x, which the bracket's geometric
+        # bisection reaches in a few steps (at x = 1e-300 the product of its two ends would
+        # underflow: the mean takes their square roots).  The spectrum matches the sector
+        # solve; the transfer is O(x^2 t^2), and the route's mode sum, which cancels weights
+        # of order 1, returns it to their round-off
+        spec = edge_modified_chain(M, 1.0, x)
+        phase = PhaseSpy(monkeypatch)
+        modes = _edge_modes(spec)
+        assert modes is not None and phase.calls <= 32
+        omega = _eigvals(spec)
+        nu = modes[0]
+        assert np.max(np.abs(np.concatenate([nu, -nu[::-1][1:]]) - omega)) <= 1e-14 * np.max(np.abs(omega))
+        spy = SolveSpy(monkeypatch)
+        sp = diagonalize(spec)
+        times = np.r_[0.7, 13.0, np.linspace(1.0, 1.5 * M, 20)]
+        for t, r in zip(times, _second_order(M, x, times)):
+            assert abs(end_amplitude(sp, t) - r) <= 1e-15
+        assert peak_transfer(sp).peak_amplitude <= 1e-15
         assert spy.calls == 0 and "_eigenpairs" not in vars(sp)
 
     @pytest.mark.parametrize("M", [3, 101, 2001])
@@ -361,9 +405,9 @@ class TestEdgeModes:
             # do their roots; their weights miss the sum |w| = 1 check
             (edge_modified_chain(2000, 1.0, 0.3, 1e-9), True),
             (edge_modified_chain(500, 1.0, 0.5, 1e-9), True),
-            # a nearly cut edge whose end mode's root (q ~ x^2 = 1e-600) is below the
-            # normal range, refused once its bracket is
-            (edge_modified_chain(500, 1.0, 1e-300), True),
+            # an odd chain's subnormal edge: its end pair's root (q ~ x) is below the normal
+            # range, comes out 0 and ties the zero mode
+            (edge_modified_chain(501, 1.0, 1e-310), True),
             # not of the route's shape, refused before any root is sought: an edge bond
             # 1.5 times the bulk (it binds modes outside the band), pst (every bond its
             # own; it takes the pst route), five bond pairs, a mirror-broken end, on-site
@@ -377,10 +421,8 @@ class TestEdgeModes:
         ids=["tied-roots", "weight-sum", "nearly-cut", "strong-edge", "pst", "five-pairs", "non-mirror", "trap"],
     )
     def test_refusals_keep_the_gap_route_bits(self, spec, solved, monkeypatch):
-        calls = []
-        phase = qcradle.spectral._edge_phase
-        monkeypatch.setattr(qcradle.spectral, "_edge_phase", lambda *a: calls.append(1) or phase(*a))
-        assert spec.M >= _EDGE_ROUTE_M and _edge_modes(spec) is None and bool(calls) == solved
+        phase = PhaseSpy(monkeypatch)
+        assert spec.M >= _EDGE_ROUTE_M and _edge_modes(spec) is None and bool(phase.calls) == solved
         pst = _pst_modes(spec)
         if pst is None:
             ref = _routes(spec, monkeypatch)[0]._end_modes
@@ -790,16 +832,16 @@ class TestPseudoWavevectors:
         omega = diagonalize(edge_modified_chain(M, 1.0, x)).omega
         assert np.max(np.abs(-2.0 * np.cos(k) - omega)) <= 1e-12
 
-    # pinned bits: the roots must not move when the bisection is restructured
+    # pinned bits: the roots must not move when the iteration is restructured
     @pytest.mark.parametrize(
         "M, x, digest",
         [
             (1, 1.0, "c3f113d6cbe802411220c98356d28b3c4ce2b9b769df839bd479276aff85c18e"),
             (4, 0.5, "40edff939d4c4043e466017d18b18afb65dc281685a77fc39d30efc56e9ba173"),
-            (37, 1.0, "c9f908b68cc5b86cce9117924ec0cf409f3480a010ed91f7840cd0a97b72b498"),
-            (100, 0.48, "83b9697db08bb75875bf57dd14450d7409086144061ca0f88fc16ee21d61d8b3"),
-            (101, 0.02, "b69e39650c1fc7bfe2203baab15ea101403cf8dbeff2fd49011173d442003897"),
-            (200, 0.35, "2d33e7050339c8d089e32ff1faac53221d147a56b19d1053deb16b7ac31e3975"),
+            (37, 1.0, "5f9d5c23097f71e6840f6fd84ab9586c8b59e3214e0ab6e1fe27e4cd7fa06895"),
+            (100, 0.48, "9fe4aac2d3b2c3b9cf1597bec0ace5a33a5d66c521605770f518b021803f3b55"),
+            (101, 0.02, "ef291d6d18e4b60882e36be0b2f90f57fca6c1163aa8d701be774b43c298dd4b"),
+            (200, 0.35, "305818f2e7000736e2c03292dda727c4e5531c991789aa9413042212df25ef9f"),
         ],
     )
     def test_pinned_bits(self, M, x, digest):
@@ -808,31 +850,52 @@ class TestPseudoWavevectors:
     @pytest.mark.parametrize("x", [1e-9, 1e-3, 0.02, 0.5, 1.0])
     @pytest.mark.parametrize("M", [4, 37, 100, 101, 2000])
     def test_root_is_next_to_its_sign_change(self, M, x):
-        # each root is one of the two adjacent doubles that bracket the residual's sign change
+        # each root lies within 8 ulp(pi/2) of the residual's sign change
         k = pseudo_wavevectors(M, x)
         n = np.arange(1, M + 1)
+        h = 8.0 * np.spacing(0.5 * np.pi)
 
         def residual(k):
             j, delta = _edge_phase(0.5 * np.pi - k, np.array([x]))[:2]
             return (M + 1) * k + np.pi * j + 2.0 * delta - np.pi * n
 
-        f = residual(k)
-        below, above = residual(np.nextafter(k, 0.0)), residual(np.nextafter(k, np.pi))
-        assert np.all((f < 0.0) & (above >= 0.0) | (below < 0.0) & (f >= 0.0))
+        assert np.all((residual(k - h) < 0.0) & (residual(k + h) > 0.0))
 
     def test_stops_at_the_fixed_point(self, monkeypatch):
-        # at x = 0.005 the brackets stop halving long before the 200 cap
-        calls = []
-        phase = qcradle.spectral._edge_phase
-
-        def counted(q, edge):
-            calls.append(edge)
-            return phase(q, edge)
-
-        monkeypatch.setattr(qcradle.spectral, "_edge_phase", counted)
+        # at x = 0.005 every root meets the stop rule in a few Newton steps
+        phase = PhaseSpy(monkeypatch)
         k = pseudo_wavevectors(100, 0.005)
-        assert len(calls) <= 64
+        assert phase.calls <= 64
         assert np.all(np.diff(k) > 0)
+
+    def test_converges_over_the_whole_range(self, monkeypatch):
+        # one edge bond from 1 down to the least subnormal, at every M to 40 and across the
+        # edge route's sizes: the root iteration converges within 32 phase calls without a
+        # warning, and the roots are finite and in order; for M <= 301, every fourth x, they
+        # give the eigenvalues of one full solve
+        Ms = [*range(1, 41), 50, 99, 100, 101, 199, 200, 201, 299, 300, 301, 500, 501, 1000, 1001, 2000, 2001]
+        xs = [1.0, 0.9, 0.7, 0.5, 0.48, 0.35, 0.2, 0.1, 0.05, 0.02, 0.012, 0.005, 1e-3, 1e-4]
+        xs += [1e-6, 1e-8, 1e-9, 1e-12, 1e-15, 1e-16, 1e-30, 1e-50, 1e-100, 1e-154, 1e-160, 1e-200, 1e-310, 5e-324]
+        roots, converged = qcradle.spectral._edge_roots, []
+
+        def recorded(*args):
+            q, ok = roots(*args)
+            converged.append(ok)
+            return q, ok
+
+        monkeypatch.setattr(qcradle.spectral, "_edge_roots", recorded)
+        phase = PhaseSpy(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for M in Ms:
+                for i, x in enumerate(xs):
+                    before = phase.calls
+                    k = pseudo_wavevectors(M, x)
+                    assert converged.pop() and phase.calls - before <= 32
+                    assert k.size == M and np.isfinite(k).all() and (np.diff(k) >= 0.0).all()
+                    if 3 <= M <= 301 and i % 4 == 0:
+                        omega = diagonalize(edge_modified_chain(M, 1.0, x)).omega
+                        assert np.max(np.abs(-2.0 * np.cos(k) - omega)) <= 1e-12
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

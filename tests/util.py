@@ -1,6 +1,6 @@
 """Shared test helpers: independent dense-matrix oracles, random chains,
-spectra seeded with given eigenpairs, a spy on the transfer layer's solves
-and a per-value CSV formatter."""
+spectra seeded with given eigenpairs, spies on the transfer layer's solves
+and on the edge route's phase calls, and a per-value CSV formatter."""
 
 from __future__ import annotations
 
@@ -63,6 +63,22 @@ class SolveSpy:
     @property
     def calls(self) -> int:
         return len(self.values) + len(self.vectors) + len(self.weights)
+
+
+class PhaseSpy:
+    """Counts, under a pytest ``monkeypatch``, the calls made to ``spectral._edge_phase``,
+    the boundary phase that every step of the edge route's root iteration reads, and runs
+    each one."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        phase = qcradle.spectral._edge_phase
+
+        def counted(*args):
+            self.calls += 1
+            return phase(*args)
+
+        monkeypatch.setattr(qcradle.spectral, "_edge_phase", counted)
 
 
 def unfold_modes(modes, M: int):
