@@ -44,8 +44,8 @@ _WEIGHT_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 # The edge-chain route (_edge_modes): the least M that takes it, where it beats
 # LAPACK's O(M^2) solve and gap logs; the most edge bond pairs it takes, as it
-# loops over them in Python; and its root iteration's (_edge_roots) step cap and
-# stop rule, a Newton step below 2^-40 of the root (what that bounds: _edge_roots).
+# loops over them in Python; and its root iteration's (_edge_roots) stop rule, a Newton
+# step below 2^-40 of the root, and step cap, a guard (tuner-grid chains take <= 24 steps).
 _EDGE_ROUTE_M = 300
 _EDGE_BONDS = 4
 _EDGE_STEPS = 128
@@ -329,22 +329,23 @@ def _edge_roots(M: int, edge: np.ndarray) -> tuple[np.ndarray, bool]:
 
     Newton in q, where a mode next to omega = 0 keeps its relative precision, vectorised
     over the roots and started from the uniform chain's k = n pi/(M + 1).  The residual
-    rises with k, so its signs narrow each root's bracket, [0, pi/2] at first.  A bracket
-    wider than a factor of 2 (a lower end of 0 included) takes a Newton step only inside it
-    and at most half the last step, else its geometric mean sqrt(max(lo, tiny) hi), which
-    halves log(hi / max(lo, tiny)) <= 710; such steps move q by at most twice the first, so
-    a nearly cut edge's root (q ~ x^2) is soon bracketed within a factor of 2, where a step
-    outside takes the midpoint, or its upper end falls below 2 tiny and it is exactly 0.  A
-    root stops, keeping its step, once that step is below ``_EDGE_TOL`` of it; converged
-    means all stop at once within ``_EDGE_STEPS`` steps.  Either way each root is a point of
-    its bracket or a stopped step from one.  Its error is about the last step squared times
-    the residual's curvature over its slope: far below one ulp, bar nearly tied edge modes
-    (up to 9e-13 relative between two bracket rules, 300 random chains of 1-4 edge bond
-    pairs).
+    rises with k, so its signs narrow each root's bracket, [0, pi/2] at first.  One rule
+    guards each step (Brent, 1973, ch. 4): Newton where it lands strictly inside the bracket
+    and is at most half the step two iterations back, else the geometric mean
+    sqrt(max(lo, tiny)) sqrt(hi), which halves log(hi / max(lo, tiny)) <= 710.  So Newton
+    runs only while its steps halve every two iterations: a nearly cut edge's root (q ~ x^2)
+    is reached, or its upper end falls below 2 tiny and it is exactly 0, and an end dimer (a
+    second bond below the first), whose Newton steps barely shrink it, cannot stall.  A root
+    stops, keeping its step, once that step is below ``_EDGE_TOL`` of it; converged means all
+    stop at once within ``_EDGE_STEPS`` steps.  Either way each root is a point of its
+    bracket or a stopped step from one.  Its error is about the last step squared times the
+    residual's curvature over its slope: far below one ulp, bar nearly tied edge modes (up
+    to 1.5e-12 relative between two bracket rules, 300 random chains of 1-4 edge bond pairs).
     """
     turns = M + 1 - 2 * np.arange(1, M // 2 + 1)
     q = turns * (0.5 * np.pi / (M + 1))
-    lo, hi, last = np.zeros(q.size), np.full(q.size, 0.5 * np.pi), np.full(q.size, np.inf)
+    lo, hi = np.zeros(q.size), np.full(q.size, 0.5 * np.pi)
+    last = older = np.full(q.size, np.inf)  # the steps one and two iterations back
     with np.errstate(all="ignore"):  # a nearly cut edge: its norms leave the float range
         for _ in range(_EDGE_STEPS):
             j, delta, slope, _, _ = _edge_phase(q, edge)
@@ -356,12 +357,11 @@ def _edge_roots(M: int, edge: np.ndarray) -> tuple[np.ndarray, bool]:
             zero = hi < 2.0 * _TINY
             done = zero | (np.abs(step) <= _EDGE_TOL * q)
             new = q + step
-            wide = hi > 2.0 * lo
-            newton = (lo < new) & (new < hi) & ~(wide & (np.abs(step) > 0.5 * last))
+            newton = (lo < new) & (new < hi) & (np.abs(step) <= 0.5 * older)
             # two square roots, as the product of two small ends underflows
-            mid = np.where(wide, np.sqrt(np.maximum(lo, _TINY)) * np.sqrt(hi), 0.5 * (lo + hi))
+            mid = np.sqrt(np.maximum(lo, _TINY)) * np.sqrt(hi)
             new = np.where(zero, 0.0, np.where(done | newton, new, mid))
-            last, q = np.abs(new - q), new
+            older, last, q = last, np.abs(new - q), new
             if done.all():
                 return q, True
     return q, False

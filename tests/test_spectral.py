@@ -264,12 +264,14 @@ class TestEndWeights:
 
 
 def _edge_chains():
-    # one and two modified bond pairs, x and y down to 1e-9, even and odd M; at M = 2 and
-    # 3 every chain is uniform (one bond; two equal bonds)
+    # one and two modified bond pairs, x and y down to 1e-9, even and odd M, and an end
+    # dimer (y < x) of the tuner grid; at M = 2 and 3 every chain is uniform (one bond;
+    # two equal bonds)
     params = [
         pytest.param(uniform_chain(2, 1.0), id="uniform2"),
         pytest.param(edge_modified_chain(3, 1.0, 0.5), id="x0.5-3"),
         pytest.param(edge_modified_chain(3, 1.0, 1e-9), id="x1e-9-3"),
+        pytest.param(edge_modified_chain(300, 1.0, 0.46, 0.06), id="0.46-0.06-300"),
     ]
     for M in (100, 101, 500, 2000):
         for xy in ((1.0,), (0.5,), (1e-3,), (1e-9,), (0.36, 0.68), (1.0, 0.02), (1e-9, 0.5), (1e-9, 1e-9)):
@@ -386,11 +388,13 @@ class TestEdgeModes:
             edge_modified_chain(2000, 1.0, 1e-4),
             edge_modified_chain(2000, 1.0, 1e-6),
             edge_modified_chain(2000, 1.0, 1e-9),
+            edge_modified_chain(300, 1.0, 0.46, 0.06),
         ],
-        ids=["uniform2000", "two-bond2000", "two-bond501", "x1e-4", "x1e-6", "x1e-9"],
+        ids=["uniform2000", "two-bond2000", "two-bond501", "x1e-4", "x1e-6", "x1e-9", "dimer300"],
     )
     def test_routed_chain_calls_no_lapack(self, spec, monkeypatch):
-        # the gate takes these chains; the weakest edges took the eigenvectors before
+        # the gate takes these chains; the weakest edges took the eigenvectors before, and
+        # the end dimer (y < x) takes the route too
         spy = SolveSpy(monkeypatch)
         assert spec.M >= _EDGE_ROUTE_M
         sp = diagonalize(spec)
@@ -431,6 +435,19 @@ class TestEdgeModes:
             ref = omega, None, np.where(np.abs(w) < _WEIGHT_FLOOR, 0.0, 2.0 * w)
         for got, ref in zip(diagonalize(spec)._end_modes, ref):
             assert (got is None and ref is None) or got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("M", [100, 301])
+    def test_tuner_grid_converges(self, M, monkeypatch):
+        # the tuner grid's end-dimer corner, a second bond y <= 0.14 weaker than the first,
+        # where Newton steps inside a root's bracket barely shrink it: each root iteration
+        # converges within 32 phase calls, (0.2, 0.1) at M = 100 included
+        grid = np.linspace(0.02, 1.0, 50)
+        phase = PhaseSpy(monkeypatch)
+        for x in grid:
+            for y in grid[grid <= 0.14]:
+                before = phase.calls
+                _, converged = qcradle.spectral._edge_roots(M, np.array([x, y]))
+                assert converged and phase.calls - before <= 32, (x, y)
 
     def test_short_chains_keep_the_gap_route(self, monkeypatch):
         # below the measured crossover LAPACK is the cheaper route: the tuner's chains keep it
@@ -840,7 +857,7 @@ class TestPseudoWavevectors:
             (4, 0.5, "40edff939d4c4043e466017d18b18afb65dc281685a77fc39d30efc56e9ba173"),
             (37, 1.0, "5f9d5c23097f71e6840f6fd84ab9586c8b59e3214e0ab6e1fe27e4cd7fa06895"),
             (100, 0.48, "9fe4aac2d3b2c3b9cf1597bec0ace5a33a5d66c521605770f518b021803f3b55"),
-            (101, 0.02, "ef291d6d18e4b60882e36be0b2f90f57fca6c1163aa8d701be774b43c298dd4b"),
+            (101, 0.02, "52ceba07ce0483669d34ab5a8837ad4cbf752eeaedf89b1040f3f4f0a24ed1f7"),
             (200, 0.35, "305818f2e7000736e2c03292dda727c4e5531c991789aa9413042212df25ef9f"),
         ],
     )
