@@ -9,7 +9,8 @@ one root finder ``_edge_roots``, which the edge route below shares), and
 provides the spectrum/state diagnostics (``linearity_deviation``,
 ``mode_overlaps``) used by the transfer studies.  The end-to-end transfer
 reads the modes ``Spectrum._end_modes``, built without the eigenvectors by
-the first of three routes that takes the chain:
+the first of three routes that takes the chain, each returning eigenvalue
+rows and end-weight magnitudes under the one contract ``_end_modes`` states:
 
 - the perfect-transfer chain (``pst_chain``) in closed form, its spectrum
   and end weights those of a spin's J_x (``_pst_modes``, no LAPACK);
@@ -92,38 +93,36 @@ class Spectrum:
     def _end_modes(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         """Modes (nu, p, q) of the transfer: A_M(t) = sum p cos(nu t) - i sum q sin(nu t).
 
-        A chain with eps = 0 is bipartite: omega_{M+1-n} = -omega_n and
-        w_{M+1-n} = (-1)^(M-1) w_n for the end weights w_n = g_{n1} g_{nM}, so
-        the M-mode sum folds onto the lower half of the spectrum.  Even M:
-        nu holds the M/2 negative eigenvalues, p = 0 and q = 2w.  Odd M: nu
-        also holds the exact zero mode last, p = (2w, w_0) and q = 0.  Any
-        other chain, and a single site: nu = omega and p = q = w.  A zero
-        half is None.
+        The routes' one contract: each returns ascending eigenvalue rows and the magnitudes
+        |w_n| of their end weights w_n = g_{n1} g_{nM}, whose sign, (-1)^(n-1) for 1-based n
+        and bonds tau > 0 (Parlett, The Symmetric Eigenvalue Problem, 1980), is applied here.
+        A chain with eps = 0 is bipartite, omega_{M+1-n} = -omega_n and w_{M+1-n} =
+        (-1)^(M-1) w_n: its rows are the lower (M + 1) // 2 modes, an odd chain's exact zero
+        mode last, each standing for its mirror mode too bar that zero mode, and
+        ``_all_mode_sum`` folds sum |w_n| over all M modes (<= 1, by Cauchy-Schwarz) onto
+        them.  Even M: nu holds the M/2 negative eigenvalues, p = 0 and q = 2w.  Odd M:
+        p = (2w, w_0) and q = 0.  Any other chain, and a single site: nu = omega and
+        p = q = w.  A zero half is None.
 
-        A perfect-transfer chain takes the closed form of ``_pst_modes``, and an
-        edge-engineered chain of at least ``_EDGE_ROUTE_M`` sites ``_edge_modes``
-        when they certify.  Any other chain takes ``_eigvals`` and, when
-        ``_end_weights`` certifies them, those eigenvalues alone; otherwise
-        (computed eigenvalues that tie or nearly tie) the eigenpairs, unfolded.
-        Weights below ``_WEIGHT_FLOOR`` are 0.
+        A perfect-transfer chain takes ``_pst_modes``, and an edge-engineered chain of at
+        least ``_EDGE_ROUTE_M`` sites ``_edge_modes``, when they certify; any other chain
+        ``_eigvals`` and ``_end_weights``, or, when computed eigenvalues tie or nearly tie,
+        the eigenpairs' products g_{n1} g_{nM}, with LAPACK's signs, unfolded.  Weights
+        below ``_WEIGHT_FLOOR`` are 0.
         """
         spec, M = self.spec, self.M
         modes = _pst_modes(spec)
         if modes is None and M >= _EDGE_ROUTE_M:
             modes = _edge_modes(spec)
-        if modes is not None:
-            omega, w = modes
-        else:
+        if modes is None:
             omega = _eigvals(spec)
-            fold = not spec.eps.any()
-            if fold:
-                # the symmetrised spectrum: the lower half and its mirror image
-                lower = omega[: M // 2]
-                omega = np.concatenate([lower, np.zeros(M % 2), -lower[::-1]])
-            w = _end_weights(omega, spec.tau, (M + 1) // 2 if fold else M)
-            if w is None:
-                omega, g = self._eigenpairs
-                w = g[:, 0] * g[:, -1]
+            modes = omega, _end_weights(omega, spec.tau, M if spec.eps.any() else (M + 1) // 2)
+        omega, w = modes
+        if w is None:
+            omega, g = self._eigenpairs
+            w = g[:, 0] * g[:, -1]
+        else:
+            w[1::2] *= -1.0
         w[np.abs(w) < _WEIGHT_FLOOR] = 0.0
         if w.size == M:  # no fold: eps != 0, the eigenvector fallback, or one site
             w = _readonly(w)
@@ -154,42 +153,51 @@ def _eigvals(spec: ChainSpec) -> np.ndarray:
     last diagonal entry is eps_m -/+ tau_m.  Odd M: the (m+1)-site symmetric
     block with its bond to the centre scaled by sqrt(2), and the m x m block.
     With eps = 0 and even M the sublattice sign flip (-1)^j maps J+ onto -J-,
-    so J+ alone gives the spectrum: -|lambda(J+)| and its mirror image.
+    so J+ alone gives the lower half, -|lambda(J+)|.  Every eps = 0 chain's spectrum
+    is exactly symmetric: the lower M // 2, an odd chain's exact 0, their mirror image.
     """
     d, e = spec.eps, -spec.tau
-    m = spec.M // 2
+    M, m, chiral = spec.M, spec.M // 2, not d.any()
+    sectors = ()
     if m == 0 or not mirror_symmetric(spec):
-        return _stevd(d, e, vectors=False)
-    if spec.M % 2:
+        omega = _stevd(d, e, vectors=False)
+    elif M % 2:
         e[m - 1] *= np.sqrt(2.0)
         sectors = ((d[: m + 1], e[:m]), (d[:m], e[: m - 1]))
     else:
         edge = np.zeros(m)
         edge[-1] = e[m - 1]
-        if not d.any():
-            lower = np.sort(-np.abs(_stevd(edge, e[: m - 1], vectors=False)))
-            return np.concatenate([lower, -lower[::-1]])
-        sectors = ((d[:m] + edge, e[: m - 1]), (d[:m] - edge, e[: m - 1]))
-    return np.sort(np.concatenate([_stevd(*s, vectors=False) for s in sectors]))
+        if chiral:
+            omega = np.sort(-np.abs(_stevd(edge, e[: m - 1], vectors=False)))
+        else:
+            sectors = ((d[:m] + edge, e[: m - 1]), (d[:m] - edge, e[: m - 1]))
+    if sectors:
+        omega = np.sort(np.concatenate([_stevd(*s, vectors=False) for s in sectors]))
+    if not chiral:
+        return omega
+    return np.concatenate([omega[:m], np.zeros(M % 2), -omega[:m][::-1]])
+
+
+def _all_mode_sum(w: np.ndarray, M: int):
+    """sum |w_n| over all M modes of a route's rows w >= 0 (``Spectrum._end_modes``)."""
+    total = w.sum()
+    return total if w.size == M else 2.0 * total - (w[-1] if M % 2 else 0.0)
 
 
 def _end_weights(omega: np.ndarray, tau: np.ndarray, rows: int) -> np.ndarray | None:
-    """End weights g_{n1} g_{nM} of the lowest ``rows`` modes, or None.
+    """End weights |g_{n1} g_{nM}| of the lowest ``rows`` modes, or None.
 
-    ``omega`` is the whole ascending spectrum.  ``rows`` < M only for a
-    chain with eps = 0, whose spectrum is symmetric and whose other weights
-    repeat these up to sign.  For a Jacobi matrix with off-diagonal -tau_j
-    (Parlett, The Symmetric Eigenvalue Problem, 1980)
+    ``omega`` is the whole ascending spectrum, and ``rows`` < M folds an
+    eps = 0 chain (``Spectrum._end_modes``).  For a Jacobi matrix with
+    off-diagonal -tau_j (Parlett, The Symmetric Eigenvalue Problem, 1980)
 
-        g_{n1} g_{nM} = prod_j (-tau_j) / prod_{k != n} (omega_n - omega_k),
+        g_{n1} g_{nM} = prod_j (-tau_j) / prod_{k != n} (omega_n - omega_k).
 
-    so with tau > 0 and ascending omega the sign is (-1)^(n-1) for 1-based n.
     The magnitude is a sum of logs taken over chunks of rows of the gap
     matrix, each built, with its logs and then its reciprocals, in two
-    buffers made once per call, so memory stays O(M) for large M.  The weights are certified, and
-    returned, only when every gap is > 0, sum_n |w_n| over all M modes is
-    <= 1 + 64 M eps (the exact weights meet it by Cauchy-Schwarz), and every
-    weight's first-order error under eigenvalue errors of eps ||T||,
+    buffers made once per call, so memory stays O(M) for large M.  The weights
+    are certified, and returned, only when every gap is > 0, ``_all_mode_sum``
+    is <= 1 + 64 M eps, and every weight's first-order error under eigenvalue errors of eps ||T||,
     2 eps ||T|| |w_n| sum_{k != n} 1/|omega_n - omega_k|, is <= 64 M eps.
     Computed eigenvalues that tie fail it, and so do near ties.
     """
@@ -209,14 +217,10 @@ def _end_weights(omega: np.ndarray, tau: np.ndarray, rows: int) -> np.ndarray | 
             np.divide(1.0, g, f).sum(axis=1, out=inv_gaps[lo:hi])
         w = np.exp(np.log(tau).sum() - log_gaps)
     inv_gaps -= 1.0  # less the diagonal's 1
-    w[1::2] *= -1.0
-    total = np.abs(w).sum()
-    if rows < M:  # each weight stands for its mirror mode too, bar an odd chain's zero mode
-        total = 2.0 * total - (abs(w[-1]) if M % 2 else 0.0)
     eps = np.finfo(float).eps
     with np.errstate(invalid="ignore"):  # 0 * inf at subnormal hoppings: a NaN, refused below
-        first_order = 2.0 * eps * max(-omega[0], omega[-1]) * np.abs(w) * inv_gaps
-    if not (total <= 1.0 + 64 * M * eps and first_order.max() <= 64 * M * eps):
+        first_order = 2.0 * eps * max(-omega[0], omega[-1]) * w * inv_gaps
+    if not (_all_mode_sum(w, M) <= 1.0 + 64 * M * eps and first_order.max() <= 64 * M * eps):
         return None
     return w
 
@@ -232,15 +236,14 @@ def diagonalize(spec: ChainSpec) -> Spectrum:
 
 
 def _pst_modes(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray] | None:
-    """Folded modes (omega, w) of a perfect-transfer chain in closed form, or None.
+    """Folded modes (omega, |w|) of a perfect-transfer chain in closed form, or None.
 
     The chain tau_j = Omega sqrt(j (M - j)), eps = 0, is -2 Omega J_x of a spin (M - 1)/2
     (Christandl et al., PRL 92, 187902, 2004): omega_n = Omega (2n - M - 1) and
-    w_n = g_{n1} g_{nM} = (-1)^(n-1) C(M - 1, n - 1) / 2^(M-1), the Krawtchouk weights, so
-    A_M(t) = (i sin Omega t)^(M-1).  The modes come in ``_edge_modes``' layout: the M // 2
-    below the band centre, then an odd chain's zero mode as exactly +0.0.  The weights are
-    exp of a cumulative sum of log(k/(M - k)) run outward from the largest, last one, and
-    are divided by their sum over all M modes, as the exact |w_n| sum to 1 (the binomial
+    |w_n| = C(M - 1, n - 1) / 2^(M-1), the Krawtchouk weights, so A_M(t) = (i sin Omega t)^(M-1).
+    The rows are ``Spectrum._end_modes``' folded ones, an odd chain's zero mode as exactly +0.0.
+    The weights are exp of a cumulative sum of log(k/(M - k)) run outward from the largest,
+    last one, and are divided by ``_all_mode_sum``, as the exact |w_n| sum to 1 (the binomial
     theorem): no LAPACK call, gap product or eigenvector.  Subtracting (M - 1) log 2 from
     a cumulative sum run from the first weight instead would carry the rounding of sums
     up to M log 2 into every weight (sum |dw| = 1.9e-11 at M = 20000, against 1.9e-16).
@@ -274,8 +277,7 @@ def _pst_modes(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray] | None:
     log_w = np.zeros(omega.size)  # log w_k - log w_{last}
     log_w[:-1] = np.cumsum(np.log(k / (M - k))[::-1])[::-1]
     w = np.exp(log_w)
-    w /= 2.0 * w.sum() - (1.0 if M % 2 else 0.0)  # the zero mode, w = e^0, has no mirror
-    w[1::2] *= -1.0
+    w /= _all_mode_sum(w, M)
     return omega, w
 
 
@@ -368,7 +370,7 @@ def _edge_roots(M: int, edge: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _edge_modes(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray] | None:
-    """Folded modes (omega, w) of an edge-engineered chain in O(M) without LAPACK, or None.
+    """Folded modes (omega, |w|) of an edge-engineered chain in O(M) without LAPACK, or None.
 
     The chain must be mirror-symmetric with eps = 0, and uniform (hopping t) outside its
     b <= ``_EDGE_BONDS`` end bonds, none stronger than t: then every mode lies in the
@@ -376,15 +378,15 @@ def _edge_modes(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray] | None:
     R sin(k j + phi(k)) whose phase ``_edge_phase`` gives (Wojcik et al., PRA 72, 034303,
     2005; Banchi et al., NJP 13, 123006, 2011).  Mirror symmetry quantises k:
     (M + 1) k + 2 phi(k) = n pi, whose M // 2 roots below the band centre
-    ``_edge_roots`` gives in q = pi/2 - k.  An odd chain's zero mode (q = 0) comes last.
+    ``_edge_roots`` gives in q = pi/2 - k, the folded rows of ``Spectrum._end_modes``.
 
-    The weights are w_n = (-1)^(n-1) g_{n1}^2, and with g_1 = 1 the norm 1/g_{n1}^2 is
+    The weights are |w_n| = g_{n1}^2, and with g_1 = 1 the norm 1/g_{n1}^2 is
     twice the b edge sites' sum plus the bulk's in closed form,
     R^2/2 (L - (-1)^n sin(L k)/sin k) over its L = M - 2b sites: no gap product enters.
     A mode whose g_1 underflows against its bulk has weight 0.  Certified, and returned,
     only when the iteration converged, the roots strictly decrease in q within (0, pi/2)
-    (an even chain's last may be 0: an end pair split below the normal range), and sum |w|
-    over all M modes lies within 64 M eps of 1, as the exact g_{n1}^2 sum to 1.
+    (an even chain's last may be 0: an end pair split below the normal range), and
+    ``_all_mode_sum`` lies within 64 M eps of 1, as the exact g_{n1}^2 sum to 1.
     """
     M, tau = spec.M, spec.tau
     if M < 2 or spec.eps.any() or not mirror_symmetric(spec):
@@ -402,11 +404,9 @@ def _edge_modes(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray] | None:
         _, _, _, norm, amp2 = _edge_phase(q, edge)
         L = M - 2 * b
         w = 1.0 / (2.0 * norm + 0.5 * amp2 * (L - (-1.0) ** n * np.sin(L * (0.5 * np.pi - q)) / np.cos(q)))
-    w[1::2] *= -1.0
-    total = 2.0 * np.abs(w).sum() - (abs(w[-1]) if M % 2 else 0.0)
     eps = np.finfo(float).eps
     if not (converged and (0.0 < roots[-1] or M % 2 == 0) and roots[0] < 0.5 * np.pi
-            and (roots[1:] < roots[:-1]).all() and abs(total - 1.0) <= 64 * M * eps):
+            and (roots[1:] < roots[:-1]).all() and abs(_all_mode_sum(w, M) - 1.0) <= 64 * M * eps):
         return None
     return -2.0 * t * np.sin(q) + 0.0, w  # + 0.0: the zero mode's -0.0 as 0.0
 

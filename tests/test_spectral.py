@@ -110,6 +110,30 @@ def _reference_chains(M):
     return specs
 
 
+def _signed(w):
+    # a route's weight magnitudes with the sign (-1)^(n-1) that Spectrum._end_modes applies
+    return w * np.where(np.arange(w.size) % 2, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("M", [5, 500, 501])
+@pytest.mark.parametrize("route", ["pst", "edge", "gap-pst", "gap-edge"])
+def test_routes_return_ascending_rows_and_weight_magnitudes(route, M):
+    # the one contract of the mode routes (Spectrum._end_modes): ascending eigenvalue rows,
+    # weights >= 0 and, for these eps = 0 chains, the folded rows' sum over all M modes
+    # within 64 M eps of 1.  The gap route is called here whatever the gate, as _routes
+    # forces it, on the chains the other two take
+    spec = pst_chain(M, 1.0) if route.endswith("pst") else edge_modified_chain(M, 1.0, 0.36, 0.68)
+    if route.startswith("gap"):
+        omega = _eigvals(spec)
+        w = _end_weights(omega, spec.tau, (M + 1) // 2)
+    else:
+        omega, w = (_pst_modes if route == "pst" else _edge_modes)(spec)
+    assert w is not None and w.size == (M + 1) // 2
+    assert (omega[1:] > omega[:-1]).all() and (w >= 0.0).all()
+    total = 2.0 * w.sum() - (w[-1] if M % 2 else 0.0)
+    assert abs(total - 1.0) <= 64 * M * np.finfo(float).eps
+
+
 def _transfer_error(spec):
     # the transfer's eigenvalues against one full solve, relative to the
     # spectral radius; its end weights against g_{n1} g_{nM}; and whether the
@@ -229,7 +253,7 @@ class TestEndWeights:
         # scan products would be subnormal, and the scan does not move a bit
         sp = diagonalize(pst_chain(2000, 1.0))
         nu, _, q = sp._end_modes
-        raw = 2.0 * _pst_modes(sp.spec)[1]
+        raw = 2.0 * _signed(_pst_modes(sp.spec)[1])
         assert not ((0.0 < np.abs(q)) & (np.abs(q) < 2.0 * _WEIGHT_FLOOR)).any()
         assert (q == 0.0).sum() > (raw == 0.0).sum()
         # the peak search's grid: n = 30M + 1 samples, as peak_transfer takes them
@@ -430,8 +454,8 @@ class TestEdgeModes:
         pst = _pst_modes(spec)
         if pst is None:
             ref = _routes(spec, monkeypatch)[0]._end_modes
-        else:  # an even chain's closed-form modes, floored and folded
-            omega, w = pst
+        else:  # an even chain's closed-form modes, signed, floored and folded
+            omega, w = pst[0], _signed(pst[1])
             ref = omega, None, np.where(np.abs(w) < _WEIGHT_FLOOR, 0.0, 2.0 * w)
         for got, ref in zip(diagonalize(spec)._end_modes, ref):
             assert (got is None and ref is None) or got.tobytes() == ref.tobytes()
@@ -521,11 +545,11 @@ class TestPstModes:
     @pytest.mark.parametrize("M", [2, 3, 4, 5, 50, 51, 2000, 2001])
     def test_modes_are_the_krawtchouk_spectrum(self, M):
         # omega_n = 2n - M - 1 over the lower half, an odd chain's zero mode last as +0.0
-        # (the bytes tell it from -0.0), and w_n = (-1)^(n-1) C(M - 1, n - 1) / 2^(M-1),
-        # each exact weight correctly rounded
+        # (the bytes tell it from -0.0), and |w_n| = C(M - 1, n - 1) / 2^(M-1), each exact
+        # weight correctly rounded
         omega, w = _pst_modes(pst_chain(M, 1.0))
         assert omega.tobytes() == np.arange(1 - M, 1, 2, dtype=float).tobytes()
-        exact = [(-1) ** k * (math.comb(M - 1, k) / 2 ** (M - 1)) for k in range(omega.size)]
+        exact = [math.comb(M - 1, k) / 2 ** (M - 1) for k in range(omega.size)]
         assert np.max(np.abs(w - exact)) <= 1e-16
 
     @pytest.mark.parametrize("Omega", [1e-150, 1e-3, 0.37, 1.0, 3.0, 1e150])
@@ -627,12 +651,29 @@ class TestReflectionSectors:
             assert omega.tobytes() == _eigvals(spec).tobytes()
 
     def test_other_chains_take_the_full_solve(self):
+        # an eps = 0 chain, here tau = [1, 2, 1.5], gets the full solve's lower half and its mirror
         rng = np.random.default_rng(18)
         specs = [gaussian_trap_chain(100, 1.0, 50.0, 110.0), ChainSpec(M=4, tau=[1.0, 2.0, 1.5], eps=np.zeros(4))]
         specs += [random_chain(rng) for _ in range(20)]
         for spec in specs:
             assert spec.M == 1 or not mirror_symmetric(spec)
-            assert np.array_equal(_eigvals(spec), eigvalsh_tridiagonal(spec.eps, -spec.tau))
+            full = eigvalsh_tridiagonal(spec.eps, -spec.tau)
+            if not spec.eps.any():
+                lower = full[: spec.M // 2]
+                full = np.concatenate([lower, np.zeros(spec.M % 2), -lower[::-1]])
+            assert np.array_equal(_eigvals(spec), full)
+
+    @pytest.mark.parametrize("M", [11, 101])
+    def test_odd_nearly_cut_sectors_reach_no_output(self, M):
+        # below the edge route's gate LAPACK's values-only solve of edge_modified_chain(M, 1,
+        # 1e-160), whose bond squares to a subnormal, is off by up to 5e-5: the weights refuse
+        # those eigenvalues, and the transfer is the bulk's x^2 = 1e-320 to the least normal double
+        spec = edge_modified_chain(M, 1.0, 1e-160)
+        assert _end_weights(_eigvals(spec), spec.tau, (M + 1) // 2) is None
+        sp = diagonalize(spec)
+        times = (1.0, 7.5, 1.5 * M)
+        for t, r in zip(times, _second_order(M, 1e-160, times)):
+            assert abs(end_amplitude(sp, t) - r) <= _TINY
 
     @pytest.mark.parametrize("M", [100, 101])
     def test_nearly_cut_middle_bond(self, M):
