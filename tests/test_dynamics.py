@@ -28,7 +28,14 @@ from qcradle import (
     revival_fidelity,
     uniform_chain,
 )
-from qcradle.dynamics import _SCAN_MODES, _end_abs_scan, _end_kernel
+from qcradle.dynamics import (
+    PEAK_COARSE_STEP,
+    PEAK_WINDOW_FACTOR,
+    _SCAN_MODES,
+    _end_abs_scan,
+    _end_kernel,
+    _scan_bound,
+)
 from util import dense_propagate, random_chain, seeded_spectrum, unfold_modes
 
 
@@ -423,6 +430,114 @@ class TestPeakTransfer:
             assert abs(rep.peak_time * c - ref.peak_time) <= 1e-9 * ref.peak_time
 
 
+def _direct_argmax(modes, dt, n):
+    # the first maximum of |A_M(k dt)|, k < n, summed directly in float64, in row blocks
+    nu, p, q = modes
+    best, arg = -1.0, -1
+    for lo in range(0, n, 1024):
+        x = np.multiply.outer(np.arange(lo, min(lo + 1024, n)) * dt, nu)
+        C = 0.0 if p is None else np.cos(x) @ p
+        S = 0.0 if q is None else np.sin(x) @ q
+        a = np.hypot(C, S)
+        k = int(np.argmax(a))
+        if a[k] > best:
+            best, arg = a[k], lo + k
+    return arg
+
+
+class PeakSpy:
+    """Records, under a pytest ``monkeypatch``, the precision of each coarse scan that
+    ``_peak`` runs and the sample index that it hands to the golden refine."""
+
+    def __init__(self, monkeypatch):
+        self.scans, self.starts = [], []
+        scan, refine = qcradle.dynamics._end_abs_scan, qcradle.dynamics.golden_max
+
+        def scanned(nu, p, q, dt, n, dtype=np.float64):
+            self.scans.append(dtype)
+            self.dt = dt
+            return scan(nu, p, q, dt, n, dtype)
+
+        def golden_max(f, x, *args):
+            self.starts.append(round(x / self.dt))
+            return refine(f, x, *args)
+
+        monkeypatch.setattr(qcradle.dynamics, "_end_abs_scan", scanned)
+        monkeypatch.setattr(qcradle.dynamics, "golden_max", golden_max)
+
+    def pick(self, sp):
+        # (picked sample, direct float64 argmax, took the float64 scan) of one peak search
+        self.scans.clear()
+        self.starts.clear()
+        rep = peak_transfer(sp)
+        n = round(PEAK_WINDOW_FACTOR / PEAK_COARSE_STEP) * sp.M + 1
+        assert self.scans in ([np.float32], [np.float32, np.float64], [np.float64])
+        direct = _direct_argmax(sp._end_modes, rep.window[1] / (n - 1), n)
+        return self.starts[0], direct, self.scans[-1] is np.float64
+
+
+class TestPeakCandidates:
+    # the float32 scan's candidates within 2 delta of its top hold the float64
+    # maximum, so the sample handed to the refine is the first maximum of a
+    # direct float64 sum over the whole grid.  Chains too small to scan in
+    # float32 by default are made to, below
+    @pytest.mark.parametrize("M", [500, 2000])
+    def test_transfer_chains(self, M, monkeypatch):
+        spy = PeakSpy(monkeypatch)
+        for spec in (uniform_chain(M, 1.0), pst_chain(M, 1.0), edge_modified_chain(M, 1.0, 0.5, 0.8)):
+            k, direct, fallback = spy.pick(diagonalize(spec))
+            assert (k, fallback) == (direct, False)
+
+    def test_tuner_grid(self, monkeypatch):
+        # 200 chains of tune_double(100)'s 50 x 50 grid: none is cut enough to fall back
+        grid = np.linspace(0.02, 1.0, 50)
+        cells = np.random.default_rng(100).choice(grid.size**2, 200, replace=False)
+        spy = PeakSpy(monkeypatch)
+        monkeypatch.setattr(qcradle.dynamics, "_FLOAT32_SCAN_WORK", 0)
+        for cell in cells.tolist():
+            x, y = grid[cell // grid.size], grid[cell % grid.size]
+            k, direct, fallback = spy.pick(diagonalize(edge_modified_chain(100, 1.0, x, y)))
+            assert (k, fallback) == (direct, False)
+
+    def test_random_chains(self, monkeypatch):
+        # disordered chains of up to 30 sites, which still transmit
+        rng = np.random.default_rng(38)
+        spy = PeakSpy(monkeypatch)
+        monkeypatch.setattr(qcradle.dynamics, "_FLOAT32_SCAN_WORK", 0)
+        for _ in range(100):
+            spec = random_chain(rng, symmetric=bool(rng.integers(2)))
+            k, direct, fallback = spy.pick(diagonalize(spec))
+            assert (k, fallback) == (direct, False)
+
+    def test_small_scans_stay_in_float64(self, monkeypatch):
+        # the tuner's folded M = 100 chains (50 modes x 3001 samples) and an unfolded
+        # one (100 x 3001) fall below _FLOAT32_SCAN_WORK and take the float64 scan's
+        # first maximum directly; M = 200 folded (100 x 6001) and M = 150 unfolded
+        # (150 x 4501) scan in float32
+        spy = PeakSpy(monkeypatch)
+        for spec, scans in (
+            (edge_modified_chain(100, 1.0, 0.36, 0.68), [np.float64]),
+            (gaussian_trap_chain(100, 1.0, 40.0, 50.0), [np.float64]),
+            (edge_modified_chain(200, 1.0, 0.36, 0.68), [np.float32]),
+            (gaussian_trap_chain(150, 1.0, 60.0, 75.0), [np.float32]),
+        ):
+            spy.pick(diagonalize(spec))
+            assert spy.scans == scans
+
+    def test_nearly_cut_chain_takes_the_float64_scan(self, monkeypatch):
+        # at x = 1e-6 the profile lies far below sum |w|: every one of the 15001
+        # samples is within 2 delta of the top, so the float64 scan picks, with the
+        # bits it gave before the float32 scan
+        spy = PeakSpy(monkeypatch)
+        sp = diagonalize(edge_modified_chain(500, 1.0, 1e-6))
+        k, direct, fallback = spy.pick(sp)
+        assert fallback and k == direct
+        rep = peak_transfer(sp)
+        assert (rep.peak_time.hex(), rep.peak_amplitude.hex(), rep.samples) == (
+            "0x1.7700000000000p+9", "0x1.122ba659b48cep-30", 15029,
+        )
+
+
 class TestEndSum:
     @pytest.mark.parametrize(
         "spec",
@@ -461,26 +576,40 @@ def _shifted(modes, t0):
 SCAN_CHUNKS = (_SCAN_MODES, 1, 7)
 
 
+def _precisions(cases):
+    # each (n, t0) case of the scan in float64, under its plain id, and in float32
+    ids = ["-".join(map(str, case)) for case in cases]
+    return [pytest.param(*case, np.float64, id=i) for case, i in zip(cases, ids)] + [
+        pytest.param(*case, np.float32, id=f"{i}-float32") for case, i in zip(cases, ids)
+    ]
+
+
 class TestEndAbsScan:
     # n = 11 is not a multiple of its block size 4; n = 49 is a perfect square.
     # The scan starts at t = 0; a grid that starts at t0 is the scan of the
-    # phase-shifted weights p e^{-i nu t0}, q e^{-i nu t0}
+    # phase-shifted weights p e^{-i nu t0}, q e^{-i nu t0}.  The float64 scan
+    # is pinned to the dense scan; the float32 scan is within its own bound
     @pytest.mark.parametrize("M", [1, 2, 100])
-    @pytest.mark.parametrize("n, t0", [(1, 2.0), (10, 0.0), (11, 0.0), (49, 0.0), (50, 3.7)])
-    def test_matches_dense_scan(self, M, n, t0, monkeypatch):
+    @pytest.mark.parametrize(
+        "n, t0, dtype", _precisions([(1, 2.0), (10, 0.0), (11, 0.0), (49, 0.0), (50, 3.7)])
+    )
+    def test_matches_dense_scan(self, M, n, t0, dtype, monkeypatch):
         modes, omega, w = _scan_modes(random_chain(np.random.default_rng(M), M=M))
         dt = 0.3
         t = t0 + dt * np.arange(n)
         dense = np.abs(np.exp(-1j * np.outer(t, omega)) @ w)
         for chunk in SCAN_CHUNKS:
             monkeypatch.setattr(qcradle.dynamics, "_SCAN_MODES", chunk)
-            vals = _end_abs_scan(*_shifted(modes, t0), dt, n)
+            vals = _end_abs_scan(*_shifted(modes, t0), dt, n, dtype)
             assert vals.shape == (n,)
+            if dtype is np.float32:
+                assert np.max(np.abs(vals - dense)) <= _scan_bound(*_shifted(modes, t0), dt, n, dtype)
+                continue
             assert np.max(np.abs(vals - dense)) < 1e-12
 
     @pytest.mark.parametrize("M", [1, 2, 3, 100, 101])
-    @pytest.mark.parametrize("n, t0", [(1, 2.0), (11, 0.0), (50, 3.7)])
-    def test_folded_modes_match_dense_scan(self, M, n, t0, monkeypatch):
+    @pytest.mark.parametrize("n, t0, dtype", _precisions([(1, 2.0), (11, 0.0), (50, 3.7)]))
+    def test_folded_modes_match_dense_scan(self, M, n, t0, dtype, monkeypatch):
         # eps = 0 chains scan one half: the sine sum (even M) or the cosine sum (odd M)
         spec = random_chain(np.random.default_rng(M), M=M)
         modes, omega, w = _scan_modes(ChainSpec(M=M, tau=spec.tau, eps=np.zeros(M)))
@@ -490,24 +619,62 @@ class TestEndAbsScan:
         dense = np.abs(np.exp(-1j * np.outer(t, omega)) @ w)
         for chunk in SCAN_CHUNKS:
             monkeypatch.setattr(qcradle.dynamics, "_SCAN_MODES", chunk)
-            assert np.max(np.abs(_end_abs_scan(*_shifted(modes, t0), dt, n) - dense)) < 1e-12
+            vals = _end_abs_scan(*_shifted(modes, t0), dt, n, dtype)
+            if dtype is np.float32:
+                assert np.max(np.abs(vals - dense)) <= _scan_bound(*_shifted(modes, t0), dt, n, dtype)
+                continue
+            assert np.max(np.abs(vals - dense)) < 1e-12
 
-    def test_realistic_grid_matches_direct_sum(self, spectrum2000):
+    @staticmethod
+    def _realistic_grid(sp, dtype):
         # default grid of a uniform M = 2000 chain: n = 60001, block size 245;
-        # the doubled phases drift most at the end of each block
-        sp = spectrum2000
+        # the doubled phases drift most at the end of each block.  The scan at
+        # the block edges and 200 random samples, the direct sum there, and delta
         n = 60001
         dt = peak_transfer(sp).window[1] / (n - 1)
         B = math.isqrt(n - 1) + 1
         assert B == 245
-        vals = _end_abs_scan(*sp._end_modes, dt, n)
+        vals, delta = _end_abs_scan(*sp._end_modes, dt, n, dtype), _scan_bound(*sp._end_modes, dt, n, dtype)
         assert vals.shape == (n,)
         edges = np.arange(B, n, B)
         rng = np.random.default_rng(2000)
         idx = np.unique(np.concatenate([[0, n - 1], edges, edges - 1, rng.integers(0, n, 200)]))
         omega, w = sp.omega, sp.g[:, 0] * sp.g[:, -1]
-        direct = np.abs(np.exp(-1j * np.outer(idx * dt, omega)) @ w)
-        assert np.max(np.abs(vals[idx] - direct)) < 1e-12
+        return vals[idx], np.abs(np.exp(-1j * np.outer(idx * dt, omega)) @ w), delta
+
+    def test_realistic_grid_matches_direct_sum(self, spectrum2000):
+        vals, direct, _ = self._realistic_grid(spectrum2000, np.float64)
+        assert np.max(np.abs(vals - direct)) < 1e-12
+
+    def test_float32_realistic_grid_is_within_delta(self, spectrum2000):
+        # the bound holds, and is no looser than 400 float32 round-offs of the weights
+        # (1.9e-5 here: 170 times the largest error seen)
+        vals, direct, delta = self._realistic_grid(spectrum2000, np.float32)
+        weights = np.sum(np.abs(spectrum2000._end_modes[2]))
+        assert np.max(np.abs(vals - direct)) <= delta < 400 * 2.0**-24 * weights
+
+    def test_float32_product_sees_no_weight_below_its_floor(self, monkeypatch):
+        # pst weights fall like 2^-M: at M = 2000 those between the float64 floor and
+        # tiny/eps of float32 (1e-31) would make subnormal float32 products.  The scan
+        # zeroes them, so every entry of the weighted outer block that sgemm reads is 0
+        # or at least the floor, as built from a kept weight
+        sp = diagonalize(pst_chain(2000, 1.0))
+        nu, _, q = sp._end_modes
+        floor = np.finfo(np.float32).tiny / np.finfo(np.float32).eps
+        assert ((0.0 < np.abs(q)) & (np.abs(q) < floor)).sum() > 100
+        blocks = []
+        *rest, gemm = qcradle.dynamics._PRECISIONS[np.float32]
+
+        def recorded(alpha, a, b, **kwargs):
+            blocks.append(np.array(b.T).view(np.complex64))
+            return gemm(alpha, a, b, **kwargs)
+
+        monkeypatch.setitem(qcradle.dynamics._PRECISIONS, np.float32, (*rest, recorded))
+        _end_abs_scan(nu, None, q, 0.05 / float(sp.spec.tau.max()), 30 * 2000 + 1, np.float32)
+        assert len(blocks) == -(-nu.size // _SCAN_MODES)
+        outer = np.abs(np.concatenate(blocks, axis=1))
+        assert np.count_nonzero(outer[0]) == np.count_nonzero(np.abs(q) >= floor)
+        assert not ((0.0 < outer) & (outer < floor * (1.0 - 2.0**-10))).any()
 
     def test_peak_transfer_memory_is_bounded(self):
         # a fresh solve, so the end weights fall inside the window too.  At
@@ -525,26 +692,27 @@ class TestEndAbsScan:
 
     def test_scan_holds_one_accumulator(self):
         # the off-centre trap at M = 5000 scans both halves over 40 chunks into
-        # a 774 x 388 accumulator (2.4 MB); each chunk adds its product into it
-        # in place, so the scan peaks near the accumulator plus one chunk's
-        # weighted outer and inner blocks (2.4 MB).  A second accumulator-sized
-        # product, or one chunk's blocks kept alive into the next, adds 2.4 MB
+        # a 774 x 388 float32 accumulator (1.2 MB), through one product block of
+        # its size that each chunk's sgemm overwrites, so the scan peaks near
+        # those two plus one chunk's complex64 outer and inner blocks (1.2 MB).
+        # complex128 blocks, a float64 accumulator, or one chunk's blocks kept
+        # alive into the next each add 1.2 MB
         sp = diagonalize(gaussian_trap_chain(5000, 1.0, 2500.0, 5500.0))
         nu, p, q = sp._end_modes
         n = 30 * sp.M + 1
         dt = peak_transfer(sp).window[1] / (n - 1)
         B = math.isqrt(n - 1) + 1
         nb = -(-n // B)
-        accumulator = 2 * nb * B * 8
-        blocks = (2 * nb + B) * _SCAN_MODES * 16
+        accumulator = 2 * nb * B * 4
+        blocks = (2 * nb + B) * _SCAN_MODES * 8
         assert nu.size > _SCAN_MODES and p is not None and q is not None
         tracemalloc.start()
         try:
-            _end_abs_scan(nu, p, q, dt, n)
+            _end_abs_scan(nu, p, q, dt, n, np.float32)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < accumulator + blocks + 2**19
+        assert peak < 2 * accumulator + blocks + 2**19
 
     def test_workload_transfers_peak_rss(self):
         # the peak RSS of a fresh process, which also counts BLAS buffers: the
