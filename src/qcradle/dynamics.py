@@ -15,18 +15,24 @@ modes ``Spectrum._end_modes`` alone: ``peak_transfer`` fixes the window and
 grid picks the sample to refine through the point kernel ``_end_kernel``,
 which ``end_amplitude`` calls too.  A large scan runs in float32 under a
 proven error bound delta (``_scan_bound``): the samples within 2 delta of
-its maximum hold the true one, and the kernel re-checks them.  A small scan,
-or one with too many such samples, runs in float64 and picks its maximum.
+its maximum hold the true one, and the kernel re-checks them.  It sums the
+modes at every m-th sample only, m <= 8 as the chain's band allows (8 for
+every chain without on-site offsets), and fills the rest from the 14
+nearest sums by a fixed Lagrange stencil, whose error delta bounds too.  A
+small scan, or one with too many such samples, runs in float64 at every
+sample and picks its maximum.
 
 Times are in units of inverse energy (hbar = 1).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import blas
 
 from ._golden import golden_max
@@ -48,11 +54,12 @@ PEAK_TIME_TOL = 1e-6
 # M = 2000 in float32, and every tuner chain (M = 100 folds to 50 modes) is one chunk.
 _SCAN_MODES = 128
 
-# The coarse scan's precisions: weight floor tiny/eps, complex type of the
-# phase blocks, and GEMM, per float type
+# The coarse scan's precisions: weight floor tiny/eps (a Python float, so that
+# the bound that adds it stays in float64), complex type of the phase blocks,
+# and GEMM, per float type
 _PRECISIONS = {
     t: (
-        np.finfo(t).tiny / np.finfo(t).eps,
+        float(np.finfo(t).tiny / np.finfo(t).eps),
         np.promote_types(t, np.complex64),
         blas.get_blas_funcs("gemm", dtype=t),
     )
@@ -72,6 +79,17 @@ _FLOAT32_SCAN_WORK = 2**19
 # and 8 ms: 64 re-checks cost at most 1.5 float64 scans at M = 100 and under
 # 0.6 of one from M = 300 up.  The tuner grid's largest set is 33.
 _PEAK_CANDIDATES = 64
+
+# _peak's float32 scan sums the modes at every stride-th sample only, the
+# largest stride up to _SCAN_STRIDE whose coarse phase step max |nu| stride dt
+# is at most _STRIDE_PHASE rad, and interpolates the rest from the
+# _STENCIL_TAPS coarse samples around each (_end_abs_scan).  Every eps = 0
+# chain takes 8 (|nu| dt <= 0.1); at 0.8 rad the stencil's remainder is below
+# 6e-7 sum |w| (_scan_bound).  For that remainder at |nu| dt = 0.1, stride 12
+# needs 26 taps and stride 16 needs 56.
+_SCAN_STRIDE = 8
+_STRIDE_PHASE = 0.8
+_STENCIL_TAPS = 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +157,32 @@ def _fill_powers(table: np.ndarray, phase: np.ndarray) -> None:
             np.multiply(phase, phase, phase)
 
 
-def _end_abs_scan(nu: np.ndarray, p, q, dt: float, n: int, dtype=np.float64) -> np.ndarray:
+@functools.cache
+def _stencil(stride: int, dtype) -> tuple[np.ndarray, float, float]:
+    """The strided scan's interpolation table in ``dtype``, its Lebesgue constant and node product.
+
+    Entry (i, r) of the (14, stride) table is the Lagrange basis
+    l_i(s) = prod_{j != i} (s - x_j)/(x_i - x_j) on the nodes x_i = i - 6 at
+    s = r/stride; each factor is formed in float64 and the product is
+    rounded to ``dtype`` once, and column 0 is exactly the unit vector of
+    node 0.  The Lebesgue constant is max_r sum_i |table (i, r)| and the node
+    product max_r prod_i |s - x_i|, both in float64 (``_scan_bound``).
+    """
+    x = np.arange(_STENCIL_TAPS) - (_STENCIL_TAPS // 2 - 1.0)
+    s = np.arange(stride) / stride
+    table = np.ones((_STENCIL_TAPS, stride))
+    for i in range(_STENCIL_TAPS):
+        for j in range(_STENCIL_TAPS):
+            if j != i:
+                table[i] *= (s - x[j]) / (x[i] - x[j])
+    table = _readonly(table.astype(dtype))
+    lebesgue = float(np.abs(table).sum(axis=0, dtype=float).max())
+    return table, lebesgue, float(np.abs(s[:, None] - x).prod(axis=1).max())
+
+
+def _end_abs_scan(
+    nu: np.ndarray, p, q, dt: float, n: int, dtype=np.float64, stride: int = 1
+) -> np.ndarray:
     """|A_M(t)| for a kick at site 1 on the uniform grid k*dt, k < n, computed in ``dtype``.
 
     ``(nu, p, q)`` are the modes of ``Spectrum._end_modes``; a None half is
@@ -148,7 +191,8 @@ def _end_abs_scan(nu: np.ndarray, p, q, dt: float, n: int, dtype=np.float64) -> 
     error a priori.  Each grid time is factored as (b*B + k)*dt with
     B = ceil(sqrt(n)), so C = Re sum p e^{-i nu t} and S = Re sum i q e^{-i nu t}
     come from a ceil(n/B) x K outer-phase block and a B x K inner-phase block
-    per chunk of at most K = ``_SCAN_MODES`` modes, whose products are summed
+    per chunk of at most K = ``_SCAN_MODES`` modes (isqrt(m) times that at a
+    stride m, below), whose products are summed
     into one ceil(n/B) x B accumulator per sum: O(sqrt(n)*K + n) memory
     instead of O(n*M).  Re(a b) is the real dot of conj(a) with b, both seen
     as (re, im) pairs, so each chunk is one real GEMM over the nonzero
@@ -162,17 +206,38 @@ def _end_abs_scan(nu: np.ndarray, p, q, dt: float, n: int, dtype=np.float64) -> 
     the tail of a pst chain's weights took the float32 scan at M = 2000 from
     3.6 to 15.5 ms.  ``Spectrum._end_modes`` has already zeroed those below
     float64's (``_WEIGHT_FLOOR``).
+
+    A ``stride`` m > 1 sums the modes only at the coarse times (j - 6)*m*dt,
+    j < ceil(n/m) + 13, which start 6 strides before t = 0 and end 7 past
+    the last sample: the scan above of the weights shifted to t0 = -6 m dt,
+    with step m*dt.  Each fine sample (a*m + r)*dt, r < m, is then the
+    Lagrange interpolant through the 14 coarse samples a*m*dt + i*m*dt,
+    -6 <= i <= 7, of C and S apart, taken before the modulus: one
+    (ceil(n/m), 14) @ (14, m) product (``_stencil``) per sum over a sliding
+    window of the coarse sums.  Sample r = 0 is a coarse sample as computed.
+    The coarse blocks have about 1/sqrt(m) of the fine grid's rows, so a
+    chunk takes isqrt(m) times ``_SCAN_MODES`` modes for the same bytes: at
+    M = 2000 (m = 8, 256 modes) that took the uniform, pst and two-bond
+    chains' coarse scans from 1.06-1.19 to 0.88-0.99 ms with one BLAS
+    thread (384 modes gained 0.05 ms more and would loosen the bound's
+    GEMM term by half again).  m = 1 is the scan above, bit for bit.
     """
-    B = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
-    nb = -(-n // B)
     floor, cplx, gemm = _PRECISIONS[dtype]
     weights = ([] if p is None else [p]) + ([] if q is None else [1j * q])
+    fine = n
+    if stride > 1:
+        n, dt = (n - 1) // stride + _STENCIL_TAPS, stride * dt
+        shift = np.exp(1j * ((_STENCIL_TAPS // 2 - 1) * dt) * nu)  # e^{-i nu t0}
+        weights = [c * shift for c in weights]
+    B = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    nb = -(-n // B)
     if floor > _WEIGHT_FLOOR:
         weights = [np.where(np.abs(c) < floor, 0.0, c) for c in weights]
     parts = np.empty((len(weights) * nb, B), dtype=dtype)
-    prod = np.empty_like(parts) if nu.size > _SCAN_MODES else None
-    for lo in range(0, nu.size, _SCAN_MODES):
-        chunk = slice(lo, lo + _SCAN_MODES)
+    K = _SCAN_MODES * math.isqrt(stride)  # the coarse blocks have 1/sqrt(stride) of the rows
+    prod = np.empty_like(parts) if nu.size > K else None
+    for lo in range(0, nu.size, K):
+        chunk = slice(lo, lo + K)
         modes = nu[chunk]
         # conj(w e^{-i nu b B dt}), b < nb, and e^{-i nu k dt}, k < B
         lhs = np.empty((len(weights), nb, modes.size), dtype=cplx)
@@ -192,12 +257,16 @@ def _end_abs_scan(nu: np.ndarray, p, q, dt: float, n: int, dtype=np.float64) -> 
             parts += prod
         del lhs, inner  # before the next chunk's blocks are built
     parts = parts.reshape(len(weights), -1)[:, :n]
+    if stride > 1:
+        # the window is a view: a contiguous copy of it measured 0.3 MB more peak RSS
+        window = sliding_window_view(parts, _STENCIL_TAPS, axis=1)
+        parts = (window @ _stencil(stride, dtype)[0]).reshape(len(weights), -1)[:, :fine]
     return np.hypot(*parts, dtype=float) if len(weights) == 2 else np.abs(parts[0], dtype=float)
 
 
-def _scan_bound(nu: np.ndarray, p, q, dt: float, n: int, dtype) -> float:
-    """delta: every value of ``_end_abs_scan(nu, p, q, dt, n, dtype)`` is within delta of
-    the exact |A_M(k dt)| and of the point kernel's (``_end_kernel``) value there.
+def _scan_bound(nu: np.ndarray, p, q, dt: float, n: int, dtype, stride: int = 1) -> float:
+    """delta: every value of ``_end_abs_scan(nu, p, q, dt, n, dtype, stride)`` is within delta
+    of the exact |A_M(k dt)| and of the point kernel's (``_end_kernel``) value there.
 
     From the standard model (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, sections 2.1 and 3.1), on the modes of
@@ -205,7 +274,9 @@ def _scan_bound(nu: np.ndarray, p, q, dt: float, n: int, dtype) -> float:
     of float64, gamma_k = k u/(1 - k u); a real product that underflows is
     off by at most u*tiny more (gradual underflow); cos and sin are within
     4 ulp; and prod (1 + x_i) - 1 <= s/(1 - s), s = sum x_i.  Per sum (C or
-    S), with W its sum |w|:
+    S), with W its sum |w|, on the grid that the modes are summed on (the
+    fine grid for stride m = 1, else the coarse one, with n and dt there
+    read as ceil(n/m) + 13 and h = fl(m dt)):
 
     1. Dropping weights below tiny/eps moves the sum by less than N tiny/eps
        over the N modes.  A kept |w| >= tiny/(2u), so an underflow below
@@ -222,7 +293,10 @@ def _scan_bound(nu: np.ndarray, p, q, dt: float, n: int, dtype) -> float:
        relative to |w| is lambda = s_o/(1 - s_o) likewise, over
        r_o = bit_length(nb - 1) anchors and nb - 1 steps of B dt, each off by
        (3|nu| B dt + 12) u_d (B dt is rounded too), plus one more rounding,
-       of the weight, u + 8u^2.
+       of the weight, u + 8u^2.  For m > 1 the weight is also shifted by
+       e^{i nu fl(6h)}, formed in complex128: its argument is off by at most
+       12.01 |nu| h u_d, cos and sin by 12 u_d, and the product by u_d, so
+       s_o takes (13 |nu| h + 13) u_d more.
     3. Products.  The exact dot of the computed blocks is within
        (lambda + iota + lambda iota) W_c of a chunk's exact sum, and its 2K
        terms add up in modulus to at most (1 + lambda)(1 + iota) W_c, as
@@ -230,35 +304,85 @@ def _scan_bound(nu: np.ndarray, p, q, dt: float, n: int, dtype) -> float:
        underflows) times that, and summing the chunks gamma_(chunks - 1)
        times the sum of the chunk products' moduli: all told
        (1 + lambda)(1 + iota)(1 + dot) - 1 <= (1 + dot)/((1 - s_i)(1 - s_o)) - 1
-       times W, dot = g + gamma_(chunks - 1)(1 + g), g = gamma_2K + 4u^2.
-    4. |A| = hypot(C, S) moves by at most |dC| + |dS|.
-    5. The exact |A| and the point kernel's, at t = fl(k dt) (its rounding
+       = rel times W, dot = g + gamma_(chunks - 1)(1 + g), g = gamma_2K + 4u^2.
+       With the dropped weights, each sum is within e = W rel + N tiny/eps
+       of its exact value.
+    4. Stride m > 1 (``_stencil``).  Let l_i be the exact Lagrange basis at
+       s = r/m, l~_i the table's entries and Lambda = max_r sum |l~_i| (1.67
+       at m = 8).  Each factor of l_i is formed in float64 with relative
+       error (m + 3) u_d (s = r/m is rounded, and |s/(s - x_j)| <= m - 1 for
+       r >= 1), so |l~_i - l_i| <= tau |l_i|, tau = u + (1 + u) gamma^d_(13(m + 3)).
+       The fine sample, exact sums c_i at the coarse nodes and computed ones
+       c~_i, |c~_i - c_i| <= e, |c_i| <= W, moves by:
+       - the coarse errors, sum |l~_i| |c~_i - c_i| <= Lambda e;
+       - the table, sum |c_i| |l~_i - l_i| <= tau/(1 - tau) Lambda W;
+       - the 14-term dot in ``dtype``, gamma_14 sum |c~_i l~_i|
+         <= gamma_14 Lambda (W + e), plus 14 u tiny < tiny/eps of underflow;
+       - the Lagrange remainder of the exact sum, whose 14th derivative is
+         at most sum |w| |nu|^14: sum |w| (|nu| h)^14/14! max_r prod |s - x_i|
+         (the node product), plus N tiny_d for the underflows of the powers;
+       - the node times: they are (a + i) h, so the interpolant aims at
+         (a + s) h = k h/m, within k dt u_d of k dt, where the sum moves by
+         at most W |nu| n dt u_d.
+       So the fine sum is within Lambda((1 + gamma_14) e
+       + (gamma_14 + tau/(1 - tau)) W) + remainder + W |nu| n dt u_d
+       + tiny/eps of its exact value; for m = 1 it is within e.
+    5. |A| = hypot(C, S) moves by at most |dC| + |dS|.
+    6. The exact |A| and the point kernel's, at t = fl(k dt) (its rounding
        of t and nu t, of cos and sin, of the dot over N modes and of the
        modulus), and the scan's own modulus lie within
-       (3|nu| n dt u_d + gamma^d_(N + 32)) W of each other, with u_d W to
-       spare for rounding a threshold below the top.
+       (3|nu| n dt u_d + gamma^d_(N + 32)) W of each other (fine n and dt),
+       with u_d W to spare for rounding a threshold below the top.
 
     delta is the sum of these terms over both sums at |nu| = max |nu|, times
-    1 + gamma^d_(2N + 64) for its own rounding in float64.  At M = 2000 it
-    is 1.9e-5 in float32, 50 to 170 times the largest error seen.
+    1 + gamma^d_k for its own rounding in float64: k = 2N + 64, and for
+    m > 1 another N + 14(m + 6) for the remainder's power sums and node
+    product and the table's column sums.  At M = 2000 it is 1.9e-5 in
+    float32 at m = 1, 50 to 170 times the largest error seen, and 5.8e-5 at
+    m = 8, 150 to 530 times it: the GEMM's gamma_512 over 256-mode chunks
+    is most of that.
     """
     u, ud = float(np.finfo(dtype).eps) / 2, 2.0**-53
-    B = math.isqrt(n - 1) + 1
-    nb = -(-n // B)
+    floor = _PRECISIONS[dtype][0]
+    top = max(-float(nu[0]), float(nu[-1]))  # max |nu|, as nu ascends
+    span = top * dt
+    # the grid that the modes are summed on: step h, count samples
+    h, count = (dt, n) if stride == 1 else (stride * dt, (n - 1) // stride + _STENCIL_TAPS)
+    coarse = top * h
+    shift = 0.0 if stride == 1 else (13 * coarse + 13) * ud
+    B = math.isqrt(count - 1) + 1
+    nb = -(-count // B)
     mu, mud = 2.0**0.5 * 2 * u / (1 - 2 * u), 2.0**0.5 * 2 * ud / (1 - 2 * ud)
-    span = max(-float(nu[0]), float(nu[-1])) * dt  # max |nu| dt, as nu ascends
     step = u + mu + 8 * u * u
-    s_i = (B - 1).bit_length() * step + (B - 1) * ((2 * span + 12) * ud + mud)
-    s_o = u + 8 * u * u + (nb - 1).bit_length() * step + (nb - 1) * ((3 * B * span + 12) * ud + mud)
-    terms, chunks = 2 * min(_SCAN_MODES, nu.size), -(-nu.size // _SCAN_MODES)
+    s_i = (B - 1).bit_length() * step + (B - 1) * ((2 * coarse + 12) * ud + mud)
+    s_o = u + 8 * u * u + shift + (nb - 1).bit_length() * step
+    s_o += (nb - 1) * ((3 * B * coarse + 12) * ud + mud)
+    K = _SCAN_MODES * math.isqrt(stride)
+    terms, chunks = 2 * min(K, nu.size), -(-nu.size // K)
     g = terms * u / (1 - terms * u) + 4 * u * u
     dot = g + (chunks - 1) * u / (1 - (chunks - 1) * u) * (1 + g)
     rel = (1 + dot) / ((1 - s_i) * (1 - s_o)) - 1
-    double = 3 * span * n * ud + (nu.size + 32) * ud / (1 - (nu.size + 32) * ud)
     halves = [w for w in (p, q) if w is not None]
     W = sum(float(np.abs(w).sum()) for w in halves)
-    delta = W * (rel + double) + len(halves) * nu.size * _PRECISIONS[dtype][0]
-    return delta * (1 + (2 * nu.size + 64) * ud / (1 - (2 * nu.size + 64) * ud))
+    delta = W * rel + len(halves) * nu.size * floor  # e: the summed samples, terms 1-3
+    own = 2 * nu.size + 64
+    if stride > 1:
+        _, lam, node = _stencil(stride, dtype)
+        taps = _STENCIL_TAPS * u / (1 - _STENCIL_TAPS * u)
+        k = 13 * (stride + 3)
+        tau = u + (1 + u) * k * ud / (1 - k * ud)
+        # sum |w| (|nu| h)^14 by squaring, so that no power of nu or h alone over- or underflows
+        y = np.abs(nu) * h
+        y *= y
+        y4 = y * y
+        power = sum(float(np.abs(w) @ (y4 * y4 * y4 * y)) for w in halves)
+        remainder = power / math.factorial(_STENCIL_TAPS) * node
+        remainder += len(halves) * nu.size * float(np.finfo(float).tiny)
+        delta = lam * ((1 + taps) * delta + (taps + tau / (1 - tau)) * W) + remainder
+        delta += W * span * n * ud + len(halves) * floor
+        own += nu.size + 14 * (stride + 6)
+    delta += W * (3 * span * n * ud + (nu.size + 32) * ud / (1 - (nu.size + 32) * ud))
+    return delta * (1 + own * ud / (1 - own * ud))
 
 
 def _end_kernel(nu: np.ndarray, p, q):
@@ -296,14 +420,18 @@ def _peak(modes, T: float, n: int) -> tuple[float, float, int]:
     """(time, amplitude, samples) of the largest |A_M(t)| on [0, T], from ``Spectrum._end_modes``.
 
     The coarse scan ``_end_abs_scan`` of n samples k*dt, dt = T/(n - 1),
-    runs in float32 from ``_FLOAT32_SCAN_WORK`` modes x samples up.  It is
+    runs in float32 from ``_FLOAT32_SCAN_WORK`` modes x samples up, with the
+    largest stride m <= ``_SCAN_STRIDE`` whose coarse phase step
+    max |nu| m dt is at most ``_STRIDE_PHASE``: 8 on every chain without
+    on-site offsets (max |nu| dt <= 0.1), and 1, the scan of every sample,
+    where offsets push max |nu| dt above 0.4.  It is
     then within delta (``_scan_bound``) of both the exact |A_M| and the
     point kernel ``_end_kernel`` at every sample, so the samples within
     2 delta of its maximum hold the maximum of each.  The kernel
     re-evaluates these candidates and picks the best, the earliest on a
     tie.  A smaller scan, or more than ``_PEAK_CANDIDATES`` candidates (a
     profile far below sum |w|, as on a nearly cut chain), takes the first
-    maximum of the float64 scan instead.
+    maximum of the float64 scan of every sample instead.
     ``golden_max`` refines the pick within dt, clipped to [0, T], through
     the kernel to time tolerance PEAK_TIME_TOL * dt / PEAK_COARSE_STEP, the
     same fraction of the step at every time scale.  samples = n + refine
@@ -314,8 +442,10 @@ def _peak(modes, T: float, n: int) -> tuple[float, float, int]:
     amp = _end_kernel(*modes)
     k = None
     if modes[0].size * n >= _FLOAT32_SCAN_WORK:
-        vals = _end_abs_scan(*modes, dt, n, np.float32)
-        (near,) = np.nonzero(vals >= vals.max() - 2.0 * _scan_bound(*modes, dt, n, np.float32))
+        span = max(-float(modes[0][0]), float(modes[0][-1])) * dt
+        stride = max((m for m in range(1, _SCAN_STRIDE + 1) if m * span <= _STRIDE_PHASE), default=1)
+        vals = _end_abs_scan(*modes, dt, n, np.float32, stride)
+        (near,) = np.nonzero(vals >= vals.max() - 2.0 * _scan_bound(*modes, dt, n, np.float32, stride))
         if near.size <= _PEAK_CANDIDATES:
             best = [abs(amp(j * dt)) for j in near.tolist()]
             k = int(near[best.index(max(best))])  # the earliest on a tie
@@ -334,9 +464,11 @@ def peak_transfer(spectrum: Spectrum) -> TransferReport:
     reported as ``TransferReport.window``; ``_peak`` searches it from a
     coarse scan of n = 30M + 1 samples, step 0.05/tau_max, in float32 from
     M = 187 up (M = 133 for a chain that does not fold its modes, such as
-    one with on-site offsets): the point kernel re-checks the samples that
-    the scan's error bound cannot tell from its top.  A smaller chain, or
-    too many such samples, takes the float64 scan's maximum.
+    one with on-site offsets), where it sums the modes at every 8th sample
+    at most and interpolates the rest: the point kernel re-checks the
+    samples that the scan's error bound cannot tell from its top.  A
+    smaller chain, or too many such samples, takes the maximum of the
+    float64 scan of every sample.
     Deterministic, but on a profile flat to round-off, round-off, not the
     earliest time, picks the sample it refines.  A window end that overflows
     (a subnormal tau_max) raises ValueError.

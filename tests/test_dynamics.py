@@ -48,6 +48,12 @@ def spectrum2000():
     return _spectrum(2000)
 
 
+@pytest.fixture(scope="module")
+def trap5000():
+    # the x_m = M/2 trap at M = 5000, whose modes do not fold
+    return diagonalize(gaussian_trap_chain(5000, 1.0, 2500.0, 5500.0))
+
+
 class TestEvolve:
     def test_two_site_rabi(self):
         # M=2, tau=1: omega = -+1, |A_2(t)| = |sin t|
@@ -407,6 +413,20 @@ class TestPeakTransfer:
         assert abs(rep.peak_amplitude - float.fromhex(old_amp_hex)) <= 1e-13
         assert rep.samples == samples
 
+    # the first transfer check at M = 20000: the strided float32 scan's candidates hold
+    # the argmax that the unstrided scan's did, so the refine keeps its bits
+    @pytest.mark.parametrize(
+        "spec, time_hex, amp_hex",
+        [
+            (uniform_chain(20000, 1.0), "0x1.38dba071f90f2p+13", "0x1.965e070fbf5bcp-4"),
+            (edge_modified_chain(20000, 1.0, 0.5, 0.8), "0x1.38f3cfd286b47p+13", "0x1.011b50ef8483ep-2"),
+        ],
+        ids=["uniform20000", "two-bond20000"],
+    )
+    def test_pinned_bits_at_20000(self, spec, time_hex, amp_hex):
+        rep = peak_transfer(diagonalize(spec))
+        assert (rep.peak_time.hex(), rep.peak_amplitude.hex(), rep.samples) == (time_hex, amp_hex, 600030)
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -446,17 +466,18 @@ def _direct_argmax(modes, dt, n):
 
 
 class PeakSpy:
-    """Records, under a pytest ``monkeypatch``, the precision of each coarse scan that
-    ``_peak`` runs and the sample index that it hands to the golden refine."""
+    """Records, under a pytest ``monkeypatch``, the precision and stride of each coarse
+    scan that ``_peak`` runs and the sample index that it hands to the golden refine."""
 
     def __init__(self, monkeypatch):
-        self.scans, self.starts = [], []
+        self.scans, self.strides, self.starts = [], [], []
         scan, refine = qcradle.dynamics._end_abs_scan, qcradle.dynamics.golden_max
 
-        def scanned(nu, p, q, dt, n, dtype=np.float64):
+        def scanned(nu, p, q, dt, n, dtype=np.float64, stride=1):
             self.scans.append(dtype)
-            self.dt = dt
-            return scan(nu, p, q, dt, n, dtype)
+            self.strides.append(stride)
+            self.dt = dt  # the fine step at any stride
+            return scan(nu, p, q, dt, n, dtype, stride)
 
         def golden_max(f, x, *args):
             self.starts.append(round(x / self.dt))
@@ -468,6 +489,7 @@ class PeakSpy:
     def pick(self, sp):
         # (picked sample, direct float64 argmax, took the float64 scan) of one peak search
         self.scans.clear()
+        self.strides.clear()
         self.starts.clear()
         rep = peak_transfer(sp)
         n = round(PEAK_WINDOW_FACTOR / PEAK_COARSE_STEP) * sp.M + 1
@@ -523,6 +545,28 @@ class TestPeakCandidates:
         ):
             spy.pick(diagonalize(spec))
             assert spy.scans == scans
+
+    def test_stride_rule(self, monkeypatch):
+        # the float32 scan takes the largest stride m <= 8 with max |nu| m dt <= 0.8:
+        # every eps = 0 chain has |nu| dt <= 0.1 and takes 8, the trap (|nu| <= 3) 5, and
+        # the uniform chain lifted by an on-site offset of 20 (|nu| dt = 1.1) takes 1, the
+        # unstrided scan.  The float64 scan of a small chain is never strided
+        spy = PeakSpy(monkeypatch)
+        lifted = ChainSpec(M=200, tau=np.ones(199), eps=np.full(200, 20.0))
+        for spec, strides, float64 in (
+            (uniform_chain(300, 1.0), [8], False),
+            (pst_chain(300, 1.0), [8], False),
+            (edge_modified_chain(300, 1.0, 0.5, 0.8), [8], False),
+            (gaussian_trap_chain(300, 1.0, 150.0, 330.0), [5], False),
+            (lifted, [1], False),
+            (edge_modified_chain(100, 1.0, 0.36, 0.68), [1], True),
+        ):
+            k, direct, fallback = spy.pick(diagonalize(spec))
+            assert (k, fallback) == (direct, float64)
+            assert spy.strides == strides
+        # the offset is a global phase: the lifted chain's transfer is the uniform one's
+        rep, ref = peak_transfer(diagonalize(lifted)), peak_transfer(diagonalize(uniform_chain(200, 1.0)))
+        assert abs(rep.peak_amplitude - ref.peak_amplitude) <= 1e-12
 
     def test_nearly_cut_chain_takes_the_float64_scan(self, monkeypatch):
         # at x = 1e-6 the profile lies far below sum |w|: every one of the 15001
@@ -625,18 +669,64 @@ class TestEndAbsScan:
                 continue
             assert np.max(np.abs(vals - dense)) < 1e-12
 
+    @pytest.mark.parametrize("stride", [1, 2, 8])
+    @pytest.mark.parametrize("M, folded", [(1, False), (2, False), (100, False), (2, True), (3, True), (101, True)])
+    @pytest.mark.parametrize("n, t0, dtype", _precisions([(1, 2.0), (11, 0.0), (401, 3.7)]))
+    def test_strided_scan_is_within_its_bound(self, M, folded, n, t0, dtype, stride, monkeypatch):
+        # the step that _peak's stride rule allows at its limit, max |nu| 8 dt = 0.8: at
+        # every stride, chunk size and grid start, every value is within the bound of the
+        # dense scan, and the bound stays far below sum |w| (in float64 it is mostly the
+        # stencil's remainder).  Stride 1 is the unstrided scan, byte for byte
+        spec = random_chain(np.random.default_rng(M), M=M)
+        if folded:
+            spec = ChainSpec(M=M, tau=spec.tau, eps=np.zeros(M))
+        modes, omega, w = _scan_modes(spec)
+        assert (modes[0].size < M) == folded
+        dt = 0.1 / max(float(np.abs(modes[0]).max()), 1.0)
+        t = t0 + dt * np.arange(n)
+        dense = np.abs(np.exp(-1j * np.outer(t, omega)) @ w)
+        shifted = _shifted(modes, t0)
+        for chunk in SCAN_CHUNKS:
+            monkeypatch.setattr(qcradle.dynamics, "_SCAN_MODES", chunk)
+            vals = _end_abs_scan(*shifted, dt, n, dtype, stride)
+            delta = _scan_bound(*shifted, dt, n, dtype, stride)
+            assert vals.shape == (n,)
+            assert np.max(np.abs(vals - dense)) <= delta < (1e-4 if dtype is np.float32 else 1e-6) * np.sum(np.abs(w))
+            if stride == 1:
+                assert vals.tobytes() == _end_abs_scan(*shifted, dt, n, dtype).tobytes()
+
+    @pytest.mark.parametrize("stride", [2, 5, 8])
+    def test_stencil_is_lagrange_on_14_nodes(self, stride):
+        # each column of the float64 table reproduces every polynomial of degree < 14
+        # on the nodes -6..7 at s = r/stride, column 0 exactly; the Lebesgue constant
+        # and node product are those of the table and the nodes, largest at s = 1/2
+        table, lebesgue, node = qcradle.dynamics._stencil(stride, np.float64)
+        x, s = np.arange(-6.0, 8.0), np.arange(stride) / stride
+        assert table.shape == (14, stride) and not table.flags.writeable
+        assert np.array_equal(table[:, 0], (x == 0).astype(float))
+        for k in range(14):
+            assert np.allclose(x**k @ table, s**k, rtol=0, atol=1e-9 * 7.0**k)
+        assert lebesgue == np.abs(table).sum(axis=0).max()
+        assert node == pytest.approx(np.prod(np.abs(s[:, None] - x), axis=1).max(), rel=1e-14)
+        if stride % 2 == 0:
+            assert (round(lebesgue, 2), round(node, -4)) == (1.67, 1110000.0)
+
     @staticmethod
-    def _realistic_grid(sp, dtype):
+    def _realistic_grid(sp, dtype, stride=1):
         # default grid of a uniform M = 2000 chain: n = 60001, block size 245;
         # the doubled phases drift most at the end of each block.  The scan at
-        # the block edges and 200 random samples, the direct sum there, and delta
+        # the block edges (of the coarse grid's 87-sample blocks too, when
+        # strided), the last 16 samples and 200 random samples, the direct sum
+        # there, and delta
         n = 60001
         dt = peak_transfer(sp).window[1] / (n - 1)
         B = math.isqrt(n - 1) + 1
         assert B == 245
-        vals, delta = _end_abs_scan(*sp._end_modes, dt, n, dtype), _scan_bound(*sp._end_modes, dt, n, dtype)
+        modes = sp._end_modes
+        vals, delta = _end_abs_scan(*modes, dt, n, dtype, stride), _scan_bound(*modes, dt, n, dtype, stride)
         assert vals.shape == (n,)
-        edges = np.arange(B, n, B)
+        coarse = stride * (math.isqrt((n - 1) // stride + 13) + 1)
+        edges = np.concatenate([np.arange(B, n, B), np.arange(coarse, n, coarse), np.arange(n - 16, n)])
         rng = np.random.default_rng(2000)
         idx = np.unique(np.concatenate([[0, n - 1], edges, edges - 1, rng.integers(0, n, 200)]))
         omega, w = sp.omega, sp.g[:, 0] * sp.g[:, -1]
@@ -652,6 +742,14 @@ class TestEndAbsScan:
         vals, direct, delta = self._realistic_grid(spectrum2000, np.float32)
         weights = np.sum(np.abs(spectrum2000._end_modes[2]))
         assert np.max(np.abs(vals - direct)) <= delta < 400 * 2.0**-24 * weights
+
+    @pytest.mark.parametrize("stride", [2, 8])
+    def test_strided_realistic_grid_is_within_delta(self, spectrum2000, stride):
+        # _peak's route on this grid is stride 8; the bound holds, and is no looser than
+        # 1000 float32 round-offs of the weights (5.8e-5 here)
+        vals, direct, delta = self._realistic_grid(spectrum2000, np.float32, stride)
+        weights = np.sum(np.abs(spectrum2000._end_modes[2]))
+        assert np.max(np.abs(vals - direct)) <= delta < 1000 * 2.0**-24 * weights
 
     def test_float32_product_sees_no_weight_below_its_floor(self, monkeypatch):
         # pst weights fall like 2^-M: at M = 2000 those between the float64 floor and
@@ -690,14 +788,14 @@ class TestEndAbsScan:
                 tracemalloc.stop()
             assert peak < 16 * 2**20
 
-    def test_scan_holds_one_accumulator(self):
+    def test_scan_holds_one_accumulator(self, trap5000):
         # the off-centre trap at M = 5000 scans both halves over 40 chunks into
         # a 774 x 388 float32 accumulator (1.2 MB), through one product block of
         # its size that each chunk's sgemm overwrites, so the scan peaks near
         # those two plus one chunk's complex64 outer and inner blocks (1.2 MB).
         # complex128 blocks, a float64 accumulator, or one chunk's blocks kept
         # alive into the next each add 1.2 MB
-        sp = diagonalize(gaussian_trap_chain(5000, 1.0, 2500.0, 5500.0))
+        sp = trap5000
         nu, p, q = sp._end_modes
         n = 30 * sp.M + 1
         dt = peak_transfer(sp).window[1] / (n - 1)
@@ -713,6 +811,33 @@ class TestEndAbsScan:
         finally:
             tracemalloc.stop()
         assert peak < 2 * accumulator + blocks + 2**19
+
+    def test_strided_scan_memory_is_bounded(self, trap5000, monkeypatch):
+        # _peak's float32 route on the same trap takes stride 5: both sums over 20 chunks
+        # of 256 modes into a 173 x 174 coarse accumulator and its product block, one
+        # chunk's complex64 blocks (1.0 MB), the stencil's product over a view of the
+        # coarse sums (2 x 30001 x 5 floats, 1.1 MB) and the n float64 outputs (1.1 MB):
+        # about 3.1 MB, against the 16 MB of the whole peak search above.  A contiguous
+        # copy of the 14-sample window adds 3.4 MB
+        sp = trap5000
+        spy = PeakSpy(monkeypatch)
+        rep = peak_transfer(sp)
+        assert spy.scans == [np.float32] and spy.strides == [5]
+        nu, p, q = sp._end_modes
+        n = 30 * sp.M + 1
+        dt = rep.window[1] / (n - 1)
+        count = (n - 1) // 5 + 14
+        B = math.isqrt(count - 1) + 1
+        accumulator = 2 * -(-count // B) * B * 4
+        blocks = (2 * -(-count // B) + B) * 2 * _SCAN_MODES * 8
+        stencil = 2 * ((n - 1) // 5 + 1) * 5 * 4
+        tracemalloc.start()
+        try:
+            _end_abs_scan(nu, p, q, dt, n, np.float32, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * accumulator + blocks + stencil + 8 * n + 2**19 < 5 * 2**20
 
     def test_workload_transfers_peak_rss(self):
         # the peak RSS of a fresh process, which also counts BLAS buffers: the
