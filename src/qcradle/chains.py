@@ -56,11 +56,12 @@ def _count(name: str, value, least: int, most: float = math.inf) -> None:
 
 def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf, closed: bool = False) -> None:
     # the one rule for every real scalar, a Python or NumPy number or a 0-d array: a finite
-    # number in (lo, hi], or in [lo, hi] if closed.  Checked as a float, which an int past
-    # the float range cannot become; float first, as an ABC check costs as much as the rest
+    # number in (lo, hi], or in [lo, hi] if closed, and no boolean (as in _count).  Checked as
+    # a float, which an int past the float range cannot become; float first, as an ABC check
+    # costs as much as the rest
     try:
-        x = float(value) if isinstance(value, (float, numbers.Real)) or (
-            isinstance(value, np.ndarray) and value.shape == () and value.dtype.kind in "biuf"
+        x = float(value) if isinstance(value, (float, numbers.Real)) and not isinstance(value, bool) or (
+            isinstance(value, np.ndarray) and value.shape == () and value.dtype.kind in "iuf"
         ) else math.nan
     except OverflowError:
         x = math.nan
@@ -71,10 +72,10 @@ def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf, closed:
 
 def _reals(name: str, value, size: int, lo: float = -math.inf) -> np.ndarray:
     # the one rule for every real array field: `size` finite numbers > lo, as a read-only copy.
-    # Text and objects (ints past 64 bits) become NaN, which makes the least value NaN; the
-    # initial values pass an empty array
+    # Text, booleans and objects (ints past 64 bits) become NaN, which makes the least value
+    # NaN; the initial values pass an empty array
     a = np.atleast_1d(np.array(value))
-    a = a.astype(float, copy=False) if a.dtype.kind in "biuf" else np.full(1, math.nan)
+    a = a.astype(float, copy=False) if a.dtype.kind in "iuf" else np.full(1, math.nan)
     least, most = np.minimum.reduce(a, initial=math.inf), np.maximum.reduce(a, initial=-math.inf)
     if not (a.shape == (size,) and least > lo and most < math.inf):
         raise ValueError(f"{name} must be a length-{size} array of finite numbers in ({lo:g}, inf)")

@@ -11,16 +11,10 @@ Hamiltonian; no time stepping is involved.  ``evolve`` and
 revival fidelities and the boundary-exposure diagnostic of trapped packets.
 The transfer metrics read the end amplitude of a kick at site 1 from the
 modes ``Spectrum._end_modes`` alone: ``peak_transfer`` fixes the window and
-``_peak`` searches it.  A coarse scan (``_end_abs_scan``) of |A_M| on a
-grid picks the sample to refine through the point kernel ``_end_kernel``,
-which ``end_amplitude`` calls too.  A large scan runs in float32 under a
-proven error bound delta (``_scan_bound``): the samples within 2 delta of
-its maximum hold the true one, and the kernel re-checks them.  It sums the
-modes at every m-th sample only, m <= 8 as the chain's band allows (8 for
-every chain without on-site offsets), and fills the rest from the 14
-nearest sums by a fixed Lagrange stencil, whose error delta bounds too.  A
-small scan, or one with too many such samples, runs in float64 at every
-sample and picks its maximum.
+``_peak`` searches it, by a coarse scan of |A_M| (``_end_abs_scan``, under
+the error bound ``_scan_bound``) and a refine through the point kernel
+``_end_kernel``, which ``end_amplitude`` calls too.  ``_peak``'s docstring
+states the route.
 
 Times are in units of inverse energy (hbar = 1).
 """
@@ -66,27 +60,25 @@ _PRECISIONS = {
     for t in (np.float32, np.float64)
 }
 
-# _peak scans in float32 from this many modes x samples up.  Below it the
-# float32 scan saves less than its bound and candidates cost: with one BLAS
-# thread, its peak search took 1.09 and 1.11 times the float64 one at 150050
-# and 337575 (M = 100 and 150, folded) and 1.02 at 300100 (M = 100, unfolded),
-# 0.94 and 0.90 at 600100 and 675150 (M = 200 folded, M = 150 unfolded).
+# _peak scans in float32 from this many modes x samples up.  With one BLAS thread
+# (minimum of 9 x 40 calls) its peak search took 1.16, 1.09, 1.03, 1.00, 0.94 and
+# 0.72 times the float64 one on the folded two-bond (0.36, 0.68) chains of M = 170,
+# 187, 200, 225, 250 and 300 (433585 to 1350150), and 1.10 and 0.92 on the unfolded
+# traps of M = 100 and 133 (300100 and 530803).
 _FLOAT32_SCAN_WORK = 2**19
 
 # Most candidate samples that _peak re-checks through the point kernel; a larger
-# set takes the argmax of the float64 scan instead.  With one BLAS thread a
-# re-check costs 2 us at M = 100 and 9 us at M = 2000, and a float64 scan 85 us
-# and 8 ms: 64 re-checks cost at most 1.5 float64 scans at M = 100 and under
-# 0.6 of one from M = 300 up.  The tuner grid's largest set is 33.
+# set takes the float64 scan.  With one BLAS thread a re-check costs 2.2 us at
+# M = 100 and 9.5 us at M = 2000, and a float64 scan 62 us and 8.0 ms: 64
+# re-checks cost at most 2.3 float64 scans at M = 100 and under 0.8 of one from
+# M = 300 up.  The 50 x 50 tuner grid at M = 100 in float32 has at most 45.
 _PEAK_CANDIDATES = 64
 
-# _peak's float32 scan sums the modes at every stride-th sample only, the
-# largest stride up to _SCAN_STRIDE whose coarse phase step max |nu| stride dt
-# is at most _STRIDE_PHASE rad, and interpolates the rest from the
-# _STENCIL_TAPS coarse samples around each (_end_abs_scan).  Every eps = 0
-# chain takes 8 (|nu| dt <= 0.1); at 0.8 rad the stencil's remainder is below
-# 6e-7 sum |w| (_scan_bound).  For that remainder at |nu| dt = 0.1, stride 12
-# needs 26 taps and stride 16 needs 56.
+# The float32 scan's stride rule (_peak) and stencil (_end_abs_scan): strides up to
+# _SCAN_STRIDE with a coarse phase step of at most _STRIDE_PHASE rad, each filled from
+# _STENCIL_TAPS coarse samples.  At 0.8 rad the stencil's remainder is below
+# 6e-7 sum |w| (_scan_bound); for that remainder at |nu| dt = 0.1, stride 12 needs
+# 26 taps and stride 16 needs 56.
 _SCAN_STRIDE = 8
 _STRIDE_PHASE = 0.8
 _STENCIL_TAPS = 14
@@ -147,10 +139,9 @@ def _fill_powers(table: np.ndarray, phase: np.ndarray) -> None:
     chained ones.
     """
     count = table.shape[-2]
-    cast = phase.dtype != table.dtype
     k = 1
     while k < count:
-        anchor = phase.astype(table.dtype) if cast else phase
+        anchor = phase.astype(table.dtype, copy=False)
         np.multiply(table[..., : min(k, count - k), :], anchor, table[..., k : 2 * k, :])
         k *= 2
         if k < count:
@@ -180,6 +171,21 @@ def _stencil(stride: int, dtype) -> tuple[np.ndarray, float, float]:
     return table, lebesgue, float(np.abs(s[:, None] - x).prod(axis=1).max())
 
 
+def _scan_grid(n: int, dt: float, stride: int) -> tuple[int, float, int, int, int]:
+    """(count, h, B, nb, K): the grid that ``_end_abs_scan`` sums the modes on and ``_scan_bound`` counts.
+
+    The n samples k*dt at stride 1, else the ceil(n/stride) + 13 coarse
+    times at step h = stride*dt.  Each of the count times is (b*B + j)*h,
+    b < nb = ceil(count/B), j < B = ceil(sqrt(count)), and the modes are
+    taken in chunks of at most K = ``_SCAN_MODES`` times isqrt(stride), as
+    the coarse blocks have about 1/sqrt(stride) of the fine grid's rows.
+    """
+    if stride > 1:
+        n, dt = (n - 1) // stride + _STENCIL_TAPS, stride * dt
+    B = math.isqrt(n - 1) + 1
+    return n, dt, B, -(-n // B), _SCAN_MODES * math.isqrt(stride)
+
+
 def _end_abs_scan(
     nu: np.ndarray, p, q, dt: float, n: int, dtype=np.float64, stride: int = 1
 ) -> np.ndarray:
@@ -188,18 +194,16 @@ def _end_abs_scan(
     ``(nu, p, q)`` are the modes of ``Spectrum._end_modes``; a None half is
     skipped.  Complex weights p e^{-i nu t0}, q e^{-i nu t0} scan the grid
     that starts at t0.  The values are float64; ``_scan_bound`` bounds their
-    error a priori.  Each grid time is factored as (b*B + k)*dt with
-    B = ceil(sqrt(n)), so C = Re sum p e^{-i nu t} and S = Re sum i q e^{-i nu t}
-    come from a ceil(n/B) x K outer-phase block and a B x K inner-phase block
-    per chunk of at most K = ``_SCAN_MODES`` modes (isqrt(m) times that at a
-    stride m, below), whose products are summed
-    into one ceil(n/B) x B accumulator per sum: O(sqrt(n)*K + n) memory
-    instead of O(n*M).  Re(a b) is the real dot of conj(a) with b, both seen
-    as (re, im) pairs, so each chunk is one real GEMM over the nonzero
-    halves: for a folded chain, a quarter of the flops of a complex product
-    over all M modes.  Blocks, GEMM and accumulator are all in ``dtype``:
-    float32 takes complex64 blocks and sgemm, half the bytes and about 40% of
-    the time of float64.  Both blocks are powers of one step phase per mode
+    error a priori.  On the grid of ``_scan_grid`` (stride 1: the n samples),
+    C = Re sum p e^{-i nu t} and S = Re sum i q e^{-i nu t} come from an
+    nb x K outer-phase block and a B x K inner-phase block per chunk of
+    modes, whose products are summed into one nb x B accumulator per sum:
+    O(sqrt(n)*K + n) memory instead of O(n*M).  Re(a b) is the real dot of
+    conj(a) with b, both seen as (re, im) pairs, so each chunk is one real
+    GEMM over the nonzero halves: for a folded chain, a quarter of the flops
+    of a complex product over all M modes.  Blocks, GEMM and accumulator
+    are all in ``dtype``: float32 takes complex64 blocks and sgemm, half the
+    bytes of float64.  Both blocks are powers of one step phase per mode
     (``_fill_powers``); the outer block starts from the conjugated weights,
     so it is the left factor as built.  Weights below tiny/eps of ``dtype``
     are set to 0 first, as their products would be subnormal, which is slow:
@@ -215,38 +219,33 @@ def _end_abs_scan(
     -6 <= i <= 7, of C and S apart, taken before the modulus: one
     (ceil(n/m), 14) @ (14, m) product (``_stencil``) per sum over a sliding
     window of the coarse sums.  Sample r = 0 is a coarse sample as computed.
-    The coarse blocks have about 1/sqrt(m) of the fine grid's rows, so a
-    chunk takes isqrt(m) times ``_SCAN_MODES`` modes for the same bytes: at
-    M = 2000 (m = 8, 256 modes) that took the uniform, pst and two-bond
-    chains' coarse scans from 1.06-1.19 to 0.88-0.99 ms with one BLAS
-    thread (384 modes gained 0.05 ms more and would loosen the bound's
+    The chunks of isqrt(m) times ``_SCAN_MODES`` modes keep the blocks'
+    bytes: at M = 2000 (m = 8, 256 modes) that took the uniform, pst and
+    two-bond chains' coarse scans from 1.06-1.19 to 0.88-0.99 ms with one
+    BLAS thread (384 modes gained 0.05 ms more and would loosen the bound's
     GEMM term by half again).  m = 1 is the scan above, bit for bit.
     """
     floor, cplx, gemm = _PRECISIONS[dtype]
     weights = ([] if p is None else [p]) + ([] if q is None else [1j * q])
-    fine = n
+    count, h, B, nb, K = _scan_grid(n, dt, stride)
     if stride > 1:
-        n, dt = (n - 1) // stride + _STENCIL_TAPS, stride * dt
-        shift = np.exp(1j * ((_STENCIL_TAPS // 2 - 1) * dt) * nu)  # e^{-i nu t0}
+        shift = np.exp(1j * ((_STENCIL_TAPS // 2 - 1) * h) * nu)  # e^{-i nu t0}
         weights = [c * shift for c in weights]
-    B = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
-    nb = -(-n // B)
     if floor > _WEIGHT_FLOOR:
         weights = [np.where(np.abs(c) < floor, 0.0, c) for c in weights]
     parts = np.empty((len(weights) * nb, B), dtype=dtype)
-    K = _SCAN_MODES * math.isqrt(stride)  # the coarse blocks have 1/sqrt(stride) of the rows
     prod = np.empty_like(parts) if nu.size > K else None
     for lo in range(0, nu.size, K):
         chunk = slice(lo, lo + K)
         modes = nu[chunk]
-        # conj(w e^{-i nu b B dt}), b < nb, and e^{-i nu k dt}, k < B
+        # conj(w e^{-i nu b B h}), b < nb, and e^{-i nu k h}, k < B
         lhs = np.empty((len(weights), nb, modes.size), dtype=cplx)
         for i, c in enumerate(weights):
             np.conj(c[chunk], lhs[i, 0])
-        _fill_powers(lhs, np.exp(1j * (B * dt) * modes))
+        _fill_powers(lhs, np.exp(1j * (B * h) * modes))
         inner = np.empty((B, modes.size), dtype=cplx)
         inner[0] = 1.0
-        _fill_powers(inner, np.exp(-1j * dt * modes))
+        _fill_powers(inner, np.exp(-1j * h * modes))
         lhs = lhs.view(dtype).reshape(-1, 2 * modes.size)
         inner = inner.view(dtype)
         # lhs @ inner.T, the first chunk's into the accumulator and each later
@@ -256,11 +255,11 @@ def _end_abs_scan(
         if lo:
             parts += prod
         del lhs, inner  # before the next chunk's blocks are built
-    parts = parts.reshape(len(weights), -1)[:, :n]
+    parts = parts.reshape(len(weights), -1)[:, :count]
     if stride > 1:
         # the window is a view: a contiguous copy of it measured 0.3 MB more peak RSS
         window = sliding_window_view(parts, _STENCIL_TAPS, axis=1)
-        parts = (window @ _stencil(stride, dtype)[0]).reshape(len(weights), -1)[:, :fine]
+        parts = (window @ _stencil(stride, dtype)[0]).reshape(len(weights), -1)[:, :n]
     return np.hypot(*parts, dtype=float) if len(weights) == 2 else np.abs(parts[0], dtype=float)
 
 
@@ -274,9 +273,9 @@ def _scan_bound(nu: np.ndarray, p, q, dt: float, n: int, dtype, stride: int = 1)
     of float64, gamma_k = k u/(1 - k u); a real product that underflows is
     off by at most u*tiny more (gradual underflow); cos and sin are within
     4 ulp; and prod (1 + x_i) - 1 <= s/(1 - s), s = sum x_i.  Per sum (C or
-    S), with W its sum |w|, on the grid that the modes are summed on (the
-    fine grid for stride m = 1, else the coarse one, with n and dt there
-    read as ceil(n/m) + 13 and h = fl(m dt)):
+    S), with W its sum |w|, on the grid ``_scan_grid`` that the modes are
+    summed on (the fine grid for stride m = 1, else the coarse one, with n
+    and dt there read as its count and h = fl(m dt)):
 
     1. Dropping weights below tiny/eps moves the sum by less than N tiny/eps
        over the N modes.  A kept |w| >= tiny/(2u), so an underflow below
@@ -346,18 +345,14 @@ def _scan_bound(nu: np.ndarray, p, q, dt: float, n: int, dtype, stride: int = 1)
     floor = _PRECISIONS[dtype][0]
     top = max(-float(nu[0]), float(nu[-1]))  # max |nu|, as nu ascends
     span = top * dt
-    # the grid that the modes are summed on: step h, count samples
-    h, count = (dt, n) if stride == 1 else (stride * dt, (n - 1) // stride + _STENCIL_TAPS)
+    _, h, B, nb, K = _scan_grid(n, dt, stride)  # the grid that the modes are summed on
     coarse = top * h
     shift = 0.0 if stride == 1 else (13 * coarse + 13) * ud
-    B = math.isqrt(count - 1) + 1
-    nb = -(-count // B)
     mu, mud = 2.0**0.5 * 2 * u / (1 - 2 * u), 2.0**0.5 * 2 * ud / (1 - 2 * ud)
     step = u + mu + 8 * u * u
     s_i = (B - 1).bit_length() * step + (B - 1) * ((2 * coarse + 12) * ud + mud)
     s_o = u + 8 * u * u + shift + (nb - 1).bit_length() * step
     s_o += (nb - 1) * ((3 * B * coarse + 12) * ud + mud)
-    K = _SCAN_MODES * math.isqrt(stride)
     terms, chunks = 2 * min(K, nu.size), -(-nu.size // K)
     g = terms * u / (1 - terms * u) + 4 * u * u
     dot = g + (chunks - 1) * u / (1 - (chunks - 1) * u) * (1 + g)
@@ -419,41 +414,47 @@ def end_amplitude(spectrum: Spectrum, t: float) -> complex:
 def _peak(modes, T: float, n: int) -> tuple[float, float, int]:
     """(time, amplitude, samples) of the largest |A_M(t)| on [0, T], from ``Spectrum._end_modes``.
 
-    The coarse scan ``_end_abs_scan`` of n samples k*dt, dt = T/(n - 1),
-    runs in float32 from ``_FLOAT32_SCAN_WORK`` modes x samples up, with the
-    largest stride m <= ``_SCAN_STRIDE`` whose coarse phase step
-    max |nu| m dt is at most ``_STRIDE_PHASE``: 8 on every chain without
-    on-site offsets (max |nu| dt <= 0.1), and 1, the scan of every sample,
-    where offsets push max |nu| dt above 0.4.  It is
-    then within delta (``_scan_bound``) of both the exact |A_M| and the
-    point kernel ``_end_kernel`` at every sample, so the samples within
-    2 delta of its maximum hold the maximum of each.  The kernel
-    re-evaluates these candidates and picks the best, the earliest on a
-    tie.  A smaller scan, or more than ``_PEAK_CANDIDATES`` candidates (a
-    profile far below sum |w|, as on a nearly cut chain), takes the first
-    maximum of the float64 scan of every sample instead.
-    ``golden_max`` refines the pick within dt, clipped to [0, T], through
-    the kernel to time tolerance PEAK_TIME_TOL * dt / PEAK_COARSE_STEP, the
-    same fraction of the step at every time scale.  samples = n + refine
-    evaluations + 1 (the picked sample's kernel value; the other candidates
-    are grid samples, already counted).
+    The peak search's route, stated here only.  The coarse scan
+    ``_end_abs_scan`` of the n samples k*dt, dt = T/(n - 1), names the
+    candidate samples:
+
+    - from ``_FLOAT32_SCAN_WORK`` modes x samples up (at ``peak_transfer``'s
+      n = 30M + 1, M >= 187 with folded modes and M >= 133 without) it runs
+      in float32, summing the modes at every m-th sample only: m is the
+      largest stride up to ``_SCAN_STRIDE`` whose coarse phase step
+      max |nu| m dt is at most ``_STRIDE_PHASE`` (8 on every chain without
+      on-site offsets, where max |nu| dt <= 0.1, and 1 once offsets push
+      max |nu| dt above 0.4).  It is within delta (``_scan_bound``) of both
+      the exact |A_M| and the point kernel ``_end_kernel`` at every sample,
+      so the samples within 2 delta of its maximum, which hold the maximum
+      of each, are the candidates;
+    - a smaller scan, or more than ``_PEAK_CANDIDATES`` such samples (a
+      profile far below sum |w|, as on a nearly cut chain), runs in float64
+      at every sample, and its first maximum is the one candidate.
+
+    The kernel's modulus at each candidate is taken once, and the best, the
+    earliest on a tie, seeds ``golden_max`` with that value.  It refines the
+    pick within dt, clipped to [0, T], through the kernel to time tolerance
+    PEAK_TIME_TOL * dt / PEAK_COARSE_STEP, the same fraction of the step at
+    every time scale.  samples = n + refine evaluations + 1 (the picked
+    sample's kernel value; the other candidates are grid samples, already
+    counted).
     """
     dt = T / (n - 1)
     amp = _end_kernel(*modes)
-    k = None
+    near = []
     if modes[0].size * n >= _FLOAT32_SCAN_WORK:
         span = max(-float(modes[0][0]), float(modes[0][-1])) * dt
         stride = max((m for m in range(1, _SCAN_STRIDE + 1) if m * span <= _STRIDE_PHASE), default=1)
         vals = _end_abs_scan(*modes, dt, n, np.float32, stride)
-        (near,) = np.nonzero(vals >= vals.max() - 2.0 * _scan_bound(*modes, dt, n, np.float32, stride))
-        if near.size <= _PEAK_CANDIDATES:
-            best = [abs(amp(j * dt)) for j in near.tolist()]
-            k = int(near[best.index(max(best))])  # the earliest on a tie
-    if k is None:
-        k = int(_end_abs_scan(*modes, dt, n).argmax())
-    t = k * dt
+        near = np.flatnonzero(vals >= vals.max() - 2.0 * _scan_bound(*modes, dt, n, np.float32, stride)).tolist()
+    if not 0 < len(near) <= _PEAK_CANDIDATES:
+        near = [int(_end_abs_scan(*modes, dt, n).argmax())]
+    best = [abs(amp(k * dt)) for k in near]
+    a = max(best)
+    t = near[best.index(a)] * dt  # the earliest on a tie
     tol = PEAK_TIME_TOL * dt / PEAK_COARSE_STEP
-    t, a, evals = golden_max(lambda t: abs(amp(t)), t, abs(amp(t)), dt, 0.0, T, tol)
+    t, a, evals = golden_max(lambda t: abs(amp(t)), t, a, dt, 0.0, T, tol)
     return t, a, n + evals + 1
 
 
@@ -461,14 +462,8 @@ def peak_transfer(spectrum: Spectrum) -> TransferReport:
     """Largest |A_M(t)| over the window (0, 1.5 M/tau_max) for the kick-at-1 state.
 
     The window is fixed by the chain (tau_max = 1 for one site) and is
-    reported as ``TransferReport.window``; ``_peak`` searches it from a
-    coarse scan of n = 30M + 1 samples, step 0.05/tau_max, in float32 from
-    M = 187 up (M = 133 for a chain that does not fold its modes, such as
-    one with on-site offsets), where it sums the modes at every 8th sample
-    at most and interpolates the rest: the point kernel re-checks the
-    samples that the scan's error bound cannot tell from its top.  A
-    smaller chain, or too many such samples, takes the maximum of the
-    float64 scan of every sample.
+    reported as ``TransferReport.window``; ``_peak`` searches it from
+    n = 30M + 1 samples, step 0.05/tau_max, by the route its docstring states.
     Deterministic, but on a profile flat to round-off, round-off, not the
     earliest time, picks the sample it refines.  A window end that overflows
     (a subnormal tau_max) raises ValueError.

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -427,6 +428,23 @@ class TestPeakTransfer:
         rep = peak_transfer(diagonalize(spec))
         assert (rep.peak_time.hex(), rep.peak_amplitude.hex(), rep.samples) == (time_hex, amp_hex, 600030)
 
+    # the benchmark's transfer chains, which the strided float32 scan serves
+    @pytest.mark.parametrize(
+        "spec, time_hex, amp_hex, samples",
+        [
+            (uniform_chain(500, 1.0), "0x1.fb4661c92b4f3p+7", "0x1.5285335db3b52p-2", 15030),
+            (pst_chain(500, 1.0), "0x1.921fb54369242p+0", "0x1.0000000000000p+0", 15030),
+            (edge_modified_chain(500, 1.0, 0.5, 0.8), "0x1.00570f7859760p+8", "0x1.74b2f7edd0f83p-1", 15030),
+            (uniform_chain(2000, 1.0), "0x1.f6c6360eb6acbp+9", "0x1.b1e111637cec9p-3", 60030),
+            (pst_chain(2000, 1.0), "0x1.921fb5461617ep+0", "0x1.fffffffffffffp-1", 60030),
+            (edge_modified_chain(2000, 1.0, 0.5, 0.8), "0x1.f83774779659fp+9", "0x1.05b207531ddffp-1", 60030),
+        ],
+        ids=["uniform500", "pst500", "two-bond500", "uniform2000", "pst2000", "two-bond2000"],
+    )
+    def test_pinned_bits_of_the_transfer_workload(self, spec, time_hex, amp_hex, samples):
+        rep = peak_transfer(diagonalize(spec))
+        assert (rep.peak_time.hex(), rep.peak_amplitude.hex(), rep.samples) == (time_hex, amp_hex, samples)
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -694,6 +712,49 @@ class TestEndAbsScan:
             assert np.max(np.abs(vals - dense)) <= delta < (1e-4 if dtype is np.float32 else 1e-6) * np.sum(np.abs(w))
             if stride == 1:
                 assert vals.tobytes() == _end_abs_scan(*shifted, dt, n, dtype).tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 5, 8])
+    @pytest.mark.parametrize("folded", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_scan_runs_the_grid_its_bound_counts(self, stride, folded, dtype, monkeypatch):
+        # the scan and the bound read one grid from _scan_grid, and the scan's chunk
+        # products run it: ceil(N/K) products over B inner phases, nb outer phases per
+        # sum and at most K modes, each mode a (re, im) pair.  The second n makes the
+        # count a perfect square (50^2, 25^2, 20^2)
+        spec = random_chain(np.random.default_rng(100), M=100)
+        if folded:
+            spec = ChainSpec(M=100, tau=spec.tau, eps=np.zeros(100))
+        nu, p, q = modes = diagonalize(spec)._end_modes
+        halves = (p is not None) + (q is not None)
+        assert halves == 2 - folded
+        dt = 0.1 / float(np.abs(nu).max())
+        shapes, grids = [], []
+        *rest, gemm = qcradle.dynamics._PRECISIONS[dtype]
+        grid = qcradle.dynamics._scan_grid
+
+        def product(alpha, a, b, c, **kwargs):
+            shapes.append((a.shape, b.shape, c.shape))
+            return gemm(alpha, a, b, c=c, **kwargs)
+
+        def read(*args):
+            grids.append(grid(*args))
+            return grids[-1]
+
+        monkeypatch.setitem(qcradle.dynamics._PRECISIONS, dtype, (*rest, product))
+        monkeypatch.setattr(qcradle.dynamics, "_scan_grid", read)
+        for chunk, n in itertools.product(SCAN_CHUNKS, (3001, {1: 2500, 5: 3056, 8: 3089}[stride])):
+            monkeypatch.setattr(qcradle.dynamics, "_SCAN_MODES", chunk)
+            shapes.clear()
+            grids.clear()
+            _end_abs_scan(*modes, dt, n, dtype, stride)
+            _scan_bound(*modes, dt, n, dtype, stride)
+            assert len(grids) == 2 and grids[0] == grids[1]
+            count, h, B, nb, K = grids[0]
+            assert (count, h) == ((n, dt) if stride == 1 else ((n - 1) // stride + 14, stride * dt))
+            assert K == chunk * math.isqrt(stride) and (nb - 1) * B < count <= nb * B
+            sizes = [min(K, nu.size - lo) for lo in range(0, nu.size, K)]
+            assert len(shapes) == -(-nu.size // K)
+            assert shapes == [((2 * k, B), (2 * k, halves * nb), (B, halves * nb)) for k in sizes]
 
     @pytest.mark.parametrize("stride", [2, 5, 8])
     def test_stencil_is_lagrange_on_14_nodes(self, stride):

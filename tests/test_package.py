@@ -258,14 +258,24 @@ REALS = {
 @pytest.mark.parametrize("case", REALS)
 def test_reals_follow_one_rule(case):
     message, outside, edge, call = REALS[case]
-    # an int past the float range, and a number's text, are no finite numbers either
-    for bad in [math.nan, math.inf, -math.inf, 10**400, -(10**400), "0.5"] + ([] if outside is None else [outside]):
+    # an int past the float range, and a number's text, are no finite numbers either, and
+    # a scalar boolean in any form is none (a True in an array slot is 1.0 in a float list)
+    refused = [math.nan, math.inf, -math.inf, 10**400, -(10**400), "0.5"] + ([] if outside is None else [outside])
+    if "{v!r}" in message:
+        refused += [True, np.True_, np.array(True)]
+    for bad in refused:
         with pytest.raises(ValueError) as info:
             call(bad)
         assert info.type is ValueError and str(info.value) == message.format(v=bad)
     call(edge)
     call(np.float64(edge))
     call(np.array(edge))
+
+
+def test_bool_arrays_are_no_reals():
+    with pytest.raises(ValueError) as info:
+        ChainSpec(M=3, tau=np.ones(2, dtype=bool), eps=np.zeros(3))
+    assert str(info.value) == _array("tau", 2, "(0, inf)")
 
 
 # value types that hold arrays: a field-wise == would ask numpy for the
